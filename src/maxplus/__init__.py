@@ -45,11 +45,8 @@ from .visualize import (
 from .csr import (
     CsrExpansion,
     CsrTerm,
-    ExtendedGraph,
-    build_extended_graph,
     build_s,
     compute_cr_pair,
-    evaluate_expansion,
     expand,
     reduce_term,
 )

@@ -18,7 +18,6 @@ attaining multi-circuits come out exactly, with no perturbation constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
     as_value,
-    denominator_of,
+    common_scale,
     scaled_int,
 )
 
@@ -199,9 +198,7 @@ def chi_eval(a: TropicalMatrix, lam, force_backend=None) -> ChiEvaluation:
         raise DimensionMismatchError("chi is defined for square matrices")
     lam = as_value(lam)
     n = a.rows
-    scale = denominator_of(lam)
-    for v in a.entries.values():
-        scale = math.lcm(scale, denominator_of(v))
+    scale = common_scale((lam,), a.entries.values())
     results = {}
     for want_max_length in (False, True):
         cost, diag_state = _lexicographic_costs(a, lam, n, scale, want_max_length)

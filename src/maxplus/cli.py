@@ -18,10 +18,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -331,21 +329,7 @@ def _cmd_verify(args) -> int:
         ts = _parse_t_range(args.t_range)
     else:
         ts = range(x.threshold, x.threshold + 21)
-    try:
-        workers = int(os.environ.get("THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        chunks = [list(ts)[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(
-                pool.map(lambda chunk: brute_power_check(a, x, chunk, seed=args.seed),
-                         [c for c in chunks if c])
-            )
-        bad = [r for r in reports if not r.match]
-        report = min(bad, key=lambda r: r.counterexample[2]) if bad else reports[0]
-    else:
-        report = brute_power_check(a, x, ts, seed=args.seed)
+    report = brute_power_check(a, x, ts, seed=args.seed)
     if report.match:
         print(f"verify: OK ({report.instance})")
         return 0

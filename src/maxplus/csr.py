@@ -16,7 +16,6 @@ node (and one on the reversed graph) yields a whole factor.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,68 +27,18 @@ from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
     as_value,
-    denominator_of,
+    common_scale,
     matrix_power,
     scaled_int,
 )
 from .visualize import InvariantViolationError, visualize_all
 
 
-@dataclass(frozen=True, slots=True)
-class ExtendedGraph:
-    """Layered copies of a digraph; every arc advances the layer by one (mod layers).
-
-    Node (v, k) has id v * layers + k; ``adj[id]`` lists (id2, weight).
-    The arc count is layers times the base arc count.
-    """
-
-    base_n: int
-    layers: int
-    adj: tuple
-    arc_count: int
-
-    def node_id(self, v: int, k: int) -> int:
-        return v * self.layers + k
-
-
-def build_extended_graph(base_n, arcs, layers, reverse=False) -> ExtendedGraph:
-    """Extended graph of the arc list; ``reverse`` flips every layered arc."""
-    adj = [[] for _ in range(base_n * layers)]
-    for u, v, w in arcs:
-        for k in range(layers):
-            k2 = (k + 1) % layers
-            if reverse:
-                adj[v * layers + k2].append((u * layers + k, w))
-            else:
-                adj[u * layers + k].append((v * layers + k2, w))
-    return ExtendedGraph(base_n, layers, tuple(tuple(x) for x in adj), layers * len(arcs))
-
-
-def _max_weight_labels(graph: ExtendedGraph, source_id: int):
-    """Single-source maximum path weights on nonpositive arcs (label-setting)."""
-    labels = [None] * (graph.base_n * graph.layers)
-    labels[source_id] = 0
-    heap = [(0, source_id)]
-    adj = graph.adj
-    while heap:
-        neg, u = heapq.heappop(heap)
-        base = -neg
-        if base < labels[u]:
-            continue
-        for v, w in adj[u]:
-            cand = base + w
-            cur = labels[v]
-            if cur is None or cand > cur:
-                labels[v] = cand
-                heapq.heappush(heap, (-cand, v))
-    return labels
-
-
 def _layered_max_weights(nv, layers, base_adj, source_v, backward=False):
     """Layered-graph labels without materializing the layer copies.
 
-    Same labels as ``_max_weight_labels`` on the (possibly reversed)
-    extended graph of the base adjacency, with node (v, k) at index
+    Same labels as ``maxplus.oracle._max_weight_labels`` on the (possibly
+    reversed) extended graph of the base adjacency, with node (v, k) at index
     v * layers + k and the source at layer 0.  Forward arcs advance the
     layer by one mod ``layers``; walking the reversed graph (``base_adj``
     holding in-arcs) steps the layer back by one instead.  Weights must be
@@ -119,13 +68,21 @@ def _layered_max_weights(nv, layers, base_adj, source_v, backward=False):
     return labels
 
 
-def _group_scale(a_vis: TropicalMatrix, scaling: DiagonalScaling):
-    scale = 1
-    for v in a_vis.entries.values():
-        scale = math.lcm(scale, denominator_of(v))
-    for v in scaling.values:
-        scale = math.lcm(scale, denominator_of(v))
-    return scale
+def _scaled_group(a_vis: TropicalMatrix, scaling: DiagonalScaling):
+    """A visualized group in its scaled-integer domain: (scale, d, out_adj, in_adj).
+
+    ``d`` is the scaled conjugation vector; ``out_adj[i]`` lists (j, w) and
+    ``in_adj[j]`` lists (i, w) for every finite scaled entry w at (i, j).
+    """
+    scale = common_scale(a_vis.entries.values(), scaling.values)
+    d = [scaled_int(v, scale) for v in scaling.values]
+    out_adj = [[] for _ in range(a_vis.rows)]
+    in_adj = [[] for _ in range(a_vis.rows)]
+    for (i, j), w in a_vis.entries.items():
+        sw = scaled_int(w, scale)
+        out_adj[i].append((j, sw))
+        in_adj[j].append((i, sw))
+    return scale, d, out_adj, in_adj
 
 
 def compute_cr_pair(a_vis: TropicalMatrix, scaling: DiagonalScaling, circuit: CircuitRecord, n: int):
@@ -154,15 +111,8 @@ def compute_cr_pair(a_vis: TropicalMatrix, scaling: DiagonalScaling, circuit: Ci
                 f"circuit arc ({u}, {v}) is not zero in the visualized submatrix"
             )
     ell = circuit.length
-    scale = _group_scale(a_vis, scaling)
-    d = [scaled_int(v, scale) for v in scaling.values]
+    scale, d, out_adj, in_adj = _scaled_group(a_vis, scaling)
     anchor = pos[circuit.nodes[0]]
-    out_adj = [[] for _ in range(nv)]
-    in_adj = [[] for _ in range(nv)]
-    for (i, j), w in a_vis.entries.items():
-        sw = scaled_int(w, scale)
-        out_adj[i].append((j, sw))
-        in_adj[j].append((i, sw))
     labels_f = _layered_max_weights(nv, ell, out_adj, anchor)
     labels_b = _layered_max_weights(nv, ell, in_adj, anchor, backward=True)
     r_entries = {}
@@ -295,14 +245,12 @@ class CsrExpansion:
             if t < n and self.source is not None:
                 return matrix_power(self.source, t)
             return TropicalMatrix.epsilon(n, n)
-        scale = 1
+        scale = common_scale(
+            (term.rate for term in self.terms),
+            *(term.C.entries.values() for term in self.terms),
+            *(term.R.entries.values() for term in self.terms),
+        )
         max_abs = 0
-        for term in self.terms:
-            scale = math.lcm(scale, denominator_of(term.rate))
-            for v in term.C.entries.values():
-                scale = math.lcm(scale, denominator_of(v))
-            for v in term.R.entries.values():
-                scale = math.lcm(scale, denominator_of(v))
         acc = {}
         use_numpy = n >= 64
         if use_numpy:
@@ -419,11 +367,6 @@ def expand(a: TropicalMatrix, reduce_by_cyclicity: bool = False) -> CsrExpansion
     return CsrExpansion(n=n, terms=tuple(terms), threshold=2 * n * n, source=a)
 
 
-def evaluate_expansion(x: CsrExpansion, t: int) -> TropicalMatrix:
-    """Evaluate the expansion at t (equals the t-th power for t >= x.threshold)."""
-    return x.evaluate(t)
-
-
 def reduce_term(term: CsrTerm, a_vis: TropicalMatrix) -> CsrTerm:
     """Rebuild one term over the cyclicity classes of its critical graph.
 
@@ -446,15 +389,8 @@ def reduce_term(term: CsrTerm, a_vis: TropicalMatrix) -> CsrTerm:
     cyc = cyclicity_classes(critical)
     sigma = cyc.sigma
     n_classes = len(cyc.classes)
-    scale = _group_scale(a_vis, term.scaling)
-    d = [scaled_int(v, scale) for v in term.scaling.values]
+    scale, d, out_adj, in_adj = _scaled_group(a_vis, term.scaling)
     n = term.C.rows
-    out_adj = [[] for _ in range(nv)]
-    in_adj = [[] for _ in range(nv)]
-    for (i, j), w in a_vis.entries.items():
-        sw = scaled_int(w, scale)
-        out_adj[i].append((j, sw))
-        in_adj[j].append((i, sw))
     c_entries = {}
     r_entries = {}
     succ = [None] * n_classes

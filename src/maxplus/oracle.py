@@ -9,6 +9,7 @@ instead of silently running.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -199,6 +200,60 @@ def mod_length_closure(a_vis: TropicalMatrix, ell: int) -> TropicalMatrix:
     from .tropical import kleene_star
 
     return kleene_star(matrix_power(a_vis, ell))
+
+
+@dataclass(frozen=True, slots=True)
+class ExtendedGraph:
+    """Layered copies of a digraph; every arc advances the layer by one (mod layers).
+
+    Node (v, k) has id v * layers + k; ``adj[id]`` lists (id2, weight).
+    The arc count is layers times the base arc count.
+    """
+
+    base_n: int
+    layers: int
+    adj: tuple
+    arc_count: int
+
+    def node_id(self, v: int, k: int) -> int:
+        return v * self.layers + k
+
+
+def build_extended_graph(base_n, arcs, layers, reverse=False) -> ExtendedGraph:
+    """Extended graph of the arc list; ``reverse`` flips every layered arc."""
+    adj = [[] for _ in range(base_n * layers)]
+    for u, v, w in arcs:
+        for k in range(layers):
+            k2 = (k + 1) % layers
+            if reverse:
+                adj[v * layers + k2].append((u * layers + k, w))
+            else:
+                adj[u * layers + k].append((v * layers + k2, w))
+    return ExtendedGraph(base_n, layers, tuple(tuple(x) for x in adj), layers * len(arcs))
+
+
+def _max_weight_labels(graph: ExtendedGraph, source_id: int):
+    """Single-source maximum path weights on nonpositive arcs (label-setting).
+
+    Reference for ``maxplus.csr._layered_max_weights``, which walks the
+    same layered graph without building its copies.
+    """
+    labels = [None] * (graph.base_n * graph.layers)
+    labels[source_id] = 0
+    heap = [(0, source_id)]
+    adj = graph.adj
+    while heap:
+        neg, u = heapq.heappop(heap)
+        base = -neg
+        if base < labels[u]:
+            continue
+        for v, w in adj[u]:
+            cand = base + w
+            cur = labels[v]
+            if cur is None or cand > cur:
+                labels[v] = cand
+                heapq.heappush(heap, (-cand, v))
+    return labels
 
 
 def bellman_ford_visualization(a_sub: TropicalMatrix, rate):

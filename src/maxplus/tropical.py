@@ -9,6 +9,7 @@ are rejected on input so all results stay bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,9 +22,18 @@ class PositiveCircuitError(ValueError):
     """Kleene star requested for a graph containing a positive-weight circuit."""
 
 
-def denominator_of(v) -> int:
-    """Denominator of an exact value (1 for ints)."""
-    return 1 if isinstance(v, int) else v.denominator
+def common_scale(*value_groups) -> int:
+    """The scaled-integer domain of the given values: the lcm of their denominators.
+
+    Every value in every iterable times the result is an int (see
+    ``scaled_int``); all-integer inputs give 1.
+    """
+    scale = 1
+    for values in value_groups:
+        for v in values:
+            if not isinstance(v, int):
+                scale = math.lcm(scale, v.denominator)
+    return scale
 
 
 def scaled_int(v, scale) -> int:

@@ -14,12 +14,17 @@ Arithmetic: the growth rates may be non-integers, so the sweep works in a
 common scaled-integer domain (all entries and rates multiplied by one lcm
 denominator) and divides back out when the per-group matrices are built.
 This keeps everything exact while the hot loops run on plain ints.
+
+Arc values are derived, not stored: the sweep keeps only the potentials d,
+the scaled entries and the adjacency of the nodes inserted so far, and reads
+the conjugated arc u -> v as a_uv - rate - d[u] + d[v] whenever it needs it.
+Updating d, or moving on to the next group's rate, thus updates every arc
+at once.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +34,7 @@ from .tropical import (
     DiagonalScaling,
     TropicalMatrix,
     as_value,
-    denominator_of,
+    common_scale,
     scaled_int,
 )
 
@@ -117,78 +122,53 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
     if part.r == 0:
         return VisualizationResult(())
     n = a.rows
-    scale = 1
-    for v in a.entries.values():
-        scale = math.lcm(scale, denominator_of(v))
-    for rate in part.growth_rates:
-        scale = math.lcm(scale, denominator_of(rate))
-    ea = {key: scaled_int(v, scale) for key, v in a.entries.items()}
+    scale = common_scale(a.entries.values(), part.growth_rates)
     srates = [scaled_int(rate, scale) for rate in part.growth_rates]
     row_arcs = [[] for _ in range(n)]
     col_arcs = [[] for _ in range(n)]
-    for (u, v), w in ea.items():
+    for (u, v), x in a.entries.items():
+        w = scaled_int(x, scale)
+        row_arcs[u].append((v, w))
         if u != v:
-            row_arcs[u].append((v, w))
             col_arcs[v].append((u, w))
 
-    b = {}
-    in_nb = {}
-    out_nb = {}
+    # Arcs among the inserted nodes (self-loops included), as (other end,
+    # scaled entry); the conjugated value of u -> v is w - rate - d[u] + d[v].
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
     d = [0] * n
     nprime = set()
     results = []
 
-    def add_arc(u, v, w):
-        b[(u, v)] = w
-        out_nb[u].add(v)
-        in_nb[v].add(u)
-
     for s in range(part.r, 0, -1):
         rate = srates[s - 1]
-        if s < part.r:
-            delta = srates[s] - rate
-            if delta:
-                for key in b:
-                    b[key] += delta
         order = tuple(sorted(part.groups[s - 1], reverse=True))
         for i in order:
-            in_nb[i] = set()
-            out_nb[i] = set()
+            nprime.add(i)
             for j, w in row_arcs[i]:
                 if j in nprime:
-                    add_arc(i, j, -rate + w + d[j])
+                    out_adj[i].append((j, w))
+                    in_adj[j].append((i, w))
             for j, w in col_arcs[i]:
                 if j in nprime:
-                    add_arc(j, i, -d[j] - rate + w)
-            if (i, i) in ea:
-                add_arc(i, i, -rate + ea[(i, i)])
-            nprime.add(i)
+                    out_adj[j].append((i, w))
+                    in_adj[i].append((j, w))
             reachable, w_lab = _max_weight_to_sink(
-                i, lambda v: ((u, b[(u, v)]) for u in in_nb[v])
+                i, lambda v: ((u, w - rate - d[u] + d[v]) for u, w in in_adj[v])
             )
-            crossing = []
             cross_best = None
-            for (u, v), val in b.items():
-                if u in reachable:
+            for u in reachable:
+                lift = w_lab[u] + d[u] + rate
+                for v, w in out_adj[u]:
+                    shifted = w - lift + d[v]
                     if v in reachable:
-                        nv = val - w_lab[u] + w_lab[v]
-                        if nv > 0:
+                        if shifted + w_lab[v] > 0:
                             raise InvariantViolationError(
                                 f"arc ({u}, {v}) stayed positive after rescaling"
                             )
-                        b[(u, v)] = nv
-                    else:
-                        shifted = val - w_lab[u]
-                        crossing.append((u, v, shifted))
-                        if cross_best is None or shifted > cross_best:
-                            cross_best = shifted
-                elif v in reachable:
-                    raise InvariantViolationError(
-                        f"arc ({u}, {v}) enters the reachable set from outside"
-                    )
+                    elif cross_best is None or shifted > cross_best:
+                        cross_best = shifted
             w_star = -max(0, cross_best) if cross_best is not None else 0
-            for u, v, shifted in crossing:
-                b[(u, v)] = shifted + w_star
             for j in nprime:
                 d[j] += w_lab[j] if j in reachable else w_star
         nodes = part.remaining_nodes(s)
@@ -196,16 +176,16 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
             raise AssertionError("sweep drifted away from the partition's node sets")
         pos = {v: k for k, v in enumerate(nodes)}
         entries = {}
-        for (u, v), val in b.items():
-            if val > 0:
-                raise InvariantViolationError(f"visualized entry ({u}, {v}) is positive")
-            if -d[u] + (ea[(u, v)] - rate) + d[v] != val:
-                raise AssertionError("conjugation identity broken during the sweep")
-            entries[(pos[u], pos[v])] = as_value(Fraction(val, scale))
+        for u in nodes:
+            for v, w in out_adj[u]:
+                val = w - rate - d[u] + d[v]
+                if val > 0:
+                    raise InvariantViolationError(f"visualized entry ({u}, {v}) is positive")
+                entries[(pos[u], pos[v])] = as_value(Fraction(val, scale))
         matrix = TropicalMatrix(len(nodes), len(nodes), entries, nodes, nodes)
         circuit = part.quasi_critical[s - 1]
         for u, v in circuit.arc_pairs():
-            if b.get((u, v)) != 0:
+            if entries.get((pos.get(u), pos.get(v))) != 0:
                 raise InvariantViolationError(
                     f"quasi-critical arc ({u}, {v}) is not zero after visualization"
                 )

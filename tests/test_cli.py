@@ -153,10 +153,6 @@ class TestCommands:
         assert run_command(["verify", DEMO_DENSE, "--t-range", "200..210"]) == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_verify_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("THREADS", "3")
-        assert run_command(["verify", DEMO_DENSE, "--t-range", "200..206"]) == 0
-
     def test_verify_reports_mismatch(self, capsys, monkeypatch):
         import maxplus.cli as cli
 

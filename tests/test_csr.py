@@ -9,7 +9,6 @@ from maxplus import (
     TropicalMatrix,
     build_s,
     characteristic_roots,
-    evaluate_expansion,
     expand,
     matrix_mul,
     matrix_power,
@@ -90,10 +89,10 @@ class TestDemoExpansion:
     def test_evaluation_entries(self):
         x = expand(demo_matrix())
         # one hundred laps of the (1,2) circuit
-        assert evaluate_expansion(x, 200).get(0, 0) == 1600
+        assert x.evaluate(200).get(0, 0) == 1600
         assert matrix_power(demo_matrix(), 200).get(0, 0) == 1600
         # odd exponent: best walk takes one detour through node 3
-        assert evaluate_expansion(x, 201).get(0, 0) == 1607
+        assert x.evaluate(201).get(0, 0) == 1607
         assert matrix_power(demo_matrix(), 201).get(0, 0) == 1607
 
     def test_equals_naive_power_over_window(self):
@@ -288,8 +287,8 @@ class TestReduceTerm:
 def test_extended_graph_matches_layered_labels():
     # The materialized extended graph and the in-place layered sweep are two
     # routes to the same labels.
-    from maxplus import build_extended_graph
-    from maxplus.csr import _layered_max_weights, _max_weight_labels
+    from maxplus.csr import _layered_max_weights
+    from maxplus.oracle import _max_weight_labels, build_extended_graph
 
     rng = random.Random(211)
     for _ in range(20):

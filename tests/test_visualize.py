@@ -3,8 +3,10 @@ import random
 import pytest
 
 from maxplus import (
+    CircuitRecord,
     DiagonalScaling,
     InvariantViolationError,
+    NodePartition,
     WeightedDigraph,
     characteristic_roots,
     diag_conjugate,
@@ -12,7 +14,11 @@ from maxplus import (
     partition_nodes,
     visualize_all,
 )
-from maxplus.oracle import bellman_ford_visualization, random_matrix
+from maxplus.oracle import (
+    bellman_ford_visualization,
+    random_irreducible_matrix,
+    random_matrix,
+)
 from fixtures import (
     DEMO_A1_ROWS,
     DEMO_A2_ROWS,
@@ -108,6 +114,16 @@ def _random_cases(count, seed):
     return out
 
 
+def _wide_irreducible_cases(count, seed):
+    # Larger sparse inputs with wide entries: rational growth rates and
+    # several groups, unlike the small integer cases above.
+    rng = random.Random(seed)
+    return [
+        random_irreducible_matrix(rng, rng.randint(10, 30), 0.15, -(10**6), 10**6)
+        for _ in range(count)
+    ]
+
+
 def test_all_entries_nonpositive_and_circuit_arcs_zero():
     for a in _random_cases(40, seed=83) + [demo_matrix()]:
         a, part, vis = _groups_for(a)
@@ -120,7 +136,7 @@ def test_all_entries_nonpositive_and_circuit_arcs_zero():
 
 
 def test_conjugation_identity_holds_exactly():
-    for a in _random_cases(25, seed=89) + [demo_matrix()]:
+    for a in _random_cases(25, seed=89) + [demo_matrix()] + _wide_irreducible_cases(6, seed=101):
         a, part, vis = _groups_for(a)
         for s in range(1, part.r + 1):
             gv = vis.group(s)
@@ -132,7 +148,7 @@ def test_conjugation_identity_holds_exactly():
 def test_agrees_with_single_shot_reference():
     # An order-free label-correcting visualization must also be nonpositive
     # and put zeros on the same quasi-critical arcs.
-    for a in _random_cases(25, seed=97) + [demo_matrix()]:
+    for a in _random_cases(25, seed=97) + [demo_matrix()] + _wide_irreducible_cases(6, seed=101):
         a, part, vis = _groups_for(a)
         for s in range(1, part.r + 1):
             gv = vis.group(s)
@@ -156,3 +172,20 @@ def test_partition_matrix_size_mismatch_rejected():
     part = partition_nodes(characteristic_roots(a), 10)
     with pytest.raises(ValueError):
         visualize_all(tm([[1]]), part)
+
+
+@pytest.mark.parametrize(
+    "rows, rate",
+    [
+        ([[5]], 4),  # the self-loop stays positive
+        ([[None, 3], [3, None]], 2),  # an arc inside the reachable set stays positive
+        ([[None, 3], [3, None]], 4),  # the quasi-critical circuit does not reach 0
+    ],
+)
+def test_wrong_growth_rate_raises(rows, rate):
+    a = tm(rows)
+    nodes = tuple(range(a.rows))
+    circuit = CircuitRecord.from_nodes(a.get, nodes)
+    part = NodePartition(a.rows, (nodes,), (1,), (rate,), (circuit,))
+    with pytest.raises(InvariantViolationError):
+        visualize_all(a, part)
