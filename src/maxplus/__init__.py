@@ -39,7 +39,6 @@ from .visualize import (
     GroupVisualization,
     InvariantViolationError,
     VisualizationResult,
-    dijkstra_single_sink,
     visualize_all,
 )
 from .csr import (

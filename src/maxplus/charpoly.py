@@ -185,7 +185,7 @@ def _witness_from_perm(a, perm, diag_state, want_max_length):
     return MultiCircuit(tuple(circuits)), lam_picks
 
 
-def chi_eval(a: TropicalMatrix, lam, force_backend=None) -> ChiEvaluation:
+def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
     """Evaluate chi at ``lam`` and report the extreme attaining multi-circuits.
 
     Solved as two lexicographic assignments on the lifted matrix (diagonal
@@ -202,7 +202,7 @@ def chi_eval(a: TropicalMatrix, lam, force_backend=None) -> ChiEvaluation:
     results = {}
     for want_max_length in (False, True):
         cost, diag_state = _lexicographic_costs(a, lam, n, scale, want_max_length)
-        _, perm = max_assignment(cost, force_backend=force_backend)
+        _, perm = max_assignment(cost)
         witness, lam_picks = _witness_from_perm(a, perm, diag_state, want_max_length)
         results[want_max_length] = (witness, n - lam_picks)
     # The attained value is reconstructed from the witness; the encoded
@@ -222,7 +222,7 @@ def chi_eval(a: TropicalMatrix, lam, force_backend=None) -> ChiEvaluation:
     )
 
 
-def _search_breakpoints(evaluate, n, lo, e_lo, hi, e_hi, found):
+def _search_breakpoints(a, n, lo, e_lo, hi, e_hi, found):
     """Recursive supporting-line intersection over the convex evaluation."""
     s_lo = n - e_lo.min_length
     b_lo = e_lo.witness_min.total_weight
@@ -235,7 +235,7 @@ def _search_breakpoints(evaluate, n, lo, e_lo, hi, e_hi, found):
     lam_star = as_value(Fraction(b_lo - b_hi, s_hi - s_lo))
     if not (lo < lam_star < hi):
         raise AssertionError("line intersection escaped the search interval")
-    e_star = evaluate(lam_star)
+    e_star = chi_eval(a, lam_star)
     if e_star.min_length < e_star.max_length:
         found[lam_star] = e_star
     v_star = b_lo + lam_star * s_lo
@@ -243,13 +243,13 @@ def _search_breakpoints(evaluate, n, lo, e_lo, hi, e_hi, found):
         return
     left_line = (n - e_star.max_length, e_star.witness_max.total_weight)
     if left_line != (s_lo, b_lo):
-        _search_breakpoints(evaluate, n, lo, e_lo, lam_star, e_star, found)
+        _search_breakpoints(a, n, lo, e_lo, lam_star, e_star, found)
     right_line = (n - e_star.min_length, e_star.witness_min.total_weight)
     if right_line != (s_hi, b_hi):
-        _search_breakpoints(evaluate, n, lam_star, e_star, hi, e_hi, found)
+        _search_breakpoints(a, n, lam_star, e_star, hi, e_hi, found)
 
 
-def characteristic_roots(a: TropicalMatrix, force_backend=None) -> Mmcs:
+def characteristic_roots(a: TropicalMatrix) -> Mmcs:
     """All finite roots of chi with multiplicities, plus the MMCS.
 
     The search evaluates chi at supporting-line intersections, starting from
@@ -267,23 +267,15 @@ def characteristic_roots(a: TropicalMatrix, force_backend=None) -> Mmcs:
     n = a.rows
     if not a.entries:
         return Mmcs((), (), n, (MultiCircuit.empty(),))
-    cache = {}
-
-    def evaluate(lam):
-        lam = as_value(lam)
-        if lam not in cache:
-            cache[lam] = chi_eval(a, lam, force_backend=force_backend)
-        return cache[lam]
-
     values = list(a.entries.values())
     lo = as_value(min(0, n * min(values)) - max(0, n * max(values)) - 1)
     hi = as_value(max(values) + 1)
-    e_lo = evaluate(lo)
-    e_hi = evaluate(hi)
+    e_lo = chi_eval(a, lo)
+    e_hi = chi_eval(a, hi)
     if e_lo.min_length != e_lo.max_length or e_hi.min_length != e_hi.max_length:
         raise AssertionError("bracketing points must not be breakpoints")
     found = {}
-    _search_breakpoints(evaluate, n, lo, e_lo, hi, e_hi, found)
+    _search_breakpoints(a, n, lo, e_lo, hi, e_hi, found)
     roots = tuple(sorted(found, reverse=True))
     multicircuits = [MultiCircuit.empty()]
     multiplicities = []
@@ -297,7 +289,7 @@ def characteristic_roots(a: TropicalMatrix, force_backend=None) -> Mmcs:
     return Mmcs(roots, tuple(multiplicities), eps_mult, tuple(multicircuits))
 
 
-def extract_mmcs(a: TropicalMatrix, roots, force_backend=None):
+def extract_mmcs(a: TropicalMatrix, roots):
     """MMCS for a given descending list of roots, verified by evaluation.
 
     Every returned multi-circuit is checked to attain chi at both endpoints
@@ -309,7 +301,7 @@ def extract_mmcs(a: TropicalMatrix, roots, force_backend=None):
         raise ValueError("roots must be strictly decreasing")
     n = a.rows
     sequence = [MultiCircuit.empty()]
-    evals = [chi_eval(a, lam, force_backend=force_backend) for lam in roots]
+    evals = [chi_eval(a, lam) for lam in roots]
     for k, ev in enumerate(evals):
         if ev.min_length == ev.max_length:
             raise ValueError(f"{ev.lam} is not a root of the characteristic polynomial")
@@ -322,7 +314,7 @@ def extract_mmcs(a: TropicalMatrix, roots, force_backend=None):
     if evals:
         last = sequence[-1]
         below = evals[-1].lam - 1
-        ev_below = chi_eval(a, below, force_backend=force_backend)
+        ev_below = chi_eval(a, below)
         if last.total_weight + below * (n - last.total_length) != ev_below.value:
             raise ValueError("final multi-circuit fails below the smallest root")
     return sequence

@@ -364,11 +364,12 @@ def _cmd_visualize(args) -> int:
 
 def _cmd_eigen(args) -> int:
     a = _read_matrix(args.file)
-    lam = karp_max_cycle_mean(build_graph(a))
+    g = build_graph(a)
+    lam = karp_max_cycle_mean(g)
     if lam.is_epsilon:
         raise ValueError("matrix has no finite eigenvalue (acyclic graph)")
     print(f"eigenvalue = {format_value(lam.value)}")
-    critical = critical_graph(build_graph(a), lam.value)
+    critical = critical_graph(g, lam.value)
     print("critical nodes: " + ", ".join(str(v + 1) for v in sorted(critical.nodes)))
     print(
         "critical arcs: "

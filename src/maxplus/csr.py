@@ -250,45 +250,51 @@ class CsrExpansion:
             *(term.C.entries.values() for term in self.terms),
             *(term.R.entries.values() for term in self.terms),
         )
-        max_abs = 0
+        # Each term with its C and R entries in the scaled domain, as
+        # (row, col, int) lists that the guard and both backends read.
+        scaled = [
+            (
+                term,
+                [(i, k, scaled_int(v, scale)) for (i, k), v in term.C.entries.items()],
+                [(k, j, scaled_int(v, scale)) for (k, j), v in term.R.entries.items()],
+            )
+            for term in self.terms
+        ]
+        use_numpy = n >= 64 and all(abs(v) < (1 << 38) for _, c, r in scaled for _, _, v in c + r)
         acc = {}
-        use_numpy = n >= 64
-        if use_numpy:
-            for term in self.terms:
-                for v in list(term.C.entries.values()) + list(term.R.entries.values()):
-                    max_abs = max(max_abs, abs(scaled_int(v, scale)))
-            use_numpy = max_abs < (1 << 38)
-        for rate, terms in self._rate_classes():
+        for rate, terms in self._rate_classes(scaled):
             shift = t * scaled_int(rate, scale)
             if use_numpy:
-                self._accumulate_numpy(terms, t, scale, shift, acc)
+                self._accumulate_numpy(terms, t, shift, acc)
             else:
-                self._accumulate_python(terms, t, scale, shift, acc)
+                self._accumulate_python(terms, t, shift, acc)
         if scale == 1:
             entries = dict(acc)
         else:
             entries = {key: as_value(Fraction(v, scale)) for key, v in acc.items()}
         return TropicalMatrix(n, n, entries)
 
-    def _rate_classes(self):
+    @staticmethod
+    def _rate_classes(scaled):
         classes = []
-        for term in self.terms:
-            if classes and classes[-1][0] == term.rate:
-                classes[-1][1].append(term)
+        for entry in scaled:
+            rate = entry[0].rate
+            if classes and classes[-1][0] == rate:
+                classes[-1][1].append(entry)
             else:
-                classes.append((term.rate, [term]))
+                classes.append((rate, [entry]))
         return classes
 
-    def _accumulate_python(self, terms, t, scale, shift, acc):
-        for term in terms:
+    def _accumulate_python(self, terms, t, shift, acc):
+        for term, c_entries, r_entries in terms:
             ell = term.order
             power = _perm_power(term.successor(), t)
             cols = [[] for _ in range(ell)]
-            for (i, k), v in term.C.entries.items():
-                cols[k].append((i, scaled_int(v, scale)))
+            for i, k, v in c_entries:
+                cols[k].append((i, v))
             rows = [[] for _ in range(ell)]
-            for (k, j), v in term.R.entries.items():
-                rows[k].append((j, scaled_int(v, scale)))
+            for k, j, v in r_entries:
+                rows[k].append((j, v))
             for k in range(ell):
                 row = rows[power[k]]
                 if not row:
@@ -302,22 +308,22 @@ class CsrExpansion:
                         if cur is None or cand > cur:
                             acc[key] = cand
 
-    def _accumulate_numpy(self, terms, t, scale, shift, acc):
+    def _accumulate_numpy(self, terms, t, shift, acc):
         import numpy as np
 
         n = self.n
         neg = -(1 << 42)
         floor = -(1 << 41)
         best = np.full((n, n), neg, dtype=np.int64)
-        for term in terms:
+        for term, c_entries, r_entries in terms:
             ell = term.order
             power = _perm_power(term.successor(), t)
             cmat = np.full((n, ell), neg, dtype=np.int64)
             rmat = np.full((ell, n), neg, dtype=np.int64)
-            for (i, k), v in term.C.entries.items():
-                cmat[i, k] = scaled_int(v, scale)
-            for (k, j), v in term.R.entries.items():
-                rmat[k, j] = scaled_int(v, scale)
+            for i, k, v in c_entries:
+                cmat[i, k] = v
+            for k, j, v in r_entries:
+                rmat[k, j] = v
             for k in range(ell):
                 np.maximum(best, cmat[:, k : k + 1] + rmat[power[k] : power[k] + 1, :], out=best)
         ii, jj = np.nonzero(best > floor)

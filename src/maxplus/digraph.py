@@ -21,6 +21,7 @@ from .tropical import (
     as_value,
     diag_conjugate,
     DiagonalScaling,
+    _max_plus_closure,
     kleene_star,
 )
 
@@ -248,44 +249,32 @@ def critical_graph(g: WeightedDigraph, rate) -> CriticalGraph:
     """The subgraph of arcs on circuits of mean exactly ``rate``.
 
     ``rate`` must be at least the maximum cycle mean (normally equal to it);
-    a smaller value would leave a positive circuit after shifting, which is
-    reported as an error.  An arc (u, v) is critical exactly when the
-    shifted arc weight plus the best shifted return path v -> u is zero.
+    a smaller value would leave a positive circuit after shifting, which
+    raises PositiveCircuitError (a ValueError).  An arc (u, v) is critical
+    exactly when the shifted arc weight plus the best shifted return path
+    v -> u is zero.
     """
     rate = as_value(rate)
-    n = g.n
-    dist = [[None] * n for _ in range(n)]
+    dist = [[None] * g.n for _ in range(g.n)]
     for u, v, w in g.arcs:
-        sw = w - rate
-        if dist[u][v] is None or sw > dist[u][v]:
-            dist[u][v] = sw
-    for k in range(n):
-        row_k = dist[k]
-        for i in range(n):
-            d_ik = dist[i][k]
-            if d_ik is None:
-                continue
-            row_i = dist[i]
-            for j in range(n):
-                if row_k[j] is None:
-                    continue
-                cand = d_ik + row_k[j]
-                if row_i[j] is None or cand > row_i[j]:
-                    row_i[j] = cand
-    for v in range(n):
-        if dist[v][v] is not None and dist[v][v] > 0:
-            raise ValueError("rate is below the maximum cycle mean")
-    arcs = set()
-    for u, v, w in g.arcs:
-        back = dist[v][u]
-        if v == u:
-            back = 0 if back is None or back < 0 else back
-        if back is None:
-            continue
-        if (w - rate) + back == 0:
-            arcs.add((u, v))
+        dist[u][v] = w - rate
+    _max_plus_closure(dist)
+    return _tight_arcs(g, rate, lambda v, u: dist[v][u])
+
+
+def _tight_arcs(g: WeightedDigraph, rate, back) -> CriticalGraph:
+    """The arcs (u, v) with w_uv - rate + back(v, u) == 0, as a critical graph.
+
+    ``back(v, u)`` is entry (v, u) of the Kleene star of g shifted by -rate
+    (None for the bottom element).
+    """
+    arcs = frozenset(
+        (u, v)
+        for u, v, w in g.arcs
+        if (r := back(v, u)) is not None and (w - rate) + r == 0
+    )
     nodes = frozenset(u for u, _ in arcs) | frozenset(v for _, v in arcs)
-    return CriticalGraph(nodes, frozenset(arcs), rate)
+    return CriticalGraph(nodes, arcs, rate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,7 +354,7 @@ def principal_eigenvectors(a: TropicalMatrix):
     rate = lam.value
     shifted = diag_conjugate(a, DiagonalScaling.zeros(a.rows), -rate)
     star = kleene_star(shifted)
-    critical = critical_graph(g, rate)
+    critical = _tight_arcs(g, rate, star.get)
     out = []
     for node in sorted(critical.nodes):
         col = {

@@ -315,19 +315,15 @@ def matrix_power(a: TropicalMatrix, t) -> TropicalMatrix:
     return result
 
 
-def kleene_star(a: TropicalMatrix) -> TropicalMatrix:
-    """All-pairs maximum path weight, including empty paths on the diagonal.
+def _max_plus_closure(dist):
+    """Kleene star of a dense square matrix, in place; None is the bottom element.
 
-    Computed as an algebraic-path closure (Floyd-Warshall over max-plus).
-    Requires that no circuit has positive weight; otherwise the series
-    diverges and PositiveCircuitError is raised.
+    Floyd-Warshall over max-plus: afterwards dist[i][j] is the maximum
+    weight of a nonempty i -> j path, and the diagonal is then raised to the
+    empty path's 0.  A positive diagonal means a positive-weight circuit, for
+    which the star diverges: PositiveCircuitError.  Returns ``dist``.
     """
-    if not a.is_square:
-        raise DimensionMismatchError("Kleene star needs a square matrix")
-    n = a.rows
-    dist = [[None] * n for _ in range(n)]
-    for (i, j), v in a.entries.items():
-        dist[i][j] = v
+    n = len(dist)
     for k in range(n):
         row_k = dist[k]
         for i in range(n):
@@ -348,15 +344,24 @@ def kleene_star(a: TropicalMatrix) -> TropicalMatrix:
             raise PositiveCircuitError(
                 "graph has a positive-weight circuit (maximum cycle mean > 0)"
             )
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            v = dist[i][j]
-            if i == j:
-                v = 0 if v is None or v < 0 else v
-            if v is not None:
-                entries[(i, j)] = v
-    return TropicalMatrix(n, n, entries)
+        dist[v][v] = 0
+    return dist
+
+
+def kleene_star(a: TropicalMatrix) -> TropicalMatrix:
+    """All-pairs maximum path weight, including empty paths on the diagonal.
+
+    Computed as an algebraic-path closure (Floyd-Warshall over max-plus).
+    Requires that no circuit has positive weight; otherwise the series
+    diverges and PositiveCircuitError is raised.
+    """
+    if not a.is_square:
+        raise DimensionMismatchError("Kleene star needs a square matrix")
+    dist = _max_plus_closure(a.to_rows())
+    entries = {
+        (i, j): v for i, row in enumerate(dist) for j, v in enumerate(row) if v is not None
+    }
+    return TropicalMatrix(a.rows, a.rows, entries)
 
 
 @dataclass(frozen=True, slots=True)

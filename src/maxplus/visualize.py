@@ -28,7 +28,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import WeightedDigraph
 from .partition import NodePartition
 from .tropical import (
     DiagonalScaling,
@@ -72,20 +71,6 @@ def _max_weight_to_sink(sink, in_arcs_of):
                 labels[u] = cand
                 heapq.heappush(heap, (-cand, u))
     return frozenset(settled), labels
-
-
-def dijkstra_single_sink(g: WeightedDigraph, sink: int):
-    """Maximum-weight paths into one sink, for graphs nonpositive off the sink.
-
-    Returns (reachable, labels): the set of nodes with a path to the sink
-    and, for each, the maximum path weight (the sink gets 0, the empty
-    path).  Arcs not incident to the sink must have nonpositive weight;
-    a violation raises InvariantViolationError.
-    """
-    if not (0 <= sink < g.n):
-        raise ValueError("sink out of range")
-    reachable, labels = _max_weight_to_sink(sink, g.in_arcs)
-    return reachable, {v: labels[v] for v in reachable}
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -81,17 +82,30 @@ class TestCriticalGraph:
 
     def test_critical_arcs_are_tight_after_shift(self):
         rng = random.Random(17)
+        instances = [random_irreducible_matrix(rng, rng.randint(2, 6), 0.4) for _ in range(25)]
+        # reducible, possibly acyclic, inputs
+        instances += [random_matrix(rng, rng.randint(2, 6), 0.3) for _ in range(25)]
+        # rational entries, hence rational maximum cycle means
         for _ in range(25):
-            n = rng.randint(2, 6)
-            a = random_irreducible_matrix(rng, n, 0.4)
+            base = random_irreducible_matrix(rng, rng.randint(2, 6), 0.4, -9, 9)
+            entries = {key: Fraction(v, rng.choice([1, 2, 3, 4])) for key, v in base.entries.items()}
+            instances.append(TropicalMatrix(base.rows, base.cols, entries))
+        for a in instances:
             g = build_graph(a)
-            lam = karp_max_cycle_mean(g).value
-            cg = critical_graph(g, lam)
-            assert cg.nodes
-            # every critical arc lies on a circuit of mean exactly lam
-            circuits = [c for c in elementary_circuits(a) if c.mean == lam]
-            on_critical = {arc for c in circuits for arc in c.arc_pairs()}
-            assert cg.arcs == on_critical
+            circuits = elementary_circuits(a)
+            lam = karp_max_cycle_mean(g)
+            # at lam the critical graph is nonempty; above lam (and on an
+            # acyclic graph) it is empty
+            if lam.is_epsilon:
+                rates = [(0, False)]
+            else:
+                rates = [(lam.value, True), (lam.value + Fraction(1, 3), False)]
+            for rate, nonempty in rates:
+                cg = critical_graph(g, rate)
+                assert bool(cg.nodes) == nonempty
+                # every critical arc lies on a circuit of mean exactly rate
+                tight = {arc for c in circuits if c.mean == rate for arc in c.arc_pairs()}
+                assert cg.arcs == tight
 
 
 class TestCyclicityClasses:
@@ -176,8 +190,11 @@ class TestPrincipalEigenvectors:
         for _ in range(30):
             n = rng.randint(2, 6)
             a = random_irreducible_matrix(rng, n, 0.5)
-            lam = karp_max_cycle_mean(build_graph(a)).value
-            for _, col in principal_eigenvectors(a):
+            g = build_graph(a)
+            lam = karp_max_cycle_mean(g).value
+            vecs = principal_eigenvectors(a)
+            assert {node for node, _ in vecs} == critical_graph(g, lam).nodes
+            for _, col in vecs:
                 product = matrix_mul(a, col)
                 shifted = TropicalMatrix(
                     n, 1, {key: v + lam for key, v in col.entries.items()}

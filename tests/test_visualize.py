@@ -10,7 +10,6 @@ from maxplus import (
     WeightedDigraph,
     characteristic_roots,
     diag_conjugate,
-    dijkstra_single_sink,
     partition_nodes,
     visualize_all,
 )
@@ -19,6 +18,7 @@ from maxplus.oracle import (
     random_irreducible_matrix,
     random_matrix,
 )
+from maxplus.visualize import _max_weight_to_sink
 from fixtures import (
     DEMO_A1_ROWS,
     DEMO_A2_ROWS,
@@ -40,32 +40,32 @@ def demo_visualization():
 class TestDijkstraSingleSink:
     def test_isolated_sink(self):
         g = WeightedDigraph(1, [])
-        reachable, labels = dijkstra_single_sink(g, 0)
+        reachable, labels = _max_weight_to_sink(0, g.in_arcs)
         assert reachable == frozenset({0})
         assert labels == {0: 0}
 
     def test_chain(self):
         g = WeightedDigraph(3, [(0, 1, -1), (1, 2, -2)])
-        reachable, labels = dijkstra_single_sink(g, 2)
+        reachable, labels = _max_weight_to_sink(2, g.in_arcs)
         assert reachable == frozenset({0, 1, 2})
         assert labels == {0: -3, 1: -2, 2: 0}
 
     def test_unreachable_node_excluded(self):
         g = WeightedDigraph(3, [(0, 2, -1)])
-        reachable, labels = dijkstra_single_sink(g, 2)
+        reachable, labels = _max_weight_to_sink(2, g.in_arcs)
         assert reachable == frozenset({0, 2})
         assert 1 not in labels
 
     def test_positive_arcs_incident_to_sink_allowed(self):
         g = WeightedDigraph(3, [(0, 1, -1), (1, 2, 5), (2, 0, 3)])
-        reachable, labels = dijkstra_single_sink(g, 2)
+        reachable, labels = _max_weight_to_sink(2, g.in_arcs)
         assert labels[1] == 5
         assert labels[0] == 4
 
     def test_positive_arc_elsewhere_rejected(self):
         g = WeightedDigraph(3, [(0, 1, 1), (1, 2, -1)])
         with pytest.raises(InvariantViolationError):
-            dijkstra_single_sink(g, 2)
+            _max_weight_to_sink(2, g.in_arcs)
 
 
 class TestDemoVisualization:
