@@ -32,7 +32,6 @@ from .charpoly import (
     MultiCircuit,
     characteristic_roots,
     chi_eval,
-    extract_mmcs,
 )
 from .partition import NodePartition, partition_nodes
 from .visualize import (

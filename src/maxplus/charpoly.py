@@ -61,9 +61,6 @@ class MultiCircuit:
     def total_weight(self):
         return as_value(sum((Fraction(c.weight) for c in self.circuits), Fraction(0)))
 
-    def node_set(self) -> frozenset:
-        return frozenset(v for c in self.circuits for v in c.nodes)
-
     def __str__(self):
         return "{" + ", ".join(str(c) for c in self.circuits) + "}"
 
@@ -288,33 +285,3 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
     eps_mult = n - multicircuits[-1].total_length
     return Mmcs(roots, tuple(multiplicities), eps_mult, tuple(multicircuits))
 
-
-def extract_mmcs(a: TropicalMatrix, roots):
-    """MMCS for a given descending list of roots, verified by evaluation.
-
-    Every returned multi-circuit is checked to attain chi at both endpoints
-    of its interval; a root list that is not exactly the finite root set of
-    chi fails those checks and raises ValueError.
-    """
-    roots = tuple(as_value(r) for r in roots)
-    if any(roots[k] <= roots[k + 1] for k in range(len(roots) - 1)):
-        raise ValueError("roots must be strictly decreasing")
-    n = a.rows
-    sequence = [MultiCircuit.empty()]
-    evals = [chi_eval(a, lam) for lam in roots]
-    for k, ev in enumerate(evals):
-        if ev.min_length == ev.max_length:
-            raise ValueError(f"{ev.lam} is not a root of the characteristic polynomial")
-        if ev.min_length != sequence[-1].total_length:
-            raise ValueError("root list is inconsistent (missing root above?)")
-        prev = sequence[-1]
-        if prev.total_weight + ev.lam * (n - prev.total_length) != ev.value:
-            raise ValueError("previous multi-circuit fails the endpoint check")
-        sequence.append(ev.witness_max)
-    if evals:
-        last = sequence[-1]
-        below = evals[-1].lam - 1
-        ev_below = chi_eval(a, below)
-        if last.total_weight + below * (n - last.total_length) != ev_below.value:
-            raise ValueError("final multi-circuit fails below the smallest root")
-    return sequence

@@ -25,13 +25,7 @@ from fractions import Fraction
 from . import __version__
 from .charpoly import characteristic_roots
 from .csr import CsrExpansion, CsrTerm, expand
-from .digraph import (
-    CircuitRecord,
-    build_graph,
-    critical_graph,
-    karp_max_cycle_mean,
-    principal_eigenvectors,
-)
+from .digraph import CircuitRecord, _principal_eigen
 from .oracle import brute_power_check
 from .partition import partition_nodes
 from .tropical import DiagonalScaling, TropicalMatrix, as_value, matrix_power
@@ -253,10 +247,6 @@ def _read_matrix(path: str) -> TropicalMatrix:
         return parse_matrix(fh.read())
 
 
-def _fmt_circuit(circuit: CircuitRecord) -> str:
-    return str(circuit)
-
-
 def _cmd_roots(args) -> int:
     a = _read_matrix(args.file)
     mmcs = characteristic_roots(a)
@@ -282,7 +272,7 @@ def _cmd_expand(args) -> int:
     for term in x.terms:
         print(
             f"term {term.group}: rate = {format_value(term.rate)}, "
-            f"circuit = {_fmt_circuit(term.circuit)}"
+            f"circuit = {term.circuit}"
             + (", reduced" if term.reduced else "")
         )
         print("C =")
@@ -355,7 +345,7 @@ def _cmd_visualize(args) -> int:
         print(
             f"group {gv.group}: nodes ({nodes}), rate = "
             f"{format_value(part.growth_rates[gv.group - 1])}, "
-            f"circuit = {_fmt_circuit(part.quasi_critical[gv.group - 1])}"
+            f"circuit = {part.quasi_critical[gv.group - 1]}"
         )
         print("d = (" + ", ".join(format_value(v) for v in gv.scaling.values) + ")")
         print(matrix_grid(gv.matrix))
@@ -364,18 +354,14 @@ def _cmd_visualize(args) -> int:
 
 def _cmd_eigen(args) -> int:
     a = _read_matrix(args.file)
-    g = build_graph(a)
-    lam = karp_max_cycle_mean(g)
-    if lam.is_epsilon:
-        raise ValueError("matrix has no finite eigenvalue (acyclic graph)")
-    print(f"eigenvalue = {format_value(lam.value)}")
-    critical = critical_graph(g, lam.value)
+    rate, critical, vectors = _principal_eigen(a)
+    print(f"eigenvalue = {format_value(rate)}")
     print("critical nodes: " + ", ".join(str(v + 1) for v in sorted(critical.nodes)))
     print(
         "critical arcs: "
         + ", ".join(f"({u + 1},{v + 1})" for u, v in sorted(critical.arcs))
     )
-    for node, column in principal_eigenvectors(a):
+    for node, column in vectors:
         vec = ", ".join(format_value(column.get(i, 0)) for i in range(a.rows))
         print(f"x_{node + 1} = ({vec})")
     return 0

@@ -16,8 +16,9 @@ node (and one on the reversed graph) yields a whole factor.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .charpoly import characteristic_roots
 from .digraph import CircuitRecord, build_graph, critical_graph, cyclicity_classes
@@ -26,10 +27,10 @@ from .tropical import (
     DiagonalScaling,
     DimensionMismatchError,
     TropicalMatrix,
-    as_value,
     common_scale,
     matrix_power,
     scaled_int,
+    unscaled,
 )
 from .visualize import InvariantViolationError, visualize_all
 
@@ -122,10 +123,10 @@ def compute_cr_pair(a_vis: TropicalMatrix, scaling: DiagonalScaling, circuit: Ci
         for k in range(ell):
             lf = labels_f[j * ell + k]
             if lf is not None:
-                r_entries[(k, orig)] = as_value(Fraction(lf - d[j], scale))
+                r_entries[(k, orig)] = unscaled(lf - d[j], scale)
             lb = labels_b[j * ell + k]
             if lb is not None:
-                c_entries[(orig, k)] = as_value(Fraction(d[j] + lb, scale))
+                c_entries[(orig, k)] = unscaled(d[j] + lb, scale)
     c = TropicalMatrix(n, ell, c_entries)
     r = TropicalMatrix(ell, n, r_entries)
     return c, r
@@ -151,6 +152,12 @@ def _successor_of(s: TropicalMatrix):
     if any(x is None for x in succ):
         raise ValueError("factor is not a permutation matrix")
     return tuple(succ)
+
+
+# The int64 bottom element of evaluate's numpy path.  With every finite
+# entry below 2^38 in magnitude, a sum with a bottom operand stays below
+# _NP_BOTTOM // 2 and a finite sum above it; two bottoms add without overflow.
+_NP_BOTTOM = -(1 << 42)
 
 
 def _perm_power(succ, t: int):
@@ -201,9 +208,6 @@ class CsrTerm:
     def order(self) -> int:
         return self.S.rows
 
-    def successor(self):
-        return _successor_of(self.S)
-
 
 @dataclass(frozen=True, slots=True)
 class CsrExpansion:
@@ -219,6 +223,9 @@ class CsrExpansion:
     terms: tuple
     threshold: int
     source: TropicalMatrix | None = None
+    # (scale, use_numpy, rate classes): everything evaluate reads, built
+    # once per instance; see ``_prepare``.
+    _prepared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rates = [term.rate for term in self.terms]
@@ -226,15 +233,63 @@ class CsrExpansion:
             raise ValueError("term rates must be weakly decreasing")
         if len(self.terms) > self.n:
             raise ValueError("more terms than matrix order")
+        object.__setattr__(self, "_prepared", self._prepare())
+
+    def _prepare(self):
+        """The t-independent part of evaluate, in one scaled-integer domain.
+
+        Terms of equal rate share one class (scaled rate, [factors]); each
+        term's factors are (successor permutation of S, C columns, R rows).
+        With n >= 64 and every scaled C/R entry below 2^38 in magnitude the
+        columns and rows are int64 arrays (n x ell and ell x n, bottom
+        entries at -2^42), which keeps every partial sum exact; otherwise
+        they are per-index lists of (node, int).
+        """
+        n = self.n
+        scale = common_scale(
+            (term.rate for term in self.terms),
+            *(term.C.entries.values() for term in self.terms),
+            *(term.R.entries.values() for term in self.terms),
+        )
+        use_numpy = n >= 64 and all(
+            abs(v) * scale < (1 << 38)
+            for term in self.terms
+            for factor in (term.C, term.R)
+            for v in factor.entries.values()
+        )
+        classes = []
+        for term in self.terms:
+            ell = term.order
+            if use_numpy:
+                cols = np.full((n, ell), _NP_BOTTOM, dtype=np.int64)
+                rows = np.full((ell, n), _NP_BOTTOM, dtype=np.int64)
+                for (i, k), v in term.C.entries.items():
+                    cols[i, k] = scaled_int(v, scale)
+                for (k, j), v in term.R.entries.items():
+                    rows[k, j] = scaled_int(v, scale)
+            else:
+                cols = [[] for _ in range(ell)]
+                rows = [[] for _ in range(ell)]
+                for (i, k), v in term.C.entries.items():
+                    cols[k].append((i, scaled_int(v, scale)))
+                for (k, j), v in term.R.entries.items():
+                    rows[k].append((j, scaled_int(v, scale)))
+            factors = (_successor_of(term.S), cols, rows)
+            srate = scaled_int(term.rate, scale)
+            if classes and classes[-1][0] == srate:
+                classes[-1][1].append(factors)
+            else:
+                classes.append((srate, [factors]))
+        return scale, use_numpy, classes
 
     def evaluate(self, t: int) -> TropicalMatrix:
         """rate^t C S^t R summed over terms; t may be arbitrarily large.
 
         S^t is an index rotation and the rate shift is a single scalar, so
-        the cost does not depend on t.  The per-term products run on int64
-        numpy arrays when the scaled factor entries are small enough for
-        that to be exact; the (possibly astronomical) t * rate shifts are
-        applied in unbounded Python ints either way.
+        the cost does not depend on t.  Everything else (the scaled-integer
+        domain, the factors in it, the permutations and the backend) is
+        fixed when the expansion is built; a call rotates, accumulates each
+        rate class and adds its shift t * rate in unbounded Python ints.
         """
         if not isinstance(t, int) or t < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -245,61 +300,21 @@ class CsrExpansion:
             if t < n and self.source is not None:
                 return matrix_power(self.source, t)
             return TropicalMatrix.epsilon(n, n)
-        scale = common_scale(
-            (term.rate for term in self.terms),
-            *(term.C.entries.values() for term in self.terms),
-            *(term.R.entries.values() for term in self.terms),
-        )
-        # Each term with its C and R entries in the scaled domain, as
-        # (row, col, int) lists that the guard and both backends read.
-        scaled = [
-            (
-                term,
-                [(i, k, scaled_int(v, scale)) for (i, k), v in term.C.entries.items()],
-                [(k, j, scaled_int(v, scale)) for (k, j), v in term.R.entries.items()],
-            )
-            for term in self.terms
-        ]
-        use_numpy = n >= 64 and all(abs(v) < (1 << 38) for _, c, r in scaled for _, _, v in c + r)
+        scale, use_numpy, classes = self._prepared
+        accumulate = self._accumulate_numpy if use_numpy else self._accumulate_python
         acc = {}
-        for rate, terms in self._rate_classes(scaled):
-            shift = t * scaled_int(rate, scale)
-            if use_numpy:
-                self._accumulate_numpy(terms, t, shift, acc)
-            else:
-                self._accumulate_python(terms, t, shift, acc)
-        if scale == 1:
-            entries = dict(acc)
-        else:
-            entries = {key: as_value(Fraction(v, scale)) for key, v in acc.items()}
-        return TropicalMatrix(n, n, entries)
-
-    @staticmethod
-    def _rate_classes(scaled):
-        classes = []
-        for entry in scaled:
-            rate = entry[0].rate
-            if classes and classes[-1][0] == rate:
-                classes[-1][1].append(entry)
-            else:
-                classes.append((rate, [entry]))
-        return classes
+        for srate, terms in classes:
+            accumulate(terms, t, t * srate, acc)
+        return TropicalMatrix(n, n, {key: unscaled(v, scale) for key, v in acc.items()})
 
     def _accumulate_python(self, terms, t, shift, acc):
-        for term, c_entries, r_entries in terms:
-            ell = term.order
-            power = _perm_power(term.successor(), t)
-            cols = [[] for _ in range(ell)]
-            for i, k, v in c_entries:
-                cols[k].append((i, v))
-            rows = [[] for _ in range(ell)]
-            for k, j, v in r_entries:
-                rows[k].append((j, v))
-            for k in range(ell):
+        for succ, cols, rows in terms:
+            power = _perm_power(succ, t)
+            for k, col in enumerate(cols):
                 row = rows[power[k]]
                 if not row:
                     continue
-                for i, cv in cols[k]:
+                for i, cv in col:
                     base = cv + shift
                     for j, rv in row:
                         key = (i, j)
@@ -309,24 +324,12 @@ class CsrExpansion:
                             acc[key] = cand
 
     def _accumulate_numpy(self, terms, t, shift, acc):
-        import numpy as np
-
-        n = self.n
-        neg = -(1 << 42)
-        floor = -(1 << 41)
-        best = np.full((n, n), neg, dtype=np.int64)
-        for term, c_entries, r_entries in terms:
-            ell = term.order
-            power = _perm_power(term.successor(), t)
-            cmat = np.full((n, ell), neg, dtype=np.int64)
-            rmat = np.full((ell, n), neg, dtype=np.int64)
-            for i, k, v in c_entries:
-                cmat[i, k] = v
-            for k, j, v in r_entries:
-                rmat[k, j] = v
-            for k in range(ell):
-                np.maximum(best, cmat[:, k : k + 1] + rmat[power[k] : power[k] + 1, :], out=best)
-        ii, jj = np.nonzero(best > floor)
+        best = np.full((self.n, self.n), _NP_BOTTOM, dtype=np.int64)
+        for succ, cols, rows in terms:
+            power = _perm_power(succ, t)
+            for k in range(len(succ)):
+                np.maximum(best, cols[:, k : k + 1] + rows[power[k] : power[k] + 1, :], out=best)
+        ii, jj = np.nonzero(best > _NP_BOTTOM // 2)
         vals = best[ii, jj]
         for i, j, v in zip(ii.tolist(), jj.tolist(), vals.tolist()):
             key = (i, j)
@@ -407,10 +410,10 @@ def reduce_term(term: CsrTerm, a_vis: TropicalMatrix) -> CsrTerm:
         for j in range(nv):
             lf = labels_f[j * sigma]
             if lf is not None:
-                r_entries[(cid, nodes[j])] = as_value(Fraction(lf - d[j], scale))
+                r_entries[(cid, nodes[j])] = unscaled(lf - d[j], scale)
             lb = labels_b[j * sigma]
             if lb is not None:
-                c_entries[(nodes[j], cid)] = as_value(Fraction(d[j] + lb, scale))
+                c_entries[(nodes[j], cid)] = unscaled(d[j] + lb, scale)
         # One critical step out of any member lands in the successor class.
         for u, v in critical.arcs:
             if u == rep:

@@ -347,6 +347,15 @@ def principal_eigenvectors(a: TropicalMatrix):
     matrix x with A otimes x = rate otimes x exactly.  The columns are those
     of the Kleene star of the rate-shifted matrix at critical positions.
     """
+    return _principal_eigen(a)[2]
+
+
+def _principal_eigen(a: TropicalMatrix):
+    """(eigenvalue, critical graph, eigenvectors) from one Karp run and one star.
+
+    The eigenvectors are as in ``principal_eigenvectors``; the critical arcs
+    are the tight arcs of that same star.
+    """
     g = build_graph(a)
     lam = karp_max_cycle_mean(g)
     if lam.is_epsilon:
@@ -355,10 +364,9 @@ def principal_eigenvectors(a: TropicalMatrix):
     shifted = diag_conjugate(a, DiagonalScaling.zeros(a.rows), -rate)
     star = kleene_star(shifted)
     critical = _tight_arcs(g, rate, star.get)
-    out = []
-    for node in sorted(critical.nodes):
-        col = {
-            (i, 0): v for (i, j), v in star.entries.items() if j == node
-        }
-        out.append((node, TropicalMatrix(a.rows, 1, col)))
-    return out
+    cols = {node: {} for node in critical.nodes}
+    for (i, j), v in star.entries.items():
+        if j in cols:
+            cols[j][(i, 0)] = v
+    vectors = [(node, TropicalMatrix(a.rows, 1, cols[node])) for node in sorted(cols)]
+    return rate, critical, vectors

@@ -26,7 +26,8 @@ def common_scale(*value_groups) -> int:
     """The scaled-integer domain of the given values: the lcm of their denominators.
 
     Every value in every iterable times the result is an int (see
-    ``scaled_int``); all-integer inputs give 1.
+    ``scaled_int``, and ``unscaled`` for the way back); all-integer inputs
+    give 1.
     """
     scale = 1
     for values in value_groups:
@@ -45,6 +46,12 @@ def scaled_int(v, scale) -> int:
     if r:
         raise ValueError("scale does not clear the denominator")
     return q
+
+
+def unscaled(v: int, scale: int):
+    """The inverse of ``scaled_int``: v / scale, an int when it divides, else a Fraction."""
+    q, r = divmod(v, scale)
+    return Fraction(v, scale) if r else q
 
 
 def as_value(x):
@@ -198,10 +205,6 @@ class TropicalMatrix:
         """Raw entry: a finite value, or None for the bottom element."""
         return self.entries.get((i, j))
 
-    def entry(self, i, j) -> TropicalScalar:
-        v = self.entries.get((i, j))
-        return EPSILON if v is None else TropicalScalar(v)
-
     def to_rows(self):
         out = [[None] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
@@ -239,15 +242,6 @@ class TropicalMatrix:
             entries,
             tuple(self.row_label(r) for r in keep_rows),
             tuple(self.col_label(c) for c in keep_cols),
-        )
-
-    def transpose(self):
-        return TropicalMatrix(
-            self.cols,
-            self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            self.col_labels,
-            self.row_labels,
         )
 
     def __eq__(self, other):

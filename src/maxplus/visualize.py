@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .partition import NodePartition
 from .tropical import (
     DiagonalScaling,
     TropicalMatrix,
-    as_value,
     common_scale,
     scaled_int,
+    unscaled,
 )
 
 
@@ -166,7 +165,7 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
                 val = w - rate - d[u] + d[v]
                 if val > 0:
                     raise InvariantViolationError(f"visualized entry ({u}, {v}) is positive")
-                entries[(pos[u], pos[v])] = as_value(Fraction(val, scale))
+                entries[(pos[u], pos[v])] = unscaled(val, scale)
         matrix = TropicalMatrix(len(nodes), len(nodes), entries, nodes, nodes)
         circuit = part.quasi_critical[s - 1]
         for u, v in circuit.arc_pairs():
@@ -174,7 +173,7 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
                 raise InvariantViolationError(
                     f"quasi-critical arc ({u}, {v}) is not zero after visualization"
                 )
-        scaling = DiagonalScaling(tuple(as_value(Fraction(d[j], scale)) for j in nodes))
+        scaling = DiagonalScaling(tuple(unscaled(d[j], scale) for j in nodes))
         results.append(GroupVisualization(s, nodes, matrix, scaling, order))
     results.reverse()
     return VisualizationResult(tuple(results))

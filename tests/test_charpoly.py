@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from maxplus import (
     MultiCircuit,
     TropicalMatrix,
@@ -10,7 +8,6 @@ from maxplus import (
     build_graph,
     characteristic_roots,
     chi_eval,
-    extract_mmcs,
     karp_max_cycle_mean,
 )
 from maxplus.oracle import brute_chi, brute_mmc, random_matrix
@@ -162,24 +159,3 @@ class TestCharacteristicRoots:
             for k, lam in enumerate(mm.roots):
                 for circuit in mm.multicircuits[k + 1].circuits:
                     assert circuit.mean >= lam
-
-
-class TestExtractMmcs:
-    def test_demo(self):
-        seq = extract_mmcs(demo_matrix(), DEMO_ROOTS)
-        assert tuple(mc.total_length for mc in seq) == DEMO_MMCS_LENGTHS
-        assert seq[3].total_weight == 29
-        assert circuit_sets(seq[3]) == frozenset({(0, 1, 2), (3,)})
-
-    def test_leading_entry_is_empty(self):
-        seq = extract_mmcs(tm([[E, 1], [3, E]]), (2,))
-        assert seq[0] == MultiCircuit.empty()
-        assert seq[0].total_length == 0 and seq[0].total_weight == 0
-
-    def test_wrong_roots_rejected(self):
-        with pytest.raises(ValueError):
-            extract_mmcs(demo_matrix(), (8, 5))
-        with pytest.raises(ValueError):
-            extract_mmcs(demo_matrix(), (8, 0))  # gap: skips roots in between
-        with pytest.raises(ValueError):
-            extract_mmcs(tm([[E, 1], [3, E]]), (3,))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from maxplus import expand, matrix_power
+from maxplus import cli, digraph, expand, matrix_power, tropical
 from maxplus.cli import (
     MatrixFormatError,
     dump_expansion,
@@ -198,6 +198,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "eigenvalue = 8" in out
         assert "critical nodes: 1, 2" in out
+
+    def test_eigen_runs_karp_and_the_closure_once(self, monkeypatch, capsys):
+        calls = {"karp": 0, "closure": 0}
+
+        def counting(key, real):
+            def wrapped(*args):
+                calls[key] += 1
+                return real(*args)
+
+            return wrapped
+
+        # Every module binding of the two routines is counted.
+        for module in (cli, digraph, tropical):
+            for key, name in (("karp", "karp_max_cycle_mean"), ("closure", "_max_plus_closure")):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+        assert run_command(["eigen", DEMO_DENSE]) == 0
+        assert calls == {"karp": 1, "closure": 1}
 
     def test_eigen_acyclic_is_a_domain_error(self, tmp_path, capsys):
         f = tmp_path / "acyclic.mpx"

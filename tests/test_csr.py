@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from maxplus import (
     CircuitRecord,
     CsrExpansion,
+    CsrTerm,
+    DiagonalScaling,
     TropicalMatrix,
     build_s,
     characteristic_roots,
@@ -16,6 +19,7 @@ from maxplus import (
     reduce_term,
     visualize_all,
 )
+from maxplus import csr
 from maxplus.csr import _perm_power
 from maxplus.oracle import brute_power_check, mod_length_closure, random_matrix
 from fixtures import (
@@ -332,3 +336,102 @@ def test_term_rates_weakly_decreasing_enforced():
     x = expand(demo_matrix())
     with pytest.raises(ValueError):
         CsrExpansion(n=10, terms=(x.terms[2], x.terms[0]), threshold=200)
+
+
+def _term_sum(x, t):
+    """The sum over terms of t*rate + C S^t R, by plain matrix products."""
+    out = {}
+    for term in x.terms:
+        product = matrix_mul(matrix_mul(term.C, matrix_power(term.S, t)), term.R)
+        for key, v in product.entries.items():
+            cand = v + t * term.rate
+            if key not in out or cand > out[key]:
+                out[key] = cand
+    return TropicalMatrix(x.n, x.n, out)
+
+
+def _guard_edge_expansion(extreme):
+    # n = 64, scale 3 (from the rate 7/3): C/R entries at +-extreme/3 scale to
+    # +-extreme; the other entries are small, some of them thirds.
+    rng = random.Random(extreme)
+    n = 64
+
+    def factor(rows, cols):
+        entries = {
+            (i, j): Fraction(rng.randint(-30, 30), rng.choice((1, 3)))
+            for i in range(rows)
+            for j in range(cols)
+            if rng.random() < 0.4
+        }
+        entries[(0, 0)] = Fraction(extreme, 3)
+        entries[(rows - 1, cols - 1)] = Fraction(-extreme, 3)
+        return TropicalMatrix(rows, cols, entries)
+
+    terms = []
+    for group, (rate, nodes) in enumerate(((Fraction(7, 3), (0, 1, 2)), (-2, (3, 4))), start=1):
+        circuit = CircuitRecord(nodes, rate * len(nodes))
+        terms.append(
+            CsrTerm(
+                rate=rate,
+                C=factor(n, len(nodes)),
+                S=build_s(circuit),
+                R=factor(len(nodes), n),
+                circuit=circuit,
+                group=group,
+                nodes=nodes,
+                scaling=DiagonalScaling.zeros(len(nodes)),
+            )
+        )
+    return CsrExpansion(n=n, terms=tuple(terms), threshold=2 * n * n)
+
+
+@pytest.mark.parametrize(
+    "extreme, backend",
+    [((1 << 38) - 1, "_accumulate_numpy"), (1 << 38, "_accumulate_python")],
+)
+def test_evaluate_backend_guard_edge(monkeypatch, extreme, backend):
+    # The int64 path is taken exactly when every scaled C/R entry is below
+    # 2^38 in magnitude; on both sides of that edge the result is exact.
+    x = _guard_edge_expansion(extreme)
+    calls = []
+    real = getattr(CsrExpansion, backend)
+
+    def counted(self, *args):
+        calls.append(backend)
+        return real(self, *args)
+
+    monkeypatch.setattr(CsrExpansion, backend, counted)
+    for t in (x.threshold, 10**18 + 1):
+        assert x.evaluate(t) == _term_sum(x, t)
+    assert len(calls) == 4  # two rate classes per call
+
+
+def test_replaced_expansion_evaluates_its_own_terms():
+    x = expand(demo_matrix())
+    first = dataclasses.replace(x.terms[0], rate=x.terms[0].rate + 1)
+    bumped = dataclasses.replace(x, terms=(first,) + x.terms[1:])
+    t = x.threshold + 1
+    assert bumped.evaluate(t) != x.evaluate(t)
+    assert bumped.evaluate(t) == _term_sum(bumped, t)
+    assert x.evaluate(t) == _term_sum(x, t)
+
+
+@pytest.mark.parametrize("n, density", [(10, None), (64, 0.25)])
+def test_evaluate_does_no_t_independent_work(monkeypatch, n, density):
+    # Scaling, the guard and the permutations belong to construction.
+    a = demo_matrix() if density is None else random_matrix(random.Random(6464), n, density)
+    x = expand(a)
+    calls = {}
+    for name in ("common_scale", "scaled_int", "_successor_of"):
+        real = getattr(csr, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(csr, name, counted)
+    for t in (x.threshold, 10**18):
+        x.evaluate(t)
+    assert calls == {}
+    dataclasses.replace(x)
+    assert set(calls) == {"common_scale", "scaled_int", "_successor_of"}

@@ -11,12 +11,14 @@ from maxplus import (
     PositiveCircuitError,
     TropicalMatrix,
     TropicalScalar,
+    as_value,
     diag_conjugate,
     kleene_star,
     matrix_add,
     matrix_mul,
     matrix_power,
 )
+from maxplus.tropical import common_scale, scaled_int, unscaled
 from fixtures import DEMO_A3_ROWS, DEMO_D3, E, demo_matrix, tm
 
 
@@ -238,3 +240,18 @@ def test_entries_stay_epsilon_free():
     a = demo_matrix()
     assert all(v is not None for v in a.entries.values())
     assert a.finite_count == 18
+
+
+def test_unscaled_inverts_scaled_int():
+    # The way out of the scaled-integer domain gives back the value with the
+    # type as_value gives it: int when integral, Fraction otherwise.
+    rng = random.Random(2024)
+    values = [0, 7, -7, 10**30, Fraction(-7, 2), Fraction(-1, 6), Fraction(6, 3), Fraction(-9, 3)]
+    values += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 12)) for _ in range(200)]
+    for v in values:
+        for scale in (common_scale([v]), 6 * common_scale([v]), 7 * 10**12):
+            if scale % common_scale([v]):
+                continue
+            back = unscaled(scaled_int(v, scale), scale)
+            assert back == v
+            assert type(back) is type(as_value(v))
