@@ -2,7 +2,6 @@
 
 from .tropical import (
     EPSILON,
-    UNIT,
     DiagonalScaling,
     DimensionMismatchError,
     PositiveCircuitError,

@@ -162,14 +162,12 @@ def max_assignment(weights, force_backend=None):
         use_numpy = force_backend == "numpy"
     if use_numpy:
         perm, u, v = _solve_min_numpy(cost, n, sentinel)
-        if not _certify(cost, n, perm, u, v):
-            # Either an int64 overflow slipped past the guard or the guard
-            # itself is wrong; redo the work exactly.
-            perm, u, v = _solve_min_python(cost, n, sentinel)
-    else:
+    if not use_numpy or not _certify(cost, n, perm, u, v):
+        # A failed int64 certificate means an overflow slipped past the guard
+        # or the guard itself is wrong; redo the work exactly.
         perm, u, v = _solve_min_python(cost, n, sentinel)
-    if not _certify(cost, n, perm, u, v):
-        raise AssertionError("assignment result failed its optimality certificate")
+        if not _certify(cost, n, perm, u, v):
+            raise AssertionError("assignment result failed its optimality certificate")
     total = 0
     for i, j in enumerate(perm):
         w = weights[i][j]

@@ -69,40 +69,59 @@ def _layered_max_weights(nv, layers, base_adj, source_v, backward=False):
     return labels
 
 
-def _scaled_group(a_vis: TropicalMatrix, scaling: DiagonalScaling):
-    """A visualized group in its scaled-integer domain: (scale, d, out_adj, in_adj).
+def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, layers, orbits):
+    """C and R over the given orbits, in full n-space coordinates.
 
-    ``d`` is the scaled conjugation vector; ``out_adj[i]`` lists (j, w) and
-    ``in_adj[j]`` lists (i, w) for every finite scaled entry w at (i, j).
+    ``a_vis`` is a visualized group matrix over the node ids ``nodes``,
+    ``scaling`` the conjugation vector that produced it, and ``orbits`` a
+    list of (root position, factor ids) pairs.  One forward and one backward
+    layered sweep from each root, with ``layers`` layers, read off the k-th
+    factor id of its orbit: that R row holds the best weights of paths from
+    the root with length k mod ``layers``, and that C column those of paths
+    into the root with length -k mod ``layers``, pushed back through the
+    scaling.  Nodes outside the group stay at the bottom element.
     """
     scale = common_scale(a_vis.entries.values(), scaling.values)
     d = [scaled_int(v, scale) for v in scaling.values]
-    out_adj = [[] for _ in range(a_vis.rows)]
-    in_adj = [[] for _ in range(a_vis.rows)]
+    out_adj = [[] for _ in nodes]
+    in_adj = [[] for _ in nodes]
     for (i, j), w in a_vis.entries.items():
         sw = scaled_int(w, scale)
         out_adj[i].append((j, sw))
         in_adj[j].append((i, sw))
-    return scale, d, out_adj, in_adj
+    r_entries = {}
+    c_entries = {}
+    count = 0
+    for root, ids in orbits:
+        labels_f = _layered_max_weights(len(nodes), layers, out_adj, root)
+        labels_b = _layered_max_weights(len(nodes), layers, in_adj, root, backward=True)
+        for j, orig in enumerate(nodes):
+            for k, fid in enumerate(ids):
+                lf = labels_f[j * layers + k]
+                if lf is not None:
+                    r_entries[(fid, orig)] = unscaled(lf - d[j], scale)
+                lb = labels_b[j * layers + k]
+                if lb is not None:
+                    c_entries[(orig, fid)] = unscaled(d[j] + lb, scale)
+        count += len(ids)
+    return TropicalMatrix(n, count, c_entries), TropicalMatrix(count, n, r_entries)
 
 
-def compute_cr_pair(a_vis: TropicalMatrix, scaling: DiagonalScaling, circuit: CircuitRecord, n: int):
+def compute_cr_pair(
+    a_vis: TropicalMatrix, scaling: DiagonalScaling, circuit: CircuitRecord, nodes, n: int
+):
     """The C and R factors of one group, in full n-space coordinates.
 
-    ``a_vis`` is the visualized group submatrix (labels carry the original
-    node ids), ``scaling`` the conjugation vector that produced it, and
-    ``circuit`` the group's quasi-critical circuit (given in original ids;
-    its arcs must be exactly 0 in ``a_vis``).  Row k of R holds the best
-    weights of paths leaving the k-th circuit node with length divisible by
-    the circuit length, pushed back through the scaling; columns of C
-    mirror that on the reversed graph.  Nodes outside the group stay at the
-    bottom element.
+    ``a_vis`` is the visualized group submatrix over the node ids ``nodes``,
+    ``scaling`` the conjugation vector that produced it, and ``circuit`` the
+    group's quasi-critical circuit (given in node ids; its arcs must be
+    exactly 0 in ``a_vis``).  Row k of R holds the best weights of paths
+    leaving the k-th circuit node with length divisible by the circuit
+    length, pushed back through the scaling; columns of C mirror that on
+    the reversed graph.  This is the one-orbit case of ``_read_factors``:
+    the circuit's k-th node is k zero steps from its first.
     """
-    if a_vis.row_labels is None:
-        raise ValueError("visualized submatrix must carry node labels")
-    nodes = a_vis.row_labels
     pos = {v: k for k, v in enumerate(nodes)}
-    nv = len(nodes)
     for v in a_vis.entries.values():
         if v > 0:
             raise InvariantViolationError("submatrix is not visualized (positive entry)")
@@ -112,24 +131,7 @@ def compute_cr_pair(a_vis: TropicalMatrix, scaling: DiagonalScaling, circuit: Ci
                 f"circuit arc ({u}, {v}) is not zero in the visualized submatrix"
             )
     ell = circuit.length
-    scale, d, out_adj, in_adj = _scaled_group(a_vis, scaling)
-    anchor = pos[circuit.nodes[0]]
-    labels_f = _layered_max_weights(nv, ell, out_adj, anchor)
-    labels_b = _layered_max_weights(nv, ell, in_adj, anchor, backward=True)
-    r_entries = {}
-    c_entries = {}
-    for j in range(nv):
-        orig = nodes[j]
-        for k in range(ell):
-            lf = labels_f[j * ell + k]
-            if lf is not None:
-                r_entries[(k, orig)] = unscaled(lf - d[j], scale)
-            lb = labels_b[j * ell + k]
-            if lb is not None:
-                c_entries[(orig, k)] = unscaled(d[j] + lb, scale)
-    c = TropicalMatrix(n, ell, c_entries)
-    r = TropicalMatrix(ell, n, r_entries)
-    return c, r
+    return _read_factors(a_vis, scaling, nodes, n, ell, [(pos[circuit.nodes[0]], range(ell))])
 
 
 def build_s(circuit: CircuitRecord) -> TropicalMatrix:
@@ -359,7 +361,7 @@ def expand(a: TropicalMatrix, reduce_by_cyclicity: bool = False) -> CsrExpansion
     for s in range(1, part.r + 1):
         gv = vis.group(s)
         circuit = part.quasi_critical[s - 1]
-        c, r = compute_cr_pair(gv.matrix, gv.scaling, circuit, n)
+        c, r = compute_cr_pair(gv.matrix, gv.scaling, circuit, gv.nodes, n)
         term = CsrTerm(
             rate=part.growth_rates[s - 1],
             C=c,
@@ -384,53 +386,31 @@ def reduce_term(term: CsrTerm, a_vis: TropicalMatrix) -> CsrTerm:
     into cyclicity classes gives factors indexed by classes, with the class
     permutation as the S factor: R has, per class, the best weights of
     paths leaving any class member with length divisible by the cyclicity
-    (class members are interchangeable: they are linked by zero-weight
-    critical paths of fitting length).  The sum of the reduced terms equals
-    the sum of the plain terms for every t >= threshold.
+    sigma (class members are interchangeable: they are linked by zero-weight
+    critical paths of fitting length).  Each critical component is one
+    orbit of ``_read_factors`` with sigma layers: its period divides sigma,
+    so layer r of the component's root reads the class r critical steps on.
+    The sum of the reduced terms equals the sum of the plain terms for every
+    t >= threshold.
     """
     if term.reduced:
         return term
-    if a_vis.row_labels is None or tuple(a_vis.row_labels) != term.nodes:
+    if a_vis.rows != len(term.nodes):
         raise ValueError("visualized submatrix does not match the term's group")
-    nodes = term.nodes
-    nv = len(nodes)
-    critical = critical_graph(build_graph(a_vis), 0)
-    cyc = cyclicity_classes(critical)
-    sigma = cyc.sigma
-    n_classes = len(cyc.classes)
-    scale, d, out_adj, in_adj = _scaled_group(a_vis, term.scaling)
-    n = term.C.rows
-    c_entries = {}
-    r_entries = {}
-    succ = [None] * n_classes
-    for cid, members in enumerate(cyc.classes):
-        rep = members[0]
-        labels_f = _layered_max_weights(nv, sigma, out_adj, rep)
-        labels_b = _layered_max_weights(nv, sigma, in_adj, rep, backward=True)
-        for j in range(nv):
-            lf = labels_f[j * sigma]
-            if lf is not None:
-                r_entries[(cid, nodes[j])] = unscaled(lf - d[j], scale)
-            lb = labels_b[j * sigma]
-            if lb is not None:
-                c_entries[(nodes[j], cid)] = unscaled(d[j] + lb, scale)
-        # One critical step out of any member lands in the successor class.
-        for u, v in critical.arcs:
-            if u == rep:
-                succ[cid] = cyc.class_of[v]
-                break
-    if any(x is None for x in succ) or len(set(succ)) != n_classes:
-        raise AssertionError("class successor map is not a permutation")
-    s_matrix = TropicalMatrix(n_classes, n_classes, {(c, succ[c]): 0 for c in range(n_classes)})
+    cyc = cyclicity_classes(critical_graph(build_graph(a_vis), 0))
+    orbits = [(cyc.classes[ids[0]][0], ids) for ids in cyc.components]
+    c, r = _read_factors(a_vis, term.scaling, term.nodes, term.C.rows, cyc.sigma, orbits)
+    count = len(cyc.classes)
+    shift = {(ids[k - 1], ids[k]): 0 for ids in cyc.components for k in range(len(ids))}
     return CsrTerm(
         rate=term.rate,
-        C=TropicalMatrix(n, n_classes, c_entries),
-        S=s_matrix,
-        R=TropicalMatrix(n_classes, n, r_entries),
+        C=c,
+        S=TropicalMatrix(count, count, shift),
+        R=r,
         circuit=term.circuit,
         group=term.group,
         nodes=term.nodes,
         scaling=term.scaling,
         reduced=True,
-        classes=tuple(tuple(nodes[m] for m in members) for members in cyc.classes),
+        classes=tuple(tuple(term.nodes[m] for m in members) for members in cyc.classes),
     )

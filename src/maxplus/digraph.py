@@ -22,7 +22,10 @@ from .tropical import (
     diag_conjugate,
     DiagonalScaling,
     _max_plus_closure,
+    common_scale,
     kleene_star,
+    scaled_int,
+    unscaled,
 )
 
 
@@ -252,14 +255,18 @@ def critical_graph(g: WeightedDigraph, rate) -> CriticalGraph:
     a smaller value would leave a positive circuit after shifting, which
     raises PositiveCircuitError (a ValueError).  An arc (u, v) is critical
     exactly when the shifted arc weight plus the best shifted return path
-    v -> u is zero.
+    v -> u is zero.  The closure runs on scaled ints.
     """
     rate = as_value(rate)
+    scale = common_scale((w for _, _, w in g.arcs), (rate,))
+    srate = scaled_int(rate, scale)
     dist = [[None] * g.n for _ in range(g.n)]
     for u, v, w in g.arcs:
-        dist[u][v] = w - rate
+        dist[u][v] = scaled_int(w, scale) - srate
     _max_plus_closure(dist)
-    return _tight_arcs(g, rate, lambda v, u: dist[v][u])
+    return _tight_arcs(
+        g, rate, lambda v, u: None if dist[v][u] is None else unscaled(dist[v][u], scale)
+    )
 
 
 def _tight_arcs(g: WeightedDigraph, rate, back) -> CriticalGraph:
@@ -285,12 +292,15 @@ class CyclicityClasses:
     circuit lengths in that component.  Two critical nodes share a class
     exactly when some path between them inside the critical graph has
     length divisible by sigma; within one component that reduces to equal
-    breadth-first levels modulo the component's own gcd.
+    breadth-first levels modulo the component's own gcd.  ``components``
+    holds, per component, its class ids in level order: one critical step
+    moves every member of a class into the next class of that tuple
+    (cyclically), and the component's first node sits in its first class.
     """
 
     sigma: int
     classes: tuple
-    class_of: dict
+    components: tuple
 
 
 def cyclicity_classes(cg: CriticalGraph) -> CyclicityClasses:
@@ -304,7 +314,7 @@ def cyclicity_classes(cg: CriticalGraph) -> CyclicityClasses:
     comps = tarjan_scc(len(nodes), lambda u: succ[u])
     sigma = 1
     classes = []
-    class_of = {}
+    components = []
     for comp in sorted(comps, key=lambda c: nodes[c[0]]):
         comp_set = set(comp)
         root = comp[0]
@@ -324,20 +334,14 @@ def cyclicity_classes(cg: CriticalGraph) -> CyclicityClasses:
         for u, v in arcs_inside:
             g = math.gcd(g, level[u] + 1 - level[v])
         g = abs(g)
-        if g == 0:
-            # A component with no internal arcs carries no circuit; critical
-            # graphs never produce this, but guard anyway.
-            continue
         sigma = math.lcm(sigma, g)
         buckets = {}
         for u in comp:
             buckets.setdefault(level[u] % g, []).append(nodes[u])
+        components.append(tuple(range(len(classes), len(classes) + g)))
         for _, members in sorted(buckets.items()):
-            members = tuple(sorted(members))
-            for v in members:
-                class_of[v] = len(classes)
-            classes.append(members)
-    return CyclicityClasses(sigma, tuple(classes), class_of)
+            classes.append(tuple(sorted(members)))
+    return CyclicityClasses(sigma, tuple(classes), tuple(components))
 
 
 def principal_eigenvectors(a: TropicalMatrix):

@@ -73,7 +73,8 @@ class TropicalScalar:
     """One max-plus value: an exact rational, or the bottom element.
 
     ``TropicalScalar(x)`` wraps a finite value; ``TropicalScalar(None)`` is
-    the bottom element (the additive identity, absorbing under otimes).
+    the bottom element.  Scalars only carry a result (Karp's cycle mean);
+    the arithmetic works on raw values and matrices.
     """
 
     __slots__ = ("_v",)
@@ -90,40 +91,10 @@ class TropicalScalar:
         """The finite rational, or None for the bottom element."""
         return self._v
 
-    def oplus(self, other: "TropicalScalar") -> "TropicalScalar":
-        """Max of the two values; the bottom element is neutral."""
-        if self._v is None:
-            return other
-        if other._v is None:
-            return self
-        return TropicalScalar(self._v if self._v >= other._v else other._v)
-
-    def otimes(self, other: "TropicalScalar") -> "TropicalScalar":
-        """Sum of the two values; the bottom element is absorbing."""
-        if self._v is None or other._v is None:
-            return EPSILON
-        return TropicalScalar(self._v + other._v)
-
-    def _key(self):
-        # Total order with the bottom element strictly below every rational.
-        return (0,) if self._v is None else (1, self._v)
-
     def __eq__(self, other):
         if not isinstance(other, TropicalScalar):
             return NotImplemented
         return self._v == other._v
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
 
     def __hash__(self):
         return hash(self._v)
@@ -136,33 +107,18 @@ class TropicalScalar:
 
 
 EPSILON = TropicalScalar(None)
-UNIT = TropicalScalar(0)
-
-
-def _check_labels(labels, count, what):
-    if labels is None:
-        return None
-    labels = tuple(labels)
-    if len(labels) != count:
-        raise ValueError(f"{what} labels must have length {count}")
-    if any(labels[i] >= labels[i + 1] for i in range(len(labels) - 1)):
-        raise ValueError(f"{what} labels must be strictly increasing")
-    return labels
 
 
 class TropicalMatrix:
     """Sparse max-plus matrix; entries absent from the map are the bottom element.
 
-    ``entries`` maps ``(row, col)`` to a finite exact rational.  Optional
-    row/col labels carry original node indices through submatrix extraction,
-    so factors built from a submatrix can be placed back in the coordinates
-    of the parent matrix.  Instances are treated as immutable; operations
-    return new matrices.
+    ``entries`` maps ``(row, col)`` to a finite exact rational.  Instances
+    are treated as immutable; operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows, cols, entries, row_labels=None, col_labels=None):
+    def __init__(self, rows, cols, entries):
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         self.rows = rows
@@ -173,11 +129,9 @@ class TropicalMatrix:
                 raise ValueError(f"entry index ({i}, {j}) out of range")
             clean[(i, j)] = as_value(v)
         self.entries = clean
-        self.row_labels = _check_labels(row_labels, rows, "row")
-        self.col_labels = _check_labels(col_labels, cols, "col")
 
     @classmethod
-    def from_rows(cls, rows, row_labels=None, col_labels=None):
+    def from_rows(cls, rows):
         """Build from a dense list of lists; None marks the bottom element."""
         if not rows or not rows[0]:
             raise ValueError("from_rows needs at least one row and one column")
@@ -190,7 +144,7 @@ class TropicalMatrix:
                 if v is None or (isinstance(v, TropicalScalar) and v.is_epsilon):
                     continue
                 entries[(i, j)] = v
-        return cls(len(rows), ncols, entries, row_labels, col_labels)
+        return cls(len(rows), ncols, entries)
 
     @classmethod
     def identity(cls, n):
@@ -219,33 +173,17 @@ class TropicalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row_label(self, i):
-        return i if self.row_labels is None else self.row_labels[i]
-
-    def col_label(self, j):
-        return j if self.col_labels is None else self.col_labels[j]
-
-    def submatrix(self, keep_rows, keep_cols=None):
-        """Restriction to the given row/col positions; labels follow along."""
-        keep_rows = sorted(keep_rows)
-        keep_cols = keep_rows if keep_cols is None else sorted(keep_cols)
-        rpos = {r: k for k, r in enumerate(keep_rows)}
-        cpos = {c: k for k, c in enumerate(keep_cols)}
+    def submatrix(self, keep):
+        """The principal submatrix on the given positions, in increasing order."""
+        pos = {v: k for k, v in enumerate(sorted(keep))}
         entries = {
-            (rpos[i], cpos[j]): v
+            (pos[i], pos[j]): v
             for (i, j), v in self.entries.items()
-            if i in rpos and j in cpos
+            if i in pos and j in pos
         }
-        return TropicalMatrix(
-            len(keep_rows),
-            len(keep_cols),
-            entries,
-            tuple(self.row_label(r) for r in keep_rows),
-            tuple(self.col_label(c) for c in keep_cols),
-        )
+        return TropicalMatrix(len(pos), len(pos), entries)
 
     def __eq__(self, other):
-        # Labels are bookkeeping, not part of the value.
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
         return (
@@ -382,7 +320,7 @@ def diag_conjugate(a: TropicalMatrix, d: DiagonalScaling, shift=0) -> TropicalMa
     """Conjugation with a uniform shift: entry (i, j) becomes -d_i + (a_ij + shift) + d_j.
 
     Conjugating by d and then by its inverse restores the matrix; diagonal
-    entries only pick up the shift.  Labels of the input are preserved.
+    entries only pick up the shift.
     """
     if a.rows != a.cols or len(d) != a.rows:
         raise DimensionMismatchError("scaling length must equal the matrix order")
@@ -391,4 +329,4 @@ def diag_conjugate(a: TropicalMatrix, d: DiagonalScaling, shift=0) -> TropicalMa
     entries = {
         (i, j): -dv[i] + (v + shift) + dv[j] for (i, j), v in a.entries.items()
     }
-    return TropicalMatrix(a.rows, a.cols, entries, a.row_labels, a.col_labels)
+    return TropicalMatrix(a.rows, a.cols, entries)

@@ -74,7 +74,10 @@ def _max_weight_to_sink(sink, in_arcs_of):
 
 @dataclass(frozen=True, slots=True)
 class GroupVisualization:
-    """Visualized submatrix of one group: nodes, matrix, conjugation vector."""
+    """Visualized submatrix of one group: nodes, matrix, conjugation vector.
+
+    Position k of ``matrix`` and of ``scaling`` stands for node ``nodes[k]``.
+    """
 
     group: int
     nodes: tuple
@@ -166,7 +169,7 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
                 if val > 0:
                     raise InvariantViolationError(f"visualized entry ({u}, {v}) is positive")
                 entries[(pos[u], pos[v])] = unscaled(val, scale)
-        matrix = TropicalMatrix(len(nodes), len(nodes), entries, nodes, nodes)
+        matrix = TropicalMatrix(len(nodes), len(nodes), entries)
         circuit = part.quasi_critical[s - 1]
         for u, v in circuit.arc_pairs():
             if entries.get((pos.get(u), pos.get(v))) != 0:

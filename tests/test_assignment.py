@@ -76,3 +76,52 @@ def test_certificate_rejects_corrupted_potentials():
     assert not _certify(cost, 2, [1, 0], [0, 0], [0, 0])
     # an infeasible dual is rejected even with a correct matching
     assert not _certify(cost, 2, [0, 1], [3, 0], [0, 0])
+
+
+def _record(monkeypatch, name, log):
+    import maxplus.assignment as assignment
+
+    real = getattr(assignment, name)
+
+    def recorded(*args):
+        result = real(*args)
+        log.append((name, args, result))
+        return result
+
+    monkeypatch.setattr(assignment, name, recorded)
+
+
+def test_numpy_result_is_certified_once(monkeypatch):
+    log = []
+    _record(monkeypatch, "_certify", log)
+    _record(monkeypatch, "_solve_min_python", log)
+    rng = random.Random(17)
+    for _ in range(5):
+        weights = _random_instance(rng, rng.randint(16, 30), 0.4)
+        log.clear()
+        max_assignment(weights)
+        assert [(name, result) for name, _, result in log] == [("_certify", True)]
+
+
+def test_failed_numpy_certificate_is_redone_and_certified(monkeypatch):
+    import maxplus.assignment as assignment
+
+    real = assignment._solve_min_numpy
+
+    def corrupted(cost, n, sentinel):
+        perm, u, v = real(cost, n, sentinel)
+        return perm, [x + 1 for x in u], v  # matched cells are no longer tight
+
+    monkeypatch.setattr(assignment, "_solve_min_numpy", corrupted)
+    log = []
+    _record(monkeypatch, "_certify", log)
+    _record(monkeypatch, "_solve_min_python", log)
+    weights = _random_instance(random.Random(19), 20, 0.4)
+    total, perm = max_assignment(weights, force_backend="numpy")
+    names = [name for name, _, _ in log]
+    assert names == ["_certify", "_solve_min_python", "_certify"]
+    assert log[0][2] is False
+    redo = log[1][2]
+    assert perm == redo[0]
+    assert log[2][1][2:] == redo and log[2][2] is True
+    assert total == max_assignment(weights, force_backend="python")[0]

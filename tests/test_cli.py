@@ -247,13 +247,20 @@ class TestCommands:
 
 
 def test_console_entry_point_runs():
+    import os
     import subprocess
     import sys
 
+    import maxplus
+
+    # The child imports the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(maxplus.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "maxplus", "roots", DEMO_DENSE],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("8 (x2)")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -175,26 +176,93 @@ def test_wide_matrix_with_huge_values_stays_exact():
     assert x.evaluate(t) == matrix_power(a, t)
 
 
+def _cycles(s):
+    """The cycles of a permutation matrix, each from its smallest index."""
+    succ = dict(s.entries.keys())
+    cycles, seen = [], set()
+    for start in sorted(succ):
+        cycle = []
+        v = start
+        while v not in seen:
+            seen.add(v)
+            cycle.append(v)
+            v = succ[v]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _assert_factors_match_closure(term, gv):
+    # Factor index k of a plain term stands for the k-th circuit node and
+    # the closure of the ell-th power; of a reduced term, for every member
+    # of class k and the closure of the sigma-th power (sigma is the order
+    # of the class permutation S).
+    if term.reduced:
+        members, layers = term.classes, math.lcm(*map(len, _cycles(term.S)))
+    else:
+        members, layers = tuple((v,) for v in term.circuit.nodes), term.circuit.length
+    pos = {v: k for k, v in enumerate(gv.nodes)}
+    closure = mod_length_closure(gv.matrix, layers)
+    d = gv.scaling.values
+    assert {j for _, j in term.R.entries} <= set(gv.nodes)
+    assert {i for i, _ in term.C.entries} <= set(gv.nodes)
+    for k, group in enumerate(members):
+        for m in group:
+            for j, orig in enumerate(gv.nodes):
+                out = closure.get(pos[m], j)
+                assert term.R.get(k, orig) == (None if out is None else out - d[j])
+                into = closure.get(j, pos[m])
+                assert term.C.get(orig, k) == (None if into is None else d[j] + into)
+
+
+def _tie_heavy_instances():
+    # Entries in {0, -1} tie many circuits, so critical graphs often have
+    # several components, some of different periods.
+    rng = random.Random(131)
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        a = random_matrix(rng, n, rng.choice([0.3, 0.5, 0.8]), -1, 0)
+        yield a, visualize_all(a, partition_nodes(characteristic_roots(a), n))
+
+
 def test_r_rows_match_mod_length_closure():
-    # Rows of the normalized R factor are rows of the closure of the
-    # ell-th power of the visualized submatrix, at the circuit nodes.
+    # Rows of the normalized R factor (and columns of C) are rows (and
+    # columns) of the closure of the ell-th power of the visualized
+    # submatrix, at the circuit nodes; for reduced terms, at every member
+    # of every cyclicity class.
     a = demo_matrix()
     part = partition_nodes(characteristic_roots(a), 10)
     vis = visualize_all(a, part)
-    x = expand(a)
-    for term in x.terms:
-        gv = vis.group(term.group)
-        pos = {v: k for k, v in enumerate(gv.nodes)}
-        closure = mod_length_closure(gv.matrix, term.circuit.length)
-        d = gv.scaling.values
-        for k, cnode in enumerate(term.circuit.nodes):
-            for j, orig in enumerate(gv.nodes):
-                want = closure.get(pos[cnode], j)
-                got = term.R.get(k, orig)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got == want - d[j]
+    for term in expand(a).terms:
+        _assert_factors_match_closure(term, vis.group(term.group))
+    mixed_periods = 0
+    for a, vis in _tie_heavy_instances():
+        for term in expand(a, reduce_by_cyclicity=True).terms:
+            _assert_factors_match_closure(term, vis.group(term.group))
+            mixed_periods += len({len(c) for c in _cycles(term.S)}) > 1
+    assert mixed_periods > 0
+
+
+def test_reduced_term_sweeps_once_per_cycle_of_s(monkeypatch):
+    # One forward and one backward layered sweep per critical component,
+    # which is one cycle of the class permutation S.
+    calls = []
+    real = csr._layered_max_weights
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csr, "_layered_max_weights", counted)
+    several = 0
+    for a, vis in _tie_heavy_instances():
+        for term in expand(a).terms:
+            calls.clear()
+            reduced = reduce_term(term, vis.group(term.group).matrix)
+            cycles = len(_cycles(reduced.S))
+            assert len(calls) == 2 * cycles
+            several += cycles > 1
+    assert several > 0
 
 
 def test_path_splitting_bound_on_demo():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -108,6 +109,10 @@ class TestCriticalGraph:
                 assert cg.arcs == tight
 
 
+def _class_of(cyc):
+    return {v: c for c, members in enumerate(cyc.classes) for v in members}
+
+
 class TestCyclicityClasses:
     def test_two_cycle(self):
         cg = critical_graph(build_graph(tm([[E, 1], [3, E]])), 2)
@@ -146,12 +151,42 @@ class TestCyclicityClasses:
             lam = karp_max_cycle_mean(g).value
             cg = critical_graph(g, lam)
             cyc = cyclicity_classes(cg)
+            class_of = _class_of(cyc)
             for circuit in elementary_circuits(a):
                 if circuit.mean != lam:
                     continue
-                visited = {cyc.class_of[v] for v in circuit.nodes}
+                visited = {class_of[v] for v in circuit.nodes}
                 assert circuit.length % len(visited) == 0
                 assert cyc.sigma % len(visited) == 0
+
+    def test_components_list_classes_in_step_order(self):
+        # One critical step moves each class to the next id of its
+        # component's tuple, cyclically; the tuples split the class ids in
+        # order, each starts at its component's smallest node, and sigma is
+        # the lcm of their lengths.  Entries in {0, -1} tie many circuits.
+        rng = random.Random(23)
+        several = 0
+        for _ in range(40):
+            a = random_matrix(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.8]), -1, 0)
+            g = build_graph(a)
+            lam = karp_max_cycle_mean(g)
+            if lam.is_epsilon:
+                continue
+            cg = critical_graph(g, lam.value)
+            cyc = cyclicity_classes(cg)
+            assert [c for comp in cyc.components for c in comp] == list(range(len(cyc.classes)))
+            step = {}
+            for comp in cyc.components:
+                members = [v for c in comp for v in cyc.classes[c]]
+                assert min(members) in cyc.classes[comp[0]]
+                for k, c in enumerate(comp):
+                    step[c] = comp[(k + 1) % len(comp)]
+            class_of = _class_of(cyc)
+            for u, v in cg.arcs:
+                assert class_of[v] == step[class_of[u]]
+            assert cyc.sigma == math.lcm(*map(len, cyc.components))
+            several += len(cyc.components) > 1
+        assert several > 0
 
 
 class TestPrincipalEigenvectors:

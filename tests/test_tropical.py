@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from maxplus import (
-    EPSILON,
-    UNIT,
     DiagonalScaling,
     DimensionMismatchError,
     PositiveCircuitError,
@@ -23,24 +21,6 @@ from fixtures import DEMO_A3_ROWS, DEMO_D3, E, demo_matrix, tm
 
 
 class TestScalar:
-    def test_epsilon_is_neutral_for_oplus(self):
-        x = TropicalScalar(Fraction(5, 3))
-        assert EPSILON.oplus(x) == x
-        assert x.oplus(EPSILON) == x
-
-    def test_epsilon_absorbs_otimes(self):
-        x = TropicalScalar(7)
-        assert EPSILON.otimes(x) == EPSILON
-        assert x.otimes(EPSILON).is_epsilon
-
-    def test_unit(self):
-        x = TropicalScalar(Fraction(-3, 2))
-        assert UNIT.otimes(x) == x
-
-    def test_ordering_puts_epsilon_lowest(self):
-        assert EPSILON < TropicalScalar(-10**9)
-        assert TropicalScalar(1) < TropicalScalar(Fraction(3, 2))
-
     def test_integral_fraction_normalizes(self):
         assert TropicalScalar(Fraction(4, 2)) == TropicalScalar(2)
         assert isinstance(TropicalScalar(Fraction(4, 2)).value, int)
