@@ -10,7 +10,6 @@ from .tropical import (
     as_value,
     diag_conjugate,
     kleene_star,
-    matrix_add,
     matrix_mul,
     matrix_power,
 )

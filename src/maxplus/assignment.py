@@ -134,13 +134,12 @@ def _certify(cost, n, perm, u, v):
     return True
 
 
-def max_assignment(weights, force_backend=None):
+def max_assignment(weights):
     """Maximum-weight perfect assignment on a dense square matrix.
 
     ``weights`` is a list of lists of ints with None marking forbidden
     cells; a perfect matching over the finite cells must exist.  Returns
     ``(total, perm)`` where ``perm[i]`` is the column matched to row i.
-    ``force_backend`` ("python" or "numpy") is for tests.
     """
     n = len(weights)
     max_abs = 0
@@ -156,10 +155,7 @@ def max_assignment(weights, force_backend=None):
         [sentinel if x is None else -x for x in row]
         for row in weights
     ]
-    if force_backend is None:
-        use_numpy = n >= 16 and sentinel * 4 < _INT64_LIMIT
-    else:
-        use_numpy = force_backend == "numpy"
+    use_numpy = n >= 16 and sentinel * 4 < _INT64_LIMIT
     if use_numpy:
         perm, u, v = _solve_min_numpy(cost, n, sentinel)
     if not use_numpy or not _certify(cost, n, perm, u, v):

@@ -125,36 +125,31 @@ class Mmcs:
 
 
 def _lexicographic_costs(a, lam, n, scale, want_max_length):
-    """Dense integer costs encoding (weight, +-t-pick count) lexicographically."""
+    """Dense integer costs encoding (weight, +-t-pick count) lexicographically.
+
+    ``is_loop[i]`` tells whether a diagonal pick at i is the self-loop
+    circuit rather than a ``lam`` pick: a loop above ``lam`` always is, a tie
+    a_ii == lam only for the long witness.  The secondary bonus rewards
+    loops when ``want_max_length`` and ``lam`` picks otherwise.
+    """
     lam_s = scaled_int(lam, scale)
     k = n + 1
     cost = [[None] * n for _ in range(n)]
-    diag_state = [None] * n  # "loop" | "lam" | "tie"
+    is_loop = [False] * n
     for (i, j), v in a.entries.items():
         if i != j:
             cost[i][j] = scaled_int(v, scale) * k + (1 if want_max_length else 0)
     for i in range(n):
         av = a.entries.get((i, i))
         sv = None if av is None else scaled_int(av, scale)
-        if sv is None or sv < lam_s:
-            diag_state[i] = "lam"
-            primary = lam_s
-        elif sv > lam_s:
-            diag_state[i] = "loop"
-            primary = sv
-        else:
-            diag_state[i] = "tie"
-            primary = sv
-        if want_max_length:
-            bonus = 1 if diag_state[i] in ("loop", "tie") else 0
-        else:
-            bonus = 1 if diag_state[i] in ("lam", "tie") else 0
-        cost[i][i] = primary * k + bonus
-    return cost, diag_state
+        is_loop[i] = sv is not None and (sv > lam_s or (sv == lam_s and want_max_length))
+        primary = lam_s if sv is None else max(sv, lam_s)
+        cost[i][i] = primary * k + (1 if is_loop[i] == want_max_length else 0)
+    return cost, is_loop
 
 
-def _witness_from_perm(a, perm, diag_state, want_max_length):
-    """Cycles of the permutation, with tied diagonal picks classified per run."""
+def _witness_from_perm(a, perm, is_loop):
+    """Cycles of the permutation; a fixed point is a self-loop or a lam pick per ``is_loop``."""
     n = len(perm)
     seen = [False] * n
     circuits = []
@@ -169,14 +164,8 @@ def _witness_from_perm(a, perm, diag_state, want_max_length):
             seen[v] = True
             cycle.append(v)
             v = perm[v]
-        if len(cycle) == 1:
-            i = cycle[0]
-            state = diag_state[i]
-            is_loop = state == "loop" or (state == "tie" and want_max_length)
-            if is_loop:
-                circuits.append(CircuitRecord.from_nodes(weight_of, (i,)))
-            else:
-                lam_picks += 1
+        if len(cycle) == 1 and not is_loop[start]:
+            lam_picks += 1
         else:
             circuits.append(CircuitRecord.from_nodes(weight_of, tuple(cycle)))
     return MultiCircuit(tuple(circuits)), lam_picks
@@ -198,9 +187,9 @@ def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
     scale = common_scale((lam,), a.entries.values())
     results = {}
     for want_max_length in (False, True):
-        cost, diag_state = _lexicographic_costs(a, lam, n, scale, want_max_length)
+        cost, is_loop = _lexicographic_costs(a, lam, n, scale, want_max_length)
         _, perm = max_assignment(cost)
-        witness, lam_picks = _witness_from_perm(a, perm, diag_state, want_max_length)
+        witness, lam_picks = _witness_from_perm(a, perm, is_loop)
         results[want_max_length] = (witness, n - lam_picks)
     # The attained value is reconstructed from the witness; the encoded
     # totals only order the permutations.
@@ -219,31 +208,40 @@ def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
     )
 
 
-def _search_breakpoints(a, n, lo, e_lo, hi, e_hi, found):
-    """Recursive supporting-line intersection over the convex evaluation."""
-    s_lo = n - e_lo.min_length
-    b_lo = e_lo.witness_min.total_weight
-    s_hi = n - e_hi.max_length
-    b_hi = e_hi.witness_max.total_weight
-    if s_lo == s_hi:
-        if b_lo != b_hi:
-            raise AssertionError("parallel distinct supporting lines")
-        return
-    lam_star = as_value(Fraction(b_lo - b_hi, s_hi - s_lo))
-    if not (lo < lam_star < hi):
-        raise AssertionError("line intersection escaped the search interval")
-    e_star = chi_eval(a, lam_star)
-    if e_star.min_length < e_star.max_length:
-        found[lam_star] = e_star
-    v_star = b_lo + lam_star * s_lo
-    if e_star.value == v_star:
-        return
-    left_line = (n - e_star.max_length, e_star.witness_max.total_weight)
-    if left_line != (s_lo, b_lo):
-        _search_breakpoints(a, n, lo, e_lo, lam_star, e_star, found)
-    right_line = (n - e_star.min_length, e_star.witness_min.total_weight)
-    if right_line != (s_hi, b_hi):
-        _search_breakpoints(a, n, lam_star, e_star, hi, e_hi, found)
+def _search_breakpoints(a, n, lo, e_lo, hi, e_hi):
+    """Supporting-line intersection over the convex evaluation.
+
+    Works through an explicit stack of open intervals (lo, e_lo, hi, e_hi),
+    left halves first, so the depth of the search never reaches Python's
+    call stack.  Returns the breakpoints found, each with its evaluation.
+    """
+    found = {}
+    stack = [(lo, e_lo, hi, e_hi)]
+    while stack:
+        lo, e_lo, hi, e_hi = stack.pop()
+        s_lo = n - e_lo.min_length
+        b_lo = e_lo.witness_min.total_weight
+        s_hi = n - e_hi.max_length
+        b_hi = e_hi.witness_max.total_weight
+        if s_lo == s_hi:
+            if b_lo != b_hi:
+                raise AssertionError("parallel distinct supporting lines")
+            continue
+        lam_star = as_value(Fraction(b_lo - b_hi, s_hi - s_lo))
+        if not (lo < lam_star < hi):
+            raise AssertionError("line intersection escaped the search interval")
+        e_star = chi_eval(a, lam_star)
+        if e_star.min_length < e_star.max_length:
+            found[lam_star] = e_star
+        if e_star.value == b_lo + lam_star * s_lo:
+            continue
+        right_line = (n - e_star.min_length, e_star.witness_min.total_weight)
+        if right_line != (s_hi, b_hi):
+            stack.append((lam_star, e_star, hi, e_hi))
+        left_line = (n - e_star.max_length, e_star.witness_max.total_weight)
+        if left_line != (s_lo, b_lo):
+            stack.append((lo, e_lo, lam_star, e_star))
+    return found
 
 
 def characteristic_roots(a: TropicalMatrix) -> Mmcs:
@@ -271,8 +269,7 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
     e_hi = chi_eval(a, hi)
     if e_lo.min_length != e_lo.max_length or e_hi.min_length != e_hi.max_length:
         raise AssertionError("bracketing points must not be breakpoints")
-    found = {}
-    _search_breakpoints(a, n, lo, e_lo, hi, e_hi, found)
+    found = _search_breakpoints(a, n, lo, e_lo, hi, e_hi)
     roots = tuple(sorted(found, reverse=True))
     multicircuits = [MultiCircuit.empty()]
     multiplicities = []

@@ -10,12 +10,13 @@ every t >= 2 n^2, no matter how large t is.
 The weight queries "best path with length k mod ell" are answered on an
 extended graph with ell layered copies of the node set, where every arc
 advances the layer by one; one Dijkstra sweep from the circuit's anchor
-node (and one on the reversed graph) yields a whole factor.
+node (and one on the reversed graph) yields a whole factor.  The sweep is
+``maxplus.visualize._layered_max_weights``, the label-setting kernel the
+visualization runs with one layer.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,41 +33,7 @@ from .tropical import (
     scaled_int,
     unscaled,
 )
-from .visualize import InvariantViolationError, visualize_all
-
-
-def _layered_max_weights(nv, layers, base_adj, source_v, backward=False):
-    """Layered-graph labels without materializing the layer copies.
-
-    Same labels as ``maxplus.oracle._max_weight_labels`` on the (possibly
-    reversed) extended graph of the base adjacency, with node (v, k) at index
-    v * layers + k and the source at layer 0.  Forward arcs advance the
-    layer by one mod ``layers``; walking the reversed graph (``base_adj``
-    holding in-arcs) steps the layer back by one instead.  Weights must be
-    nonpositive ints.
-    """
-    labels = [None] * (nv * layers)
-    source = source_v * layers
-    labels[source] = 0
-    heap = [(0, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    step = -1 if backward else 1
-    while heap:
-        neg, uid = pop(heap)
-        base = -neg
-        if base < labels[uid]:
-            continue
-        v, k = divmod(uid, layers)
-        k2 = (k + step) % layers
-        for head, w in base_adj[v]:
-            wid = head * layers + k2
-            cand = base + w
-            cur = labels[wid]
-            if cur is None or cand > cur:
-                labels[wid] = cand
-                push(heap, (-cand, wid))
-    return labels
+from .visualize import InvariantViolationError, _layered_max_weights, visualize_all
 
 
 def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, layers, orbits):
@@ -93,8 +60,10 @@ def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, lay
     c_entries = {}
     count = 0
     for root, ids in orbits:
-        labels_f = _layered_max_weights(len(nodes), layers, out_adj, root)
-        labels_b = _layered_max_weights(len(nodes), layers, in_adj, root, backward=True)
+        labels_f = _layered_max_weights(len(nodes), layers, out_adj.__getitem__, root)
+        labels_b = _layered_max_weights(
+            len(nodes), layers, in_adj.__getitem__, root, backward=True
+        )
         for j, orig in enumerate(nodes):
             for k, fid in enumerate(ids):
                 lf = labels_f[j * layers + k]
@@ -307,7 +276,8 @@ class CsrExpansion:
         acc = {}
         for srate, terms in classes:
             accumulate(terms, t, t * srate, acc)
-        return TropicalMatrix(n, n, {key: unscaled(v, scale) for key, v in acc.items()})
+        # unscaled values are normalized and the keys are in range.
+        return TropicalMatrix._trusted(n, n, {key: unscaled(v, scale) for key, v in acc.items()})
 
     def _accumulate_python(self, terms, t, shift, acc):
         for succ, cols, rows in terms:

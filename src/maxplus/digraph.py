@@ -30,15 +30,14 @@ from .tropical import (
 
 
 class WeightedDigraph:
-    """Arc-list digraph with adjacency and reverse-adjacency indexes."""
+    """Arc-list digraph with an adjacency index."""
 
-    __slots__ = ("n", "arcs", "_out", "_in", "_weight")
+    __slots__ = ("n", "arcs", "_out", "_weight")
 
     def __init__(self, n, arcs):
         self.n = n
         self.arcs = tuple((u, v, as_value(w)) for u, v, w in arcs)
         self._out = [[] for _ in range(n)]
-        self._in = [[] for _ in range(n)]
         self._weight = {}
         for u, v, w in self.arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -46,14 +45,10 @@ class WeightedDigraph:
             if (u, v) in self._weight:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             self._out[u].append((v, w))
-            self._in[v].append((u, w))
             self._weight[(u, v)] = w
 
     def out_arcs(self, u):
         return self._out[u]
-
-    def in_arcs(self, v):
-        return self._in[v]
 
     def weight(self, u, v):
         return self._weight.get((u, v))

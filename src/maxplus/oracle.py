@@ -235,8 +235,8 @@ def build_extended_graph(base_n, arcs, layers, reverse=False) -> ExtendedGraph:
 def _max_weight_labels(graph: ExtendedGraph, source_id: int):
     """Single-source maximum path weights on nonpositive arcs (label-setting).
 
-    Reference for ``maxplus.csr._layered_max_weights``, which walks the
-    same layered graph without building its copies.
+    Reference for ``maxplus.visualize._layered_max_weights``, which walks
+    the same layered graph without building its copies.
     """
     labels = [None] * (graph.base_n * graph.layers)
     labels[source_id] = 0

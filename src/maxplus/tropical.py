@@ -131,6 +131,20 @@ class TropicalMatrix:
         self.entries = clean
 
     @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """Adopt ``entries`` as it is, skipping the checks of ``__init__``.
+
+        Precondition: ``rows`` and ``cols`` are positive, every key is in
+        range, every value is finite and already normalized (``as_value``
+        would return it unchanged), and no one else holds the dict.
+        """
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_rows(cls, rows):
         """Build from a dense list of lists; None marks the bottom element."""
         if not rows or not rows[0]:
@@ -194,18 +208,6 @@ class TropicalMatrix:
 
     def __repr__(self):
         return f"TropicalMatrix({self.rows}x{self.cols}, {self.finite_count} finite)"
-
-
-def matrix_add(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    """Entrywise max; an entry stays bottom only when both inputs are bottom there."""
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatchError(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    entries = dict(a.entries)
-    for key, v in b.entries.items():
-        cur = entries.get(key)
-        if cur is None or v > cur:
-            entries[key] = v
-    return TropicalMatrix(a.rows, a.cols, entries)
 
 
 def matrix_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:

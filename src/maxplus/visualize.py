@@ -8,7 +8,9 @@ scalings accumulated so far, run one single-sink maximum-weight path
 computation rooted at the new node, and fold the resulting potentials into
 the running conjugation.  At every point all arc values stay nonpositive
 except those incident to the newest node, which is exactly the regime where
-a label-setting (Dijkstra) sweep stays correct.
+a label-setting (Dijkstra) sweep stays correct.  That sweep,
+``_layered_max_weights``, is the module's one label-setting kernel; the C/R
+factors of ``maxplus.csr`` run it on layered copies of the visualized groups.
 
 Arithmetic: the growth rates may be non-integers, so the sweep works in a
 common scaled-integer domain (all entries and rates multiplied by one lcm
@@ -41,35 +43,52 @@ class InvariantViolationError(RuntimeError):
     """A runtime check on the sweep's preconditions failed."""
 
 
-def _max_weight_to_sink(sink, in_arcs_of):
-    """Label-setting maximum-weight-to-sink labels.
+def _layered_max_weights(nv, layers, arcs_of, source_v, backward=False):
+    """Label-setting maximum path weights over ``layers`` copies of a base graph.
 
-    ``in_arcs_of(v)`` yields (u, w) for arcs u -> v.  All arc weights must
-    be nonpositive except those incident to the sink; that is asserted
-    during the sweep.  Returns (reachable, labels) where labels[j] is the
-    best weight of a j -> sink path (0 for the sink itself).
+    ``arcs_of(v)`` yields (head, w) for the base arcs leaving v (in-arcs
+    when ``backward``).  Node (v, k) has index v * layers + k, the source is
+    (source_v, 0), and each arc steps the layer by +1 (-1 when backward) mod
+    ``layers``: the labels of ``maxplus.oracle._max_weight_labels`` on the
+    extended graph, without its copies.  One layer is the plain graph.
+
+    Weights are ints, nonpositive except on arcs at the source's base node;
+    any other positive arc raises ``InvariantViolationError``.  A node is
+    settled once and no arc relaxes into a settled node.  Returns the
+    labels, None where unreachable.
     """
-    labels = {sink: 0}
-    settled = set()
-    heap = [(0, sink)]
+    size = nv * layers
+    labels = [None] * size
+    settled = [False] * size
+    source = source_v * layers
+    labels[source] = 0
+    heap = [(0, source)]
+    push = heapq.heappush
+    pop = heapq.heappop
+    step = -1 if backward else 1
     while heap:
-        neg, v = heapq.heappop(heap)
-        if v in settled or -neg < labels[v]:
+        neg, uid = pop(heap)
+        if settled[uid]:
             continue
-        settled.add(v)
-        base = labels[v]
-        for u, w in in_arcs_of(v):
-            if u in settled:
+        settled[uid] = True
+        base = -neg
+        v, k = divmod(uid, layers)
+        k2 = (k + step) % layers
+        for head, w in arcs_of(v):
+            wid = head * layers + k2
+            if settled[wid]:
                 continue
-            if w > 0 and v != sink and u != sink:
+            if w > 0 and v != source_v and head != source_v:
+                arc = (head, v) if backward else (v, head)
                 raise InvariantViolationError(
-                    f"positive arc ({u}, {v}) not incident to the root {sink}"
+                    f"positive arc {arc} not incident to the root {source_v}"
                 )
             cand = base + w
-            if u not in labels or cand > labels[u]:
-                labels[u] = cand
-                heapq.heappush(heap, (-cand, u))
-    return frozenset(settled), labels
+            cur = labels[wid]
+            if cur is None or cand > cur:
+                labels[wid] = cand
+                push(heap, (-cand, wid))
+    return labels
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +148,7 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
 
     for s in range(part.r, 0, -1):
         rate = srates[s - 1]
+        in_arcs = lambda v: ((u, w - rate - d[u] + d[v]) for u, w in in_adj[v])
         order = tuple(sorted(part.groups[s - 1], reverse=True))
         for i in order:
             nprime.add(i)
@@ -140,15 +160,14 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
                 if j in nprime:
                     out_adj[j].append((i, w))
                     in_adj[i].append((j, w))
-            reachable, w_lab = _max_weight_to_sink(
-                i, lambda v: ((u, w - rate - d[u] + d[v]) for u, w in in_adj[v])
-            )
+            w_lab = _layered_max_weights(n, 1, in_arcs, i, backward=True)
+            reachable = [j for j in nprime if w_lab[j] is not None]
             cross_best = None
             for u in reachable:
                 lift = w_lab[u] + d[u] + rate
                 for v, w in out_adj[u]:
                     shifted = w - lift + d[v]
-                    if v in reachable:
+                    if w_lab[v] is not None:
                         if shifted + w_lab[v] > 0:
                             raise InvariantViolationError(
                                 f"arc ({u}, {v}) stayed positive after rescaling"
@@ -157,7 +176,8 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
                         cross_best = shifted
             w_star = -max(0, cross_best) if cross_best is not None else 0
             for j in nprime:
-                d[j] += w_lab[j] if j in reachable else w_star
+                lab = w_lab[j]
+                d[j] += w_star if lab is None else lab
         nodes = part.remaining_nodes(s)
         if tuple(sorted(nprime)) != nodes:
             raise AssertionError("sweep drifted away from the partition's node sets")

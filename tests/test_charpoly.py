@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 from maxplus import (
@@ -159,3 +160,39 @@ class TestCharacteristicRoots:
             for k, lam in enumerate(mm.roots):
                 for circuit in mm.multicircuits[k + 1].circuits:
                     assert circuit.mean >= lam
+
+
+def _recursion_depth():
+    """The caller's recursion depth as the interpreter counts it (C calls too).
+
+    ``sys.setrecursionlimit`` refuses any limit at or below the depth it is
+    called at, so the lowest accepted limit gives the depth away.
+    """
+    saved = sys.getrecursionlimit()
+    limit = 1
+    try:
+        while True:
+            try:
+                sys.setrecursionlimit(limit)
+            except RecursionError:
+                limit += 1
+            else:
+                return limit - 2  # one frame for this helper
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_root_search_depth_does_not_grow_with_the_roots():
+    # Forty distinct diagonal roots nest the search intervals 13 deep.  One
+    # chi evaluation needs about 14 levels below this test (the interpreter
+    # counts C calls, and Fraction construction runs the ABC checks); a
+    # search that recursed per interval needed 23.
+    n = 40
+    a = TropicalMatrix(n, n, {(i, i): -(1 << i) for i in range(n)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 18)
+    try:
+        mmcs = characteristic_roots(a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mmcs.roots == tuple(-(1 << i) for i in range(n))

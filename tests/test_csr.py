@@ -359,7 +359,7 @@ class TestReduceTerm:
 def test_extended_graph_matches_layered_labels():
     # The materialized extended graph and the in-place layered sweep are two
     # routes to the same labels.
-    from maxplus.csr import _layered_max_weights
+    from maxplus.visualize import _layered_max_weights
     from maxplus.oracle import _max_weight_labels, build_extended_graph
 
     rng = random.Random(211)
@@ -379,11 +379,11 @@ def test_extended_graph_matches_layered_labels():
         source = rng.randrange(nv)
         forward = build_extended_graph(nv, arcs, ell)
         assert forward.arc_count == ell * len(arcs)
-        got = _layered_max_weights(nv, ell, out_adj, source)
+        got = _layered_max_weights(nv, ell, out_adj.__getitem__, source)
         want = _max_weight_labels(forward, forward.node_id(source, 0))
         assert got == want
         backward = build_extended_graph(nv, arcs, ell, reverse=True)
-        got_b = _layered_max_weights(nv, ell, in_adj, source, backward=True)
+        got_b = _layered_max_weights(nv, ell, in_adj.__getitem__, source, backward=True)
         want_b = _max_weight_labels(backward, backward.node_id(source, 0))
         assert got_b == want_b
 
@@ -503,3 +503,28 @@ def test_evaluate_does_no_t_independent_work(monkeypatch, n, density):
     assert calls == {}
     dataclasses.replace(x)
     assert set(calls) == {"common_scale", "scaled_int", "_successor_of"}
+
+
+@pytest.mark.parametrize("n, density", [(10, None), (64, 0.25)])
+def test_evaluate_adopts_its_normalized_entries(monkeypatch, n, density):
+    # The result's values come out of ``unscaled`` already normalized, so
+    # building the matrix must not normalize them again.
+    import maxplus.tropical as tropical
+
+    a = demo_matrix() if density is None else random_matrix(random.Random(6464), n, density)
+    x = expand(a)
+    assert x._prepared[1] == (n >= 64)  # the Python path, then the numpy path
+    t = x.threshold + 1
+    want = _term_sum(x, t)
+    calls = []
+    real = tropical.as_value
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(tropical, "as_value", counted)
+    got = x.evaluate(t)
+    assert calls == []
+    assert got == want
+    assert all(type(v) is int or v.denominator > 1 for v in got.entries.values())

@@ -18,7 +18,7 @@ from maxplus.oracle import (
     random_irreducible_matrix,
     random_matrix,
 )
-from maxplus.visualize import _max_weight_to_sink
+from maxplus.visualize import _layered_max_weights
 from fixtures import (
     DEMO_A1_ROWS,
     DEMO_A2_ROWS,
@@ -37,35 +37,45 @@ def demo_visualization():
     return part, visualize_all(a, part)
 
 
+def _max_weight_to_sink(g, sink):
+    """Labels of the one-layer backward sweep, as (reachable set, label dict)."""
+    in_adj = [[] for _ in range(g.n)]
+    for u, v, w in g.arcs:
+        in_adj[v].append((u, w))
+    labels = _layered_max_weights(g.n, 1, in_adj.__getitem__, sink, backward=True)
+    reachable = frozenset(v for v, lab in enumerate(labels) if lab is not None)
+    return reachable, {v: labels[v] for v in reachable}
+
+
 class TestDijkstraSingleSink:
     def test_isolated_sink(self):
         g = WeightedDigraph(1, [])
-        reachable, labels = _max_weight_to_sink(0, g.in_arcs)
+        reachable, labels = _max_weight_to_sink(g, 0)
         assert reachable == frozenset({0})
         assert labels == {0: 0}
 
     def test_chain(self):
         g = WeightedDigraph(3, [(0, 1, -1), (1, 2, -2)])
-        reachable, labels = _max_weight_to_sink(2, g.in_arcs)
+        reachable, labels = _max_weight_to_sink(g, 2)
         assert reachable == frozenset({0, 1, 2})
         assert labels == {0: -3, 1: -2, 2: 0}
 
     def test_unreachable_node_excluded(self):
         g = WeightedDigraph(3, [(0, 2, -1)])
-        reachable, labels = _max_weight_to_sink(2, g.in_arcs)
+        reachable, labels = _max_weight_to_sink(g, 2)
         assert reachable == frozenset({0, 2})
         assert 1 not in labels
 
     def test_positive_arcs_incident_to_sink_allowed(self):
         g = WeightedDigraph(3, [(0, 1, -1), (1, 2, 5), (2, 0, 3)])
-        reachable, labels = _max_weight_to_sink(2, g.in_arcs)
+        reachable, labels = _max_weight_to_sink(g, 2)
         assert labels[1] == 5
         assert labels[0] == 4
 
     def test_positive_arc_elsewhere_rejected(self):
         g = WeightedDigraph(3, [(0, 1, 1), (1, 2, -1)])
         with pytest.raises(InvariantViolationError):
-            _max_weight_to_sink(2, g.in_arcs)
+            _max_weight_to_sink(g, 2)
 
 
 class TestDemoVisualization:
