@@ -1,24 +1,43 @@
 """Exact maximum-weight assignment over integer costs.
 
-Dense shortest-augmenting-path solver with potentials (Jonker-Volgenant
-style).  All arithmetic is on integers, so results are exact.  Two
-interchangeable backends share the algorithm: a numpy int64 one for speed
-on matrices whose costs are small enough to rule out overflow, and a plain
-Python big-int one for everything else.  Forbidden cells are handled with a
-large integer sentinel chosen well above any reachable path cost.
+Shortest-augmenting-path solver with potentials (Jonker-Volgenant style).
+All arithmetic is on integers, so results are exact.  Costs arrive as
+sparse rows, ``rows[i] = [(j, cost), ...]`` over the allowed cells only.
+Two backends share the algorithm and return the same permutation and
+potentials:
 
-Every solve is certified: the final potentials form a feasible dual with
-tight matched cells, which proves optimality by LP duality.  The
-certificate is checked in unbounded Python ints, so a silent int64
-overflow (or any other defect) cannot produce a wrong answer; if the fast
-backend ever fails certification the solve is redone with big ints.
+- the default one runs each Dijkstra phase on the sparse rows with a heap
+  keyed by ``(reduced cost + D, column)``, where D is the running sum of
+  the phase's deltas, and settles the potentials of the phase's columns
+  lazily at its end: O(m + n log n) per phase, in plain Python ints;
+- a dense numpy int64 one, for rows dense enough that its vector scans win
+  and costs small enough to rule out overflow.  It fills the forbidden
+  cells with a large integer sentinel chosen well above any reachable path
+  cost.
+
+The heap pops the smallest key, then the smallest column, which is the
+dense scan's first minimum, so both pick the same augmenting paths.
+``maxplus.oracle.dense_min_assignment`` is the dense loop in plain ints,
+kept as their independent reference.
+
+Every solve is certified: the final potentials form a feasible dual over
+the allowed cells, tight on the matched ones, which proves optimality by
+LP duality.  The certificate is checked in unbounded Python ints, so a
+silent int64 overflow (or any other defect) cannot produce a wrong
+answer; if the fast backend ever fails certification the solve is redone
+with big ints.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 import numpy as np
 
 _INT64_LIMIT = 1 << 62
+# The dense int64 backend runs only when the rows hold at least this many
+# allowed cells on average; sparser rows go to the heap backend.
+_NUMPY_MIN_CELLS_PER_ROW = 100
 
 
 def _sentinel_for(n, max_abs):
@@ -28,46 +47,48 @@ def _sentinel_for(n, max_abs):
     return (max_abs + 1) * (16 * n + 32)
 
 
-def _solve_min_python(cost, n, sentinel):
-    """Plain-int backend; ``cost`` is a dense list of lists (sentinel = forbidden)."""
-    infeasible = sentinel // 2
+def _solve_min_python(rows):
+    """Heap backend on sparse rows; returns ``(perm, u, v)`` in plain ints."""
+    n = len(rows)
     u = [0] * n
-    v = [0] * (n + 1)
-    match = [-1] * (n + 1)
+    v = [0] * n
+    match = [-1] * (n + 1)  # column n is the root of each phase's tree
     way = [0] * n
     for i in range(n):
         match[n] = i
+        best = {}  # column -> smallest key pushed this phase
+        used = set()
+        settled = []  # (column, D when it was settled)
+        heap = []
+        d = 0
         j0 = n
-        minv = [sentinel] * n
-        used = [False] * (n + 1)
         while True:
-            used[j0] = True
             i0 = match[j0]
-            row = cost[i0]
-            off = u[i0]
-            delta = None
-            j1 = -1
-            for j in range(n):
-                if used[j]:
+            base = d - u[i0]
+            for j, c in rows[i0]:
+                if j in used:
                     continue
-                cur = row[j] - off - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                key = c - v[j] + base
+                b = best.get(j)
+                if b is None or key < b:
+                    best[j] = key
                     way[j] = j0
-                if delta is None or minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            if delta is None or delta >= infeasible:
+                    heappush(heap, (key, j))
+            while heap:
+                key, j0 = heappop(heap)
+                if best[j0] == key:
+                    break
+            else:
                 raise ValueError("no feasible assignment")
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                elif j < n:
-                    minv[j] -= delta
-            j0 = j1
+            d = key
             if match[j0] == -1:
                 break
+            used.add(j0)
+            settled.append((j0, d))
+        u[i] += d
+        for j, dj in settled:
+            u[match[j]] += d - dj
+            v[j] -= d - dj
         while j0 != n:
             j1 = way[j0]
             match[j0] = match[j1]
@@ -75,14 +96,19 @@ def _solve_min_python(cost, n, sentinel):
     perm = [-1] * n
     for j in range(n):
         perm[match[j]] = j
-    return perm, u, v[:n]
+    return perm, u, v
 
 
-def _solve_min_numpy(cost, n, sentinel):
+def _solve_min_numpy(rows, sentinel):
     """int64 backend; bounds are guarded by the caller, results certified after."""
+    n = len(rows)
     infeasible = sentinel // 2
     big = np.iinfo(np.int64).max
-    c = np.array(cost, dtype=np.int64)
+    c = np.full(n * n, sentinel, dtype=np.int64)
+    c[[i * n + j for i, row in enumerate(rows) for j, _ in row]] = [
+        x for row in rows for _, x in row
+    ]
+    c = c.reshape(n, n)
     u = np.zeros(n, dtype=np.int64)
     v = np.zeros(n + 1, dtype=np.int64)
     match = np.full(n + 1, -1, dtype=np.int64)
@@ -121,53 +147,55 @@ def _solve_min_numpy(cost, n, sentinel):
     return perm, [int(x) for x in u], [int(x) for x in v[:n]]
 
 
-def _certify(cost, n, perm, u, v):
-    """Optimality certificate: feasible dual, tight on the matched cells."""
-    for i in range(n):
-        row = cost[i]
+def _certify(rows, perm, u, v):
+    """Optimality certificate: feasible dual on the allowed cells, tight on the matched ones."""
+    for i, row in enumerate(rows):
         ui = u[i]
         matched = perm[i]
-        for j in range(n):
-            reduced = row[j] - ui - v[j]
-            if reduced < 0 or (j == matched and reduced != 0):
+        tight = False
+        for j, c in row:
+            reduced = c - ui - v[j]
+            if reduced < 0:
                 return False
+            if j == matched:
+                if reduced != 0:
+                    return False
+                tight = True
+        if not tight:
+            return False
     return True
 
 
 def max_assignment(weights):
-    """Maximum-weight perfect assignment on a dense square matrix.
+    """Maximum-weight perfect assignment over the finite cells of a square matrix.
 
-    ``weights`` is a list of lists of ints with None marking forbidden
-    cells; a perfect matching over the finite cells must exist.  Returns
-    ``(total, perm)`` where ``perm[i]`` is the column matched to row i.
+    ``weights[i]`` lists the finite cells of row i as ``(j, w)`` pairs with
+    int ``w``; every other cell is forbidden, and a perfect matching over
+    the finite cells must exist.  Returns ``(total, perm)`` where
+    ``perm[i]`` is the column matched to row i.
     """
     n = len(weights)
     max_abs = 0
+    cells = 0
     for row in weights:
-        if len(row) != n:
-            raise ValueError("cost matrix must be square")
-        for x in row:
-            if x is not None and abs(x) > max_abs:
+        cells += len(row)
+        for j, x in row:
+            if not 0 <= j < n:
+                raise ValueError("cost matrix must be square")
+            if abs(x) > max_abs:
                 max_abs = abs(x)
-    sentinel = _sentinel_for(n, max_abs)
     # Minimize the negated weights.
-    cost = [
-        [sentinel if x is None else -x for x in row]
-        for row in weights
-    ]
-    use_numpy = n >= 16 and sentinel * 4 < _INT64_LIMIT
+    cost = [[(j, -x) for j, x in row] for row in weights]
+    sentinel = _sentinel_for(n, max_abs)
+    use_numpy = cells >= _NUMPY_MIN_CELLS_PER_ROW * n and sentinel * 4 < _INT64_LIMIT
     if use_numpy:
-        perm, u, v = _solve_min_numpy(cost, n, sentinel)
-    if not use_numpy or not _certify(cost, n, perm, u, v):
+        perm, u, v = _solve_min_numpy(cost, sentinel)
+    if not use_numpy or not _certify(cost, perm, u, v):
         # A failed int64 certificate means an overflow slipped past the guard
         # or the guard itself is wrong; redo the work exactly.
-        perm, u, v = _solve_min_python(cost, n, sentinel)
-        if not _certify(cost, n, perm, u, v):
+        perm, u, v = _solve_min_python(cost)
+        if not _certify(cost, perm, u, v):
             raise AssertionError("assignment result failed its optimality certificate")
-    total = 0
-    for i, j in enumerate(perm):
-        w = weights[i][j]
-        if w is None:
-            raise ValueError("solver matched a forbidden cell")
-        total += w
-    return total, perm
+    # The certificate is tight on the matched cells, so the matched cost is
+    # the dual objective.
+    return -(sum(u) + sum(v)), perm

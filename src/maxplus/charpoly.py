@@ -124,28 +124,46 @@ class Mmcs:
         return len(self.roots)
 
 
-def _lexicographic_costs(a, lam, n, scale, want_max_length):
-    """Dense integer costs encoding (weight, +-t-pick count) lexicographically.
+def _scaled_entries(a, lam, n):
+    """``lam`` and the entries of ``a`` in one scaled-integer domain.
+
+    Returns ``(lam_s, off, diag)``: ``off[i]`` lists the off-diagonal cells
+    of row i as ``(j, scaled value * (n + 1))``, ready for the primary
+    place of the lexicographic costs, and ``diag[i]`` is the scaled a_ii or
+    None.
+    """
+    scale = common_scale((lam,), a.entries.values())
+    k = n + 1
+    off = [[] for _ in range(n)]
+    diag = [None] * n
+    for (i, j), v in a.entries.items():
+        if i == j:
+            diag[i] = scaled_int(v, scale)
+        else:
+            off[i].append((j, scaled_int(v, scale) * k))
+    return scaled_int(lam, scale), off, diag
+
+
+def _lexicographic_costs(off, diag, lam_s, want_max_length):
+    """Sparse integer rows encoding (weight, +-t-pick count) lexicographically.
 
     ``is_loop[i]`` tells whether a diagonal pick at i is the self-loop
     circuit rather than a ``lam`` pick: a loop above ``lam`` always is, a tie
     a_ii == lam only for the long witness.  The secondary bonus rewards
     loops when ``want_max_length`` and ``lam`` picks otherwise.
     """
-    lam_s = scaled_int(lam, scale)
+    n = len(diag)
     k = n + 1
-    cost = [[None] * n for _ in range(n)]
+    rows = []
     is_loop = [False] * n
-    for (i, j), v in a.entries.items():
-        if i != j:
-            cost[i][j] = scaled_int(v, scale) * k + (1 if want_max_length else 0)
     for i in range(n):
-        av = a.entries.get((i, i))
-        sv = None if av is None else scaled_int(av, scale)
+        sv = diag[i]
         is_loop[i] = sv is not None and (sv > lam_s or (sv == lam_s and want_max_length))
         primary = lam_s if sv is None else max(sv, lam_s)
-        cost[i][i] = primary * k + (1 if is_loop[i] == want_max_length else 0)
-    return cost, is_loop
+        row = [(j, c + 1) for j, c in off[i]] if want_max_length else list(off[i])
+        row.append((i, primary * k + (1 if is_loop[i] == want_max_length else 0)))
+        rows.append(row)
+    return rows, is_loop
 
 
 def _witness_from_perm(a, perm, is_loop):
@@ -184,11 +202,11 @@ def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
         raise DimensionMismatchError("chi is defined for square matrices")
     lam = as_value(lam)
     n = a.rows
-    scale = common_scale((lam,), a.entries.values())
+    lam_s, off, diag = _scaled_entries(a, lam, n)
     results = {}
     for want_max_length in (False, True):
-        cost, is_loop = _lexicographic_costs(a, lam, n, scale, want_max_length)
-        _, perm = max_assignment(cost)
+        rows, is_loop = _lexicographic_costs(off, diag, lam_s, want_max_length)
+        _, perm = max_assignment(rows)
         witness, lam_picks = _witness_from_perm(a, perm, is_loop)
         results[want_max_length] = (witness, n - lam_picks)
     # The attained value is reconstructed from the witness; the encoded

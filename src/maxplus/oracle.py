@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: permanents by permutation sweep,
 multi-circuits by exhaustive enumeration of node-disjoint circuit families,
-power checks by repeated multiplication.  These paths exist to validate the
+power checks by repeated multiplication, assignments by the dense
+shortest-augmenting-path loop.  These paths exist to validate the
 fast implementations, so they refuse inputs large enough to take forever
 instead of silently running.
 """
@@ -50,6 +51,64 @@ class OracleReport:
     match: bool
     counterexample: tuple | None = None
     seed: int | None = None
+
+
+def dense_min_assignment(cost, sentinel):
+    """Minimum-cost assignment by the dense shortest-augmenting-path loop.
+
+    ``cost`` is a dense list of lists with ``sentinel`` on the forbidden
+    cells.  Each Dijkstra phase scans every column and takes the first
+    minimal one, with the potentials updated eagerly.  Returns
+    ``(perm, u, v)``, the reference for both ``maxplus.assignment``
+    backends.
+    """
+    n = len(cost)
+    infeasible = sentinel // 2
+    u = [0] * n
+    v = [0] * (n + 1)
+    match = [-1] * (n + 1)
+    way = [0] * n
+    for i in range(n):
+        match[n] = i
+        j0 = n
+        minv = [sentinel] * n
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            row = cost[i0]
+            off = u[i0]
+            delta = None
+            j1 = -1
+            for j in range(n):
+                if used[j]:
+                    continue
+                cur = row[j] - off - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if delta is None or minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            if delta is None or delta >= infeasible:
+                raise ValueError("no feasible assignment")
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                elif j < n:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == -1:
+                break
+        while j0 != n:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    perm = [-1] * n
+    for j in range(n):
+        perm[match[j]] = j
+    return perm, u, v[:n]
 
 
 def brute_chi(a: TropicalMatrix, lam):

@@ -1,5 +1,9 @@
+import importlib.util
 import random
+import sys
+from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,9 @@ from maxplus.assignment import (
     _solve_min_python,
     max_assignment,
 )
+from maxplus.charpoly import _lexicographic_costs, _scaled_entries, characteristic_roots
+from maxplus.cli import parse_matrix
+from maxplus.oracle import dense_min_assignment
 
 
 def _brute_max(weights):
@@ -38,14 +45,27 @@ def _random_instance(rng, n, density, lo=-50, hi=50):
     return weights
 
 
+def _rows(weights):
+    """Sparse rows ``[(j, w), ...]`` of a dense list of lists with None for bottom."""
+    return [[(j, x) for j, x in enumerate(row) if x is not None] for row in weights]
+
+
+def _min_cost(rows):
+    """The negated rows ``max_assignment`` minimizes, and their sentinel."""
+    max_abs = max((abs(x) for row in rows for _, x in row), default=0)
+    return [[(j, -x) for j, x in row] for row in rows], _sentinel_for(len(rows), max_abs)
+
+
+def _run(solver, cost, sentinel):
+    return solver(cost, sentinel) if solver is _solve_min_numpy else solver(cost)
+
+
 def _solve_with(solver, weights):
     """One backend on the minimization ``max_assignment`` sets up, certified."""
     n = len(weights)
-    max_abs = max((abs(x) for row in weights for x in row if x is not None), default=0)
-    sentinel = _sentinel_for(n, max_abs)
-    cost = [[sentinel if x is None else -x for x in row] for row in weights]
-    perm, u, v = solver(cost, n, sentinel)
-    assert _certify(cost, n, perm, u, v)
+    cost, sentinel = _min_cost(_rows(weights))
+    perm, u, v = _run(solver, cost, sentinel)
+    assert _certify(cost, perm, u, v)
     return sum(weights[i][perm[i]] for i in range(n)), perm
 
 
@@ -60,7 +80,7 @@ def test_matches_brute_force(backend):
         assert sorted(perm) == list(range(n))
         assert total == sum(weights[i][perm[i]] for i in range(n))
         assert total == _brute_max(weights)
-        assert max_assignment(weights)[0] == total
+        assert max_assignment(_rows(weights))[0] == total
 
 
 def test_backends_agree_on_larger_instances():
@@ -75,7 +95,7 @@ def test_backends_agree_on_larger_instances():
 
 def test_big_integers_use_exact_path():
     big = 10**30
-    weights = [[big, None], [None, big - 1]]
+    weights = [[(0, big)], [(1, big - 1)]]
     total, perm = max_assignment(weights)
     assert total == 2 * big - 1
     assert perm == [0, 1]
@@ -83,16 +103,16 @@ def test_big_integers_use_exact_path():
 
 def test_infeasible_raises():
     with pytest.raises(ValueError):
-        max_assignment([[None, 1], [None, 2]])
+        max_assignment([[(1, 1)], [(1, 2)]])
 
 
 def test_certificate_rejects_corrupted_potentials():
-    cost = [[0, 5], [5, 0]]
-    assert _certify(cost, 2, [0, 1], [0, 0], [0, 0])
+    cost = [[(0, 0), (1, 5)], [(0, 5), (1, 0)]]
+    assert _certify(cost, [0, 1], [0, 0], [0, 0])
     # a suboptimal matching is not tight on its cells
-    assert not _certify(cost, 2, [1, 0], [0, 0], [0, 0])
+    assert not _certify(cost, [1, 0], [0, 0], [0, 0])
     # an infeasible dual is rejected even with a correct matching
-    assert not _certify(cost, 2, [0, 1], [3, 0], [0, 0])
+    assert not _certify(cost, [0, 1], [3, 0], [0, 0])
 
 
 def _record(monkeypatch, name, log):
@@ -114,9 +134,10 @@ def test_numpy_result_is_certified_once(monkeypatch):
     _record(monkeypatch, "_solve_min_python", log)
     rng = random.Random(17)
     for _ in range(5):
-        weights = _random_instance(rng, rng.randint(16, 30), 0.4)
+        # at least 100 finite cells per row on average: int64 first
+        weights = _random_instance(rng, rng.randint(110, 120), 0.95)
         log.clear()
-        max_assignment(weights)
+        max_assignment(_rows(weights))
         assert [(name, result) for name, _, result in log] == [("_certify", True)]
 
 
@@ -125,28 +146,31 @@ def test_failed_numpy_certificate_is_redone_and_certified(monkeypatch):
 
     real = assignment._solve_min_numpy
 
-    def corrupted(cost, n, sentinel):
-        perm, u, v = real(cost, n, sentinel)
+    def corrupted(cost, sentinel):
+        perm, u, v = real(cost, sentinel)
         return perm, [x + 1 for x in u], v  # matched cells are no longer tight
 
     monkeypatch.setattr(assignment, "_solve_min_numpy", corrupted)
     log = []
     _record(monkeypatch, "_certify", log)
     _record(monkeypatch, "_solve_min_python", log)
-    weights = _random_instance(random.Random(19), 20, 0.4)
-    total, perm = max_assignment(weights)  # n = 20 with small weights: int64 first
+    weights = _random_instance(random.Random(19), 110, 0.95)
+    total, perm = max_assignment(_rows(weights))  # dense rows, small weights: int64 first
     names = [name for name, _, _ in log]
     assert names == ["_certify", "_solve_min_python", "_certify"]
     assert log[0][2] is False
     redo = log[1][2]
     assert perm == redo[0]
-    assert log[2][1][2:] == redo and log[2][2] is True
+    assert log[2][1][1:] == redo and log[2][2] is True
     assert total == _solve_with(_solve_min_python, weights)[0]
 
 
-# The largest max |weight| for which n = 16 passes the int64 guard
-# (sentinel * 4 < 2^62); one more sends the solve to big ints.
-_GUARD_MAX_ABS = 4_003_199_668_773_773
+# The largest max |weight| for which n = 100 passes the int64 guard
+# (sentinel * 4 < 2^62); one more sends the solve to big ints.  Fully
+# finite rows at n = 100 hold exactly the 100 cells per row that the
+# int64 backend needs.
+_GUARD_N = 100
+_GUARD_MAX_ABS = 706_447_000_371_841
 
 
 @pytest.mark.parametrize(
@@ -154,17 +178,99 @@ _GUARD_MAX_ABS = 4_003_199_668_773_773
     [(_GUARD_MAX_ABS, "_solve_min_numpy"), (_GUARD_MAX_ABS + 1, "_solve_min_python")],
 )
 def test_backend_parity_at_int64_guard(monkeypatch, max_abs, solver):
-    assert _sentinel_for(16, _GUARD_MAX_ABS) * 4 < 1 << 62
-    assert _sentinel_for(16, _GUARD_MAX_ABS + 1) * 4 >= 1 << 62
+    n = _GUARD_N
+    assert _sentinel_for(n, _GUARD_MAX_ABS) * 4 < 1 << 62
+    assert _sentinel_for(n, _GUARD_MAX_ABS + 1) * 4 >= 1 << 62
     log = []
     _record(monkeypatch, "_solve_min_numpy", log)
     _record(monkeypatch, "_solve_min_python", log)
     rng = random.Random(23)
-    for _ in range(5):
-        weights = _random_instance(rng, 16, 0.5, lo=-max_abs, hi=max_abs)
-        weights[rng.randrange(16)][rng.randrange(16)] = rng.choice([-max_abs, max_abs])
+    for _ in range(3):
+        weights = _random_instance(rng, n, 1.0, lo=-max_abs, hi=max_abs)
+        weights[rng.randrange(n)][rng.randrange(n)] = rng.choice([-max_abs, max_abs])
         log.clear()
-        total, perm = max_assignment(weights)
+        total, perm = max_assignment(_rows(weights))
         assert [name for name, _, _ in log] == [solver]
-        assert total == sum(weights[i][perm[i]] for i in range(16))
+        assert total == sum(weights[i][perm[i]] for i in range(n))
         assert total == _solve_with(_solve_min_python, weights)[0]
+
+
+def test_sparse_rows_below_the_guard_take_the_heap_backend(monkeypatch):
+    log = []
+    _record(monkeypatch, "_solve_min_numpy", log)
+    _record(monkeypatch, "_solve_min_python", log)
+    weights = _random_instance(random.Random(29), 120, 0.3)
+    total, perm = max_assignment(_rows(weights))  # about 36 cells per row, small weights
+    assert [name for name, _, _ in log] == ["_solve_min_python"]
+    assert total == sum(weights[i][perm[i]] for i in range(120))
+    assert total == _solve_with(_solve_min_numpy, weights)[0]
+
+
+def test_heap_backend_raises_when_its_heap_empties():
+    # Rows 0-2 reach only columns 0 and 1, so the third phase runs out of columns.
+    rows = [[(0, 1), (1, 2)], [(1, 0)], [(0, 3), (1, 1)], [(2, 0), (3, 0)]]
+    with pytest.raises(ValueError, match="no feasible assignment"):
+        _solve_min_python(rows)
+    with pytest.raises(ValueError, match="no feasible assignment"):
+        max_assignment(rows)
+
+
+def _workload_module():
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _lexicographic_instances():
+    """Both lexicographic cost rows of chi at each root and between roots, per toy instance."""
+    workloads = _workload_module()
+    for w in workloads.WORKLOADS.values():
+        main, check = workloads.inputs(w, 1, toy=True)
+        for inst in dict.fromkeys((main, check)):
+            a = parse_matrix(inst.text)
+            roots = characteristic_roots(a).roots
+            points = set(roots) | {r - 1 for r in roots} | {Fraction(x + y, 2) for x, y in zip(roots, roots[1:])}
+            for lam in sorted(points):
+                lam_s, off, diag = _scaled_entries(a, lam, a.rows)
+                for want_max_length in (False, True):
+                    yield _lexicographic_costs(off, diag, lam_s, want_max_length)[0]
+
+
+def _parity_instances():
+    rng = random.Random(31)
+    for k in range(420):
+        n = rng.randint(1, 40)
+        density = rng.choice([0.05, 0.1, 0.25, 0.5, 0.75, 1.0])
+        lo, hi = [(-50, 50), (-1, 0), (-10**6, 10**6)][k % 3]
+        hidden = list(range(n))
+        rng.shuffle(hidden)  # a perfect matching, so the instance is feasible
+        rows = []
+        for i in range(n):
+            row = {j: rng.randint(lo, hi) for j in range(n) if rng.random() < density}
+            row.setdefault(hidden[i], rng.randint(lo, hi))
+            rows.append(sorted(row.items(), key=lambda cell: rng.random()))
+        yield rows
+    yield from _lexicographic_instances()
+
+
+def test_heap_numpy_and_dense_reference_agree_exactly():
+    count = 0
+    for rows in _parity_instances():
+        n = len(rows)
+        cost, sentinel = _min_cost(rows)
+        dense = [[sentinel] * n for _ in range(n)]
+        for i, row in enumerate(cost):
+            for j, c in row:
+                dense[i][j] = c
+        expected = dense_min_assignment(dense, sentinel)
+        assert _solve_min_python(cost) == expected
+        assert _solve_min_numpy(cost, sentinel) == expected
+        assert _certify(cost, *expected)
+        count += 1
+    assert count >= 500, count
