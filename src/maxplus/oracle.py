@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .charpoly import MultiCircuit
 from .digraph import CircuitRecord
-from .tropical import TropicalMatrix, as_value, matrix_mul, matrix_power
+from .tropical import TropicalMatrix, as_value, kleene_star, matrix_mul, matrix_power
 
 _MAX_BRUTE_N = 12
 _WORK_BUDGET = 5_000_000
@@ -256,9 +256,24 @@ def brute_mmc(a: TropicalMatrix) -> BruteMmcDescription:
 
 def mod_length_closure(a_vis: TropicalMatrix, ell: int) -> TropicalMatrix:
     """Best path weights with length divisible by ell: the star of the ell-th power."""
-    from .tropical import kleene_star
-
     return kleene_star(matrix_power(a_vis, ell))
+
+
+def critical_arcs_by_star(a: TropicalMatrix, rate):
+    """Critical arcs at ``rate`` by their definition through the Kleene star.
+
+    An arc (u, v) is critical exactly when a_uv - rate + star[v][u] == 0,
+    where star is the Kleene star of a shifted by -rate: the arc closes a
+    circuit of mean exactly rate.  Below the maximum cycle mean the star
+    diverges and PositiveCircuitError is raised.
+    """
+    shifted = {key: v - rate for key, v in a.entries.items()}
+    star = kleene_star(TropicalMatrix(a.rows, a.cols, shifted))
+    return frozenset(
+        (u, v)
+        for (u, v), w in shifted.items()
+        if (back := star.get(v, u)) is not None and w + back == 0
+    )
 
 
 @dataclass(frozen=True, slots=True)

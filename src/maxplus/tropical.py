@@ -4,7 +4,9 @@ The semiring: "plus" is max, "times" is ordinary addition, the additive
 identity is the bottom element (minus infinity, written "." or "-inf" in
 text formats) and the multiplicative identity is 0.  Every finite value is
 an exact rational, stored as a plain int whenever it is integral.  Floats
-are rejected on input so all results stay bit-exact.
+are rejected on input so all results stay bit-exact.  Rational work runs in
+one scaled-integer domain (``common_scale`` and ``scaled_int`` in,
+``unscaled`` out); the Kleene star's closure sees only ints.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ class DimensionMismatchError(ValueError):
 
 
 class PositiveCircuitError(ValueError):
-    """Kleene star requested for a graph containing a positive-weight circuit."""
+    """A Kleene star, or a critical graph below the maximum cycle mean, met a positive circuit."""
+
+    def __init__(self, message="graph has a positive-weight circuit (maximum cycle mean > 0)"):
+        super().__init__(message)
 
 
 def common_scale(*value_groups) -> int:
@@ -62,10 +67,6 @@ def as_value(x):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    if isinstance(x, TropicalScalar):
-        if x.is_epsilon:
-            raise ValueError("the bottom element is not a finite value")
-        return x.value
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -155,9 +156,8 @@ class TropicalMatrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                if v is None or (isinstance(v, TropicalScalar) and v.is_epsilon):
-                    continue
-                entries[(i, j)] = v
+                if v is not None:
+                    entries[(i, j)] = v
         return cls(len(rows), ncols, entries)
 
     @classmethod
@@ -250,12 +250,13 @@ def matrix_power(a: TropicalMatrix, t) -> TropicalMatrix:
 
 
 def _max_plus_closure(dist):
-    """Kleene star of a dense square matrix, in place; None is the bottom element.
+    """Kleene star of a dense square int matrix, in place; None is the bottom element.
 
     Floyd-Warshall over max-plus: afterwards dist[i][j] is the maximum
     weight of a nonempty i -> j path, and the diagonal is then raised to the
     empty path's 0.  A positive diagonal means a positive-weight circuit, for
-    which the star diverges: PositiveCircuitError.  Returns ``dist``.
+    which the star diverges: PositiveCircuitError.  Only ``kleene_star``
+    calls it, with entries already in the scaled-integer domain.
     """
     n = len(dist)
     for k in range(n):
@@ -275,27 +276,30 @@ def _max_plus_closure(dist):
                     row_i[j] = cand
     for v in range(n):
         if dist[v][v] is not None and dist[v][v] > 0:
-            raise PositiveCircuitError(
-                "graph has a positive-weight circuit (maximum cycle mean > 0)"
-            )
+            raise PositiveCircuitError()
         dist[v][v] = 0
-    return dist
 
 
 def kleene_star(a: TropicalMatrix) -> TropicalMatrix:
     """All-pairs maximum path weight, including empty paths on the diagonal.
 
-    Computed as an algebraic-path closure (Floyd-Warshall over max-plus).
-    Requires that no circuit has positive weight; otherwise the series
-    diverges and PositiveCircuitError is raised.
+    Computed as an algebraic-path closure (Floyd-Warshall over max-plus) on
+    the entries scaled to ints by their common denominator.  Requires that
+    no circuit has positive weight; otherwise the series diverges and
+    PositiveCircuitError is raised.
     """
     if not a.is_square:
         raise DimensionMismatchError("Kleene star needs a square matrix")
-    dist = _max_plus_closure(a.to_rows())
+    scale = common_scale(a.entries.values())
+    dist = [[None if v is None else scaled_int(v, scale) for v in row] for row in a.to_rows()]
+    _max_plus_closure(dist)
     entries = {
-        (i, j): v for i, row in enumerate(dist) for j, v in enumerate(row) if v is not None
+        (i, j): unscaled(v, scale)
+        for i, row in enumerate(dist)
+        for j, v in enumerate(row)
+        if v is not None
     }
-    return TropicalMatrix(a.rows, a.rows, entries)
+    return TropicalMatrix._trusted(a.rows, a.rows, entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,10 +310,6 @@ class DiagonalScaling:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_value(v) for v in self.values))
-
-    @classmethod
-    def zeros(cls, n):
-        return cls((0,) * n)
 
     def __len__(self):
         return len(self.values)

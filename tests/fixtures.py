@@ -7,8 +7,13 @@ in C1, one in R1) contradict its own defining quantities, which are best
 walk weights with length divisible by 2 in the visualized matrix and are
 re-derivable by hand or from the closure oracle; those factors ship in
 both a "printed" and a "verified" variant, see test_acceptance for the
-entry-by-entry analysis.
+entry-by-entry analysis.  ``workload_module`` loads the benchmark's
+seeded instance generators.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 from maxplus import TropicalMatrix
 
@@ -163,3 +168,16 @@ DEMO_S3_ROWS = [[E, 0, E], [E, E, 0], [0, E, E]]
 
 def tm(rows) -> TropicalMatrix:
     return TropicalMatrix.from_rows([row[:] for row in rows])
+
+
+def workload_module():
+    """``perfbench/workloads.py``, loaded from its file without importing ``perfbench``."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

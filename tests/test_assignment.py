@@ -1,9 +1,6 @@
-import importlib.util
 import random
-import sys
 from fractions import Fraction
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 
@@ -17,6 +14,7 @@ from maxplus.assignment import (
 from maxplus.charpoly import _lexicographic_costs, _scaled_entries, characteristic_roots
 from maxplus.cli import parse_matrix
 from maxplus.oracle import dense_min_assignment
+from fixtures import workload_module
 
 
 def _brute_max(weights):
@@ -134,8 +132,8 @@ def test_numpy_result_is_certified_once(monkeypatch):
     _record(monkeypatch, "_solve_min_python", log)
     rng = random.Random(17)
     for _ in range(5):
-        # at least 100 finite cells per row on average: int64 first
-        weights = _random_instance(rng, rng.randint(110, 120), 0.95)
+        # at least 145 finite cells per row on average: int64 first
+        weights = _random_instance(rng, rng.randint(155, 165), 0.95)
         log.clear()
         max_assignment(_rows(weights))
         assert [(name, result) for name, _, result in log] == [("_certify", True)]
@@ -154,7 +152,7 @@ def test_failed_numpy_certificate_is_redone_and_certified(monkeypatch):
     log = []
     _record(monkeypatch, "_certify", log)
     _record(monkeypatch, "_solve_min_python", log)
-    weights = _random_instance(random.Random(19), 110, 0.95)
+    weights = _random_instance(random.Random(19), 160, 0.95)
     total, perm = max_assignment(_rows(weights))  # dense rows, small weights: int64 first
     names = [name for name, _, _ in log]
     assert names == ["_certify", "_solve_min_python", "_certify"]
@@ -165,12 +163,12 @@ def test_failed_numpy_certificate_is_redone_and_certified(monkeypatch):
     assert total == _solve_with(_solve_min_python, weights)[0]
 
 
-# The largest max |weight| for which n = 100 passes the int64 guard
+# The largest max |weight| for which n = 145 passes the int64 guard
 # (sentinel * 4 < 2^62); one more sends the solve to big ints.  Fully
-# finite rows at n = 100 hold exactly the 100 cells per row that the
+# finite rows at n = 145 hold exactly the 145 cells per row that the
 # int64 backend needs.
-_GUARD_N = 100
-_GUARD_MAX_ABS = 706_447_000_371_841
+_GUARD_N = 145
+_GUARD_MAX_ABS = 490_187_714_543_726
 
 
 @pytest.mark.parametrize(
@@ -215,21 +213,9 @@ def test_heap_backend_raises_when_its_heap_empties():
         max_assignment(rows)
 
 
-def _workload_module():
-    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def _lexicographic_instances():
     """Both lexicographic cost rows of chi at each root and between roots, per toy instance."""
-    workloads = _workload_module()
+    workloads = workload_module()
     for w in workloads.WORKLOADS.values():
         main, check = workloads.inputs(w, 1, toy=True)
         for inst in dict.fromkeys((main, check)):

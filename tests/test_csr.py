@@ -265,6 +265,28 @@ def test_reduced_term_sweeps_once_per_cycle_of_s(monkeypatch):
     assert several > 0
 
 
+def test_reduced_expand_runs_no_closure(monkeypatch):
+    # Each visualized group's critical graph comes from its tight arcs and
+    # their strongly connected components, so a reduced expansion runs no
+    # Floyd-Warshall closure; every module binding of the kernel is counted.
+    import maxplus.digraph as digraph
+    import maxplus.tropical as tropical
+
+    calls = []
+
+    def counted(real):
+        return lambda dist: calls.append(dist) or real(dist)
+
+    for module in (tropical, digraph, csr):
+        if hasattr(module, "_max_plus_closure"):
+            monkeypatch.setattr(module, "_max_plus_closure", counted(module._max_plus_closure))
+    instances = [demo_matrix()] + [a for a, _ in _tie_heavy_instances()]
+    for a in instances:
+        x = expand(a, reduce_by_cyclicity=True)
+        assert x.terms and all(term.reduced for term in x.terms)
+    assert calls == []
+
+
 def test_path_splitting_bound_on_demo():
     # Every entry of the normalized term evaluation is bounded by the best
     # split d(i, k) + d(k', j) over circuit positions with k' = t + k mod ell.
@@ -447,7 +469,7 @@ def _guard_edge_expansion(extreme):
                 circuit=circuit,
                 group=group,
                 nodes=nodes,
-                scaling=DiagonalScaling.zeros(len(nodes)),
+                scaling=DiagonalScaling((0,) * len(nodes)),
             )
         )
     return CsrExpansion(n=n, terms=tuple(terms), threshold=2 * n * n)

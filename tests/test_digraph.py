@@ -6,17 +6,27 @@ import pytest
 
 from maxplus import (
     CircuitRecord,
+    PositiveCircuitError,
     TropicalMatrix,
     TropicalScalar,
     build_graph,
+    characteristic_roots,
     critical_graph,
     cyclicity_classes,
     karp_max_cycle_mean,
     matrix_mul,
+    partition_nodes,
     principal_eigenvectors,
+    visualize_all,
 )
-from maxplus.oracle import elementary_circuits, random_irreducible_matrix, random_matrix
-from fixtures import E, demo_matrix, tm
+from maxplus.cli import parse_matrix
+from maxplus.oracle import (
+    critical_arcs_by_star,
+    elementary_circuits,
+    random_irreducible_matrix,
+    random_matrix,
+)
+from fixtures import E, demo_matrix, tm, workload_module
 
 
 def test_build_graph_demo_counts():
@@ -107,6 +117,80 @@ class TestCriticalGraph:
                 # every critical arc lies on a circuit of mean exactly rate
                 tight = {arc for c in circuits if c.mean == rate for arc in c.arc_pairs()}
                 assert cg.arcs == tight
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_path_into_a_critical_loop_settles_within_the_pass_limit(self, n):
+        # Arcs i -> i+1 above the rate come in build_graph order, so each
+        # Bellman-Ford pass settles one more node back from the loop at the
+        # rate on node n-1; the last pass sees no change.
+        rows = [[E] * n for _ in range(n)]
+        for i in range(n - 1):
+            rows[i][i + 1] = 3
+        rows[n - 1][n - 1] = 2
+        cg = critical_graph(build_graph(tm(rows)), 2)
+        assert cg.arcs == frozenset({(n - 1, n - 1)})
+        assert cg.nodes == frozenset({n - 1})
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_cycle_above_the_rate_never_settles(self, n):
+        # Mean rate + 1/n: the potentials grow on every pass.
+        rows = [[E] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][(i + 1) % n] = 2
+        rows[n - 1][0] = 3
+        with pytest.raises(PositiveCircuitError, match="positive-weight circuit"):
+            critical_graph(build_graph(tm(rows)), 2)
+
+    def test_matches_the_star_definition(self):
+        count = 0
+        for a in _critical_parity_instances():
+            g = build_graph(a)
+            lam = karp_max_cycle_mean(g)
+            base = 0 if lam.is_epsilon else lam.value
+            for rate in (base, base + 1, base + Fraction(1, 3)):
+                cg = critical_graph(g, rate)
+                assert cg.arcs == critical_arcs_by_star(a, rate)
+                assert cg.nodes == {v for arc in cg.arcs for v in arc}
+                assert bool(cg.arcs) == (rate == lam.value)
+            below = base - Fraction(1, 7)
+            if lam.is_epsilon:
+                assert critical_graph(g, below).arcs == critical_arcs_by_star(a, below) == set()
+            else:
+                with pytest.raises(PositiveCircuitError):
+                    critical_graph(g, below)
+                with pytest.raises(PositiveCircuitError):
+                    critical_arcs_by_star(a, below)
+            count += 1
+        assert count >= 500, count
+
+
+def _critical_parity_instances():
+    """Seeded graphs in four families, then every visualized group of the
+    benchmark workloads' check instances (maximum cycle mean 0)."""
+    rng = random.Random(43)
+    for k in range(480):
+        n = rng.randint(1, 40) if k % 8 == 0 else rng.randint(1, 12)
+        family = k % 4
+        if family == 0:  # small integers, possibly reducible or acyclic
+            a = random_matrix(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        elif family == 1:
+            a = random_irreducible_matrix(rng, n, 0.3, -10**6, 10**6)
+        elif family == 2:
+            base = random_irreducible_matrix(rng, n, 0.4, -20, 20)
+            entries = {
+                key: Fraction(v, rng.choice((1, 2, 3, 4, 6))) for key, v in base.entries.items()
+            }
+            a = TropicalMatrix(n, n, entries)
+        else:  # {0, -1} ties many circuits
+            a = random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]), -1, 0)
+        yield a
+    workloads = workload_module()
+    for w in workloads.WORKLOADS.values():
+        _, check = workloads.inputs(w, 1)
+        a = parse_matrix(check.text)
+        vis = visualize_all(a, partition_nodes(characteristic_roots(a), a.rows))
+        for gv in vis.groups:
+            yield gv.matrix
 
 
 def _class_of(cyc):

@@ -108,8 +108,12 @@ class TestKleeneStar:
             kleene_star(tm([[1]]))
 
     def test_star_equals_truncated_sum(self):
+        # The first half has int entries, the second p/q ones; the star
+        # leaves the scaled-integer domain with normalized values (an int
+        # whenever the value is integral).
         rng = random.Random(11)
-        for _ in range(15):
+        fractions = 0
+        for trial in range(30):
             n = rng.randint(2, 5)
             entries = {
                 (i, j): rng.randint(-6, 0)
@@ -117,19 +121,25 @@ class TestKleeneStar:
                 for j in range(n)
                 if rng.random() < 0.6
             }
+            if trial >= 15:
+                entries = {key: Fraction(v, rng.choice((1, 2, 3, 6))) for key, v in entries.items()}
             a = TropicalMatrix(n, n, entries)
             best = dict(TropicalMatrix.identity(n).entries)
             for k in range(1, n):
                 for key, v in matrix_power(a, k).entries.items():
                     best[key] = max(v, best.get(key, v))
             total = TropicalMatrix(n, n, best)
-            assert kleene_star(a) == total
+            star = kleene_star(a)
+            assert star == total
+            assert all(type(v) is type(as_value(v)) for v in star.entries.values())
+            fractions += sum(isinstance(v, Fraction) for v in star.entries.values())
+        assert fractions > 0
 
 
 class TestDiagConjugate:
     def test_zero_scaling_is_identity(self):
         a = demo_matrix()
-        assert diag_conjugate(a, DiagonalScaling.zeros(10), 0) == a
+        assert diag_conjugate(a, DiagonalScaling((0,) * 10), 0) == a
 
     def test_demo_group3_submatrix(self):
         # Conjugating the group-3 submatrix with the golden scaling and a
