@@ -170,7 +170,12 @@ class CircuitRecord:
 
 
 def _karp_component(g: WeightedDigraph, comp):
-    """Maximum cycle mean inside one strongly connected component."""
+    """Maximum cycle mean inside one strongly connected component.
+
+    The table runs on the arc weights scaled to ints; the means
+    (top - base) / (nc - k) are compared by cross-multiplication, and only
+    the best one becomes a rational again.
+    """
     pos = {v: k for k, v in enumerate(comp)}
     nc = len(comp)
     arcs = [
@@ -181,6 +186,8 @@ def _karp_component(g: WeightedDigraph, comp):
     ]
     if not arcs:
         return None
+    scale = common_scale(w for _, _, w in arcs)
+    arcs = [(u, v, scaled_int(w, scale)) for u, v, w in arcs]
     # level[k][v] = best weight of a length-k walk from the component root to v
     level = [[None] * nc for _ in range(nc + 1)]
     level[0][0] = 0
@@ -195,7 +202,7 @@ def _karp_component(g: WeightedDigraph, comp):
             if cur[v] is None or cand > cur[v]:
                 cur[v] = cand
     top = level[nc]
-    best = None
+    best = None  # (weight, length) with length > 0
     for v in range(nc):
         if top[v] is None:
             continue
@@ -204,12 +211,12 @@ def _karp_component(g: WeightedDigraph, comp):
             base = level[k][v]
             if base is None:
                 continue
-            cand = Fraction(top[v] - base, nc - k)
-            if worst is None or cand < worst:
-                worst = cand
-        if worst is not None and (best is None or worst > best):
+            num, den = top[v] - base, nc - k
+            if worst is None or num * worst[1] < worst[0] * den:
+                worst = (num, den)
+        if worst is not None and (best is None or worst[0] * best[1] > best[0] * worst[1]):
             best = worst
-    return None if best is None else as_value(best)
+    return None if best is None else as_value(Fraction(best[0], best[1] * scale))
 
 
 def karp_max_cycle_mean(g: WeightedDigraph) -> TropicalScalar:

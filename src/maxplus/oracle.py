@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: permanents by permutation sweep,
 multi-circuits by exhaustive enumeration of node-disjoint circuit families,
-power checks by repeated multiplication, assignments by the dense
-shortest-augmenting-path loop.  These paths exist to validate the
-fast implementations, so they refuse inputs large enough to take forever
-instead of silently running.
+power checks by repeated multiplication, products by a dict loop over the
+raw rationals, assignments by the dense shortest-augmenting-path loop.
+These paths exist to validate the fast implementations, so they refuse
+inputs large enough to take forever instead of silently running.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from fractions import Fraction
 
 from .charpoly import MultiCircuit
 from .digraph import CircuitRecord
-from .tropical import TropicalMatrix, as_value, kleene_star, matrix_mul, matrix_power
+from .tropical import (
+    DimensionMismatchError,
+    TropicalMatrix,
+    as_value,
+    kleene_star,
+    matrix_mul,
+    matrix_power,
+)
 
 _MAX_BRUTE_N = 12
 _WORK_BUDGET = 5_000_000
@@ -254,9 +261,42 @@ def brute_mmc(a: TropicalMatrix) -> BruteMmcDescription:
     )
 
 
+def naive_matrix_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
+    """Max-plus product by a loop over the finite entries, on the raw rationals.
+
+    Reference for ``maxplus.tropical.matrix_mul``, which runs an array
+    kernel in the scaled-integer domain.
+    """
+    if a.cols != b.rows:
+        raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    b_rows = [[] for _ in range(b.rows)]
+    for (k, j), v in b.entries.items():
+        b_rows[k].append((j, v))
+    out = {}
+    for (i, k), av in a.entries.items():
+        for j, bv in b_rows[k]:
+            cand = av + bv
+            cur = out.get((i, j))
+            if cur is None or cand > cur:
+                out[(i, j)] = cand
+    return TropicalMatrix(a.rows, b.cols, out)
+
+
+def naive_matrix_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
+    """t-th power by binary exponentiation over ``naive_matrix_mul``; t = 0 gives the identity."""
+    result = TropicalMatrix.identity(a.rows)
+    while t:
+        if t & 1:
+            result = naive_matrix_mul(result, a)
+        t >>= 1
+        if t:
+            a = naive_matrix_mul(a, a)
+    return result
+
+
 def mod_length_closure(a_vis: TropicalMatrix, ell: int) -> TropicalMatrix:
     """Best path weights with length divisible by ell: the star of the ell-th power."""
-    return kleene_star(matrix_power(a_vis, ell))
+    return kleene_star(naive_matrix_power(a_vis, ell))
 
 
 def critical_arcs_by_star(a: TropicalMatrix, rate):
@@ -361,7 +401,11 @@ def bellman_ford_visualization(a_sub: TropicalMatrix, rate):
 
 
 def brute_power_check(a: TropicalMatrix, expansion, t_range, seed=None) -> OracleReport:
-    """Compare the expansion against naive powers on every t in ``t_range``."""
+    """Compare the expansion against A^t, by repeated multiplication, on every t in ``t_range``.
+
+    The powers come from ``matrix_power`` and ``matrix_mul``, whose twins
+    (``naive_matrix_power`` and ``naive_matrix_mul``) are checked apart.
+    """
     ts = sorted(set(int(t) for t in t_range))
     instance = f"n={a.rows}, m={a.finite_count}, t in [{ts[0]}..{ts[-1]}]" if ts else "empty range"
     if not ts:

@@ -6,7 +6,10 @@ text formats) and the multiplicative identity is 0.  Every finite value is
 an exact rational, stored as a plain int whenever it is integral.  Floats
 are rejected on input so all results stay bit-exact.  Rational work runs in
 one scaled-integer domain (``common_scale`` and ``scaled_int`` in,
-``unscaled`` out); the Kleene star's closure sees only ints.
+``unscaled`` out), entered once per call: the Kleene star's closure and the
+max-plus product kernel behind ``matrix_mul`` and ``matrix_power`` see only
+ints.  The kernel works on dense numpy arrays; a bound on its results picks
+int64 or, above 2^59, Python ints in object arrays, on one code path.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 class DimensionMismatchError(ValueError):
@@ -210,43 +215,93 @@ class TropicalMatrix:
         return f"TropicalMatrix({self.rows}x{self.cols}, {self.finite_count} finite)"
 
 
+# Finite results below this in magnitude keep the product kernel in int64:
+# with the bottom at -2^61, two bottoms still add without overflow.
+_INT64_BOUND = 1 << 59
+
+
+def _kernel_arrays(scale, t, *matrices):
+    """Enter the product kernel: its bottom element, then each matrix as a dense array.
+
+    The products to come are the powers up to t of one matrix, or the
+    product of two (t = 1), so every finite result lies within +-bound, t
+    times the sum of the matrices' largest |scaled entry|.  Below
+    ``_INT64_BOUND`` the arrays are int64 with the bottom at -2^61; above
+    it they hold Python ints (dtype object) with the bottom at -4 * bound.
+    Either way a sum with a bottom operand lands below bottom // 2 and a
+    finite one above.
+    """
+    scaled = [[scaled_int(v, scale) for v in m.entries.values()] for m in matrices]
+    bound = t * sum(max(map(abs, values), default=0) for values in scaled)
+    if bound < _INT64_BOUND:
+        dtype, bottom = np.int64, -4 * _INT64_BOUND
+    else:
+        dtype, bottom = object, -4 * bound
+    arrays = []
+    for m, values in zip(matrices, scaled):
+        out = np.full((m.rows, m.cols), bottom, dtype=dtype)
+        if values:
+            ii, jj = zip(*m.entries)
+            out[list(ii), list(jj)] = values
+        arrays.append(out)
+    return bottom, *arrays
+
+
+def _max_plus_product(x, y, bottom):
+    """The max-plus product of two kernel arrays, in O(rows * cols) extra memory.
+
+    Every sum with a bottom operand is reset to ``bottom`` afterwards, so
+    the result is again a kernel array of the same domain.
+    """
+    out = np.full((x.shape[0], y.shape[1]), bottom, dtype=x.dtype)
+    for k in range(x.shape[1]):
+        np.maximum(out, x[:, k : k + 1] + y[k : k + 1, :], out=out)
+    out[out < bottom // 2] = bottom
+    return out
+
+
+def _kernel_result(out, bottom, scale):
+    """Leave the scaled-integer domain: the matrix of a kernel array."""
+    ii, jj = np.nonzero(out != bottom)
+    entries = {
+        (i, j): unscaled(v, scale)
+        for i, j, v in zip(ii.tolist(), jj.tolist(), out[ii, jj].tolist())
+    }
+    return TropicalMatrix._trusted(out.shape[0], out.shape[1], entries)
+
+
 def matrix_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     """Max-plus product: out[i][j] = max_k a[i][k] + b[k][j]."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    b_rows = [[] for _ in range(b.rows)]
-    for (k, j), v in b.entries.items():
-        b_rows[k].append((j, v))
-    out = {}
-    for (i, k), av in a.entries.items():
-        for j, bv in b_rows[k]:
-            key = (i, j)
-            cand = av + bv
-            cur = out.get(key)
-            if cur is None or cand > cur:
-                out[key] = cand
-    return TropicalMatrix(a.rows, b.cols, out)
+    scale = common_scale(a.entries.values(), b.entries.values())
+    bottom, x, y = _kernel_arrays(scale, 1, a, b)
+    return _kernel_result(_max_plus_product(x, y, bottom), bottom, scale)
 
 
 def matrix_power(a: TropicalMatrix, t) -> TropicalMatrix:
     """t-th max-plus power by binary exponentiation; the 0th power is the identity.
 
     Entry (i, j) of the result is the maximum weight over i-j paths of
-    length exactly t in the associated digraph.
+    length exactly t in the associated digraph.  Every partial product is
+    a power of at most t, so its finite entries lie within +-t * max |a_ij|.
     """
     if not a.is_square:
         raise DimensionMismatchError("matrix power needs a square matrix")
     if not isinstance(t, int) or t < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = TropicalMatrix.identity(a.rows)
-    base = a
-    while t:
+    if t == 0:
+        return TropicalMatrix.identity(a.rows)
+    scale = common_scale(a.entries.values())
+    bottom, base = _kernel_arrays(scale, t, a)
+    result = None
+    while True:
         if t & 1:
-            result = matrix_mul(result, base)
+            result = base if result is None else _max_plus_product(result, base, bottom)
         t >>= 1
-        if t:
-            base = matrix_mul(base, base)
-    return result
+        if not t:
+            return _kernel_result(result, bottom, scale)
+        base = _max_plus_product(base, base, bottom)
 
 
 def _max_plus_closure(dist):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from maxplus import (
@@ -22,7 +23,12 @@ from maxplus import (
 )
 from maxplus import csr
 from maxplus.csr import _perm_power
-from maxplus.oracle import brute_power_check, mod_length_closure, random_matrix
+from maxplus.oracle import (
+    brute_power_check,
+    mod_length_closure,
+    random_irreducible_matrix,
+    random_matrix,
+)
 from fixtures import (
     DEMO_C1_VERIFIED_ROWS,
     DEMO_C2_ROWS,
@@ -475,6 +481,33 @@ def _guard_edge_expansion(extreme):
     return CsrExpansion(n=n, terms=tuple(terms), threshold=2 * n * n)
 
 
+def _backend_forms(x):
+    """Each rate class of ``x._prepared`` with its factors in both backends' forms.
+
+    Yields (scaled rate, array factors, list factors): the int64 columns
+    and rows of ``_accumulate_numpy`` and the (index, int) lists of
+    ``_accumulate_python``, whichever of the two the guard picked.
+    """
+    bottom = csr._NP_BOTTOM
+    _, use_numpy, classes = x._prepared
+    for srate, terms in classes:
+        arrays, lists = [], []
+        for succ, cols, rows in terms:
+            if use_numpy:
+                cols = [[(i, v) for i, v in enumerate(c) if v != bottom] for c in cols.T.tolist()]
+                rows = [[(j, v) for j, v in enumerate(r) if v != bottom] for r in rows.tolist()]
+            col_array = np.full((x.n, len(succ)), bottom, dtype=np.int64)
+            row_array = np.full((len(succ), x.n), bottom, dtype=np.int64)
+            for k, (col, row) in enumerate(zip(cols, rows)):
+                for i, v in col:
+                    col_array[i, k] = v
+                for j, v in row:
+                    row_array[k, j] = v
+            arrays.append((succ, col_array, row_array))
+            lists.append((succ, cols, rows))
+        yield srate, arrays, lists
+
+
 @pytest.mark.parametrize(
     "extreme, backend",
     [((1 << 38) - 1, "_accumulate_numpy"), (1 << 38, "_accumulate_python")],
@@ -483,6 +516,13 @@ def test_evaluate_backend_guard_edge(monkeypatch, extreme, backend):
     # The int64 path is taken exactly when every scaled C/R entry is below
     # 2^38 in magnitude; on both sides of that edge the result is exact.
     x = _guard_edge_expansion(extreme)
+    # The backend the guard did not pick agrees on the same factors.
+    for t in (x.threshold, x.threshold + 1, 10**18 + 1):
+        by_numpy, by_python = {}, {}
+        for srate, arrays, lists in _backend_forms(x):
+            x._accumulate_numpy(arrays, t, t * srate, by_numpy)
+            x._accumulate_python(lists, t, t * srate, by_python)
+        assert by_numpy == by_python
     calls = []
     real = getattr(CsrExpansion, backend)
 
@@ -494,6 +534,32 @@ def test_evaluate_backend_guard_edge(monkeypatch, extreme, backend):
     for t in (x.threshold, 10**18 + 1):
         assert x.evaluate(t) == _term_sum(x, t)
     assert len(calls) == 4  # two rate classes per call
+
+
+def _power_check_instance(family, rng):
+    if family == "dense":
+        return random_matrix(rng, rng.randint(64, 80), 1.0)
+    if family == "wide":
+        return random_irreducible_matrix(rng, 60, 0.05, -10**6, 10**6)
+    n = 30
+    entries = {
+        (i, j): Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6)))
+        for i in range(n)
+        for j in range(n)
+    }
+    return TropicalMatrix(n, n, entries)
+
+
+@pytest.mark.parametrize("family, seed", [("dense", 7), ("wide", 60), ("rational", 30)])
+def test_power_check_at_real_sizes(family, seed):
+    # evaluate == A^t over [2 n^2, 2 n^2 + 20] well beyond the small-n sweeps:
+    # dense [-5, 5] at n 64-80 (evaluate on int64 arrays), +-10^6
+    # irreducible sparse at n = 60 and p/q entries at n = 30.
+    a = _power_check_instance(family, random.Random(seed))
+    x = expand(a)
+    assert x._prepared[1] == (family == "dense")
+    report = brute_power_check(a, x, range(x.threshold, x.threshold + 21))
+    assert report.match, report.counterexample
 
 
 def test_replaced_expansion_evaluates_its_own_terms():

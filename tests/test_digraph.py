@@ -58,17 +58,40 @@ class TestKarp:
         assert karp_max_cycle_mean(g) == TropicalScalar(2)
 
     def test_matches_circuit_enumeration(self):
-        rng = random.Random(13)
-        for _ in range(40):
-            n = rng.randint(2, 7)
-            a = random_matrix(rng, n, rng.choice([0.3, 0.5, 0.8]))
-            circuits = elementary_circuits(a)
-            want = max((c.mean for c in circuits), default=None)
+        # The table runs on scaled ints; the mean comes back with the type
+        # as_value gives it (int when integral, else Fraction).
+        for a in _karp_instances():
+            want = max((c.mean for c in elementary_circuits(a)), default=None)
             got = karp_max_cycle_mean(build_graph(a))
             if want is None:
                 assert got.is_epsilon
             else:
                 assert got == TropicalScalar(want)
+                assert type(got.value) is type(want)
+
+
+def _karp_instances():
+    """Small integer matrices, then four seeded families with n up to 7."""
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        yield random_matrix(rng, n, rng.choice([0.3, 0.5, 0.8]))
+    rng = random.Random(17)
+    for k in range(240):
+        n = rng.randint(1, 7)
+        family = k % 4
+        if family == 0:  # small integers, possibly reducible or acyclic
+            yield random_matrix(rng, n, rng.choice([0.2, 0.4, 0.7]))
+        elif family == 1:
+            yield random_irreducible_matrix(rng, n, 0.3, -10**6, 10**6)
+        elif family == 2:
+            base = random_irreducible_matrix(rng, n, 0.5, -20, 20)
+            entries = {
+                key: Fraction(v, rng.choice((1, 2, 3, 4, 6))) for key, v in base.entries.items()
+            }
+            yield TropicalMatrix(n, n, entries)
+        else:  # {0, -1} ties many circuits
+            yield random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]), -1, 0)
 
 
 class TestCriticalGraph:

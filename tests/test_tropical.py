@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import maxplus.tropical as tropical
 from maxplus import (
     DiagonalScaling,
     DimensionMismatchError,
@@ -15,6 +17,7 @@ from maxplus import (
     matrix_mul,
     matrix_power,
 )
+from maxplus.oracle import naive_matrix_mul, naive_matrix_power
 from maxplus.tropical import common_scale, scaled_int, unscaled
 from fixtures import DEMO_A3_ROWS, DEMO_D3, E, demo_matrix, tm
 
@@ -227,3 +230,134 @@ def test_unscaled_inverts_scaled_int():
             back = unscaled(scaled_int(v, scale), scale)
             assert back == v
             assert type(back) is type(as_value(v))
+
+
+def _assert_same_matrix(got, want):
+    # Same shape, keys and values, and the type as_value gives each value.
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.entries == want.entries
+    assert all(type(got.entries[key]) is type(v) for key, v in want.entries.items())
+
+
+def _family_matrix(rng, family, rows, cols, density):
+    if family == "small":
+        draw = lambda: rng.randint(-5, 5)
+    elif family == "wide":
+        draw = lambda: rng.randint(-10**6, 10**6)
+    elif family == "rational":
+        draw = lambda: Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6)))
+    else:  # {0, -1} ties many paths
+        draw = lambda: rng.randint(-1, 0)
+    return TropicalMatrix(
+        rows,
+        cols,
+        {(i, j): draw() for i in range(rows) for j in range(cols) if rng.random() < density},
+    )
+
+
+def _kernel_parity_instances():
+    """(a, b, c, t): a square, b n x m (m = 1 often), c m x p, in four families.
+
+    Every 17th instance is all-bottom, every 11th is 1 x 1; t runs from 0
+    to past the expansion threshold 2 n^2.
+    """
+    rng = random.Random(59)
+    families = ("small", "wide", "rational", "ties")
+    for k in range(520):
+        family = families[k % 4]
+        n = 1 if k % 11 == 0 else rng.randint(1, 9)
+        m = 1 if k % 3 == 0 else rng.randint(1, 9)
+        p = rng.randint(1, 9)
+        if k % 17 == 0:
+            density = 0
+        elif family == "wide":
+            density = rng.choice((0.1, 0.2, 0.4))
+        else:
+            density = rng.choice((0.3, 0.6, 1.0))
+        a = _family_matrix(rng, family, n, n, density)
+        b = _family_matrix(rng, family, n, m, density)
+        c = _family_matrix(rng, family, m, p, density)
+        t = rng.choice((0, 1, rng.randint(2, 40), 2 * n * n + rng.randint(0, 20)))
+        yield a, b, c, t
+
+
+def test_kernel_matches_naive_twin():
+    # The array kernel behind matrix_mul and matrix_power against the dict
+    # loop of the oracle, on the raw rationals.
+    count = 0
+    for a, b, c, t in _kernel_parity_instances():
+        _assert_same_matrix(matrix_mul(a, b), naive_matrix_mul(a, b))
+        _assert_same_matrix(matrix_mul(b, c), naive_matrix_mul(b, c))
+        _assert_same_matrix(matrix_power(a, t), naive_matrix_power(a, t))
+        count += 1
+    assert count >= 500
+
+
+@pytest.fixture
+def kernel_dtypes(monkeypatch):
+    """The dtype of every array product the kernel runs while the test lasts."""
+    seen = []
+    real = tropical._max_plus_product
+
+    def spied(x, y, bottom):
+        seen.append(x.dtype)
+        return real(x, y, bottom)
+
+    monkeypatch.setattr(tropical, "_max_plus_product", spied)
+    return seen
+
+
+# (1 << 59) - 1 == 179951 * 3203431780337 is the largest bound t * M (max |scaled
+# entry| M) that the kernel keeps in int64.
+_EDGE_T, _EDGE_M = 179951, 3203431780337
+
+
+def _edge_matrix(top, extra=()):
+    # A loop of weight top and one of -top that no other circuit passes, so
+    # the power reaches +-t * top; the other entries are small, with bottoms
+    # between them.
+    entries = {(0, 0): top, (1, 1): -top, (0, 2): -3, (1, 2): 5, (2, 0): 1}
+    entries.update(extra)
+    return TropicalMatrix(3, 3, entries)
+
+
+@pytest.mark.parametrize(
+    "t, a, dtype",
+    [
+        (_EDGE_T, _edge_matrix(_EDGE_M), np.int64),
+        (_EDGE_T, _edge_matrix(_EDGE_M + 1), object),
+        (1 << 19, _edge_matrix((1 << 40) - 1), np.int64),
+        (1 << 19, _edge_matrix(1 << 40), object),
+        # Rationals: the scale 7 keeps t * M at the edge; an entry -1/2 makes
+        # the scale 14, and the lcm alone pushes the bound over it.
+        (_EDGE_T, _edge_matrix(Fraction(_EDGE_M, 7), {(1, 2): Fraction(5, 7)}), np.int64),
+        (_EDGE_T, _edge_matrix(Fraction(_EDGE_M, 7), {(2, 2): Fraction(-1, 2)}), object),
+        (3, _edge_matrix(10**40, {(2, 1): Fraction(-10**45, 11)}), object),
+    ],
+    ids=["at-edge", "above", "pow2-below", "pow2-above", "sevenths-at-edge", "lcm-above", "huge"],
+)
+def test_power_guard_edge(kernel_dtypes, t, a, dtype):
+    got = matrix_power(a, t)
+    assert set(kernel_dtypes) == {np.dtype(dtype)}
+    _assert_same_matrix(got, naive_matrix_power(a, t))
+    assert (got.get(0, 0), got.get(1, 1)) == (t * a.get(0, 0), t * a.get(1, 1))
+
+
+_HALF = 1 << 58
+
+
+@pytest.mark.parametrize(
+    "a, b, dtype",
+    [
+        (tm([[_HALF, -_HALF], [E, 2]]), tm([[E, -_HALF + 1], [_HALF - 1, 7]]), np.int64),
+        (tm([[_HALF, -_HALF], [E, 2]]), tm([[E, -_HALF], [_HALF, 7]]), object),
+        # M_a + M_b at the edge in fifths; a half in b makes the scale 10.
+        (tm([[Fraction(_HALF, 5), E]]), tm([[Fraction(_HALF - 1, 5)], [3]]), np.int64),
+        (tm([[Fraction(_HALF, 5), E]]), tm([[Fraction(_HALF - 1, 5)], [Fraction(1, 2)]]), object),
+    ],
+    ids=["at-edge", "above", "fifths-at-edge", "lcm-above"],
+)
+def test_product_guard_edge(kernel_dtypes, a, b, dtype):
+    got = matrix_mul(a, b)
+    assert kernel_dtypes == [np.dtype(dtype)]
+    _assert_same_matrix(got, naive_matrix_mul(a, b))
