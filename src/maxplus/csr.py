@@ -7,12 +7,18 @@ circuit's cyclic permutation, so S^t reduces to an index rotation.  Summed
 over groups, the terms reproduce the t-th power of the matrix exactly for
 every t >= 2 n^2, no matter how large t is.
 
-The weight queries "best path with length k mod ell" are answered on an
-extended graph with ell layered copies of the node set, where every arc
-advances the layer by one; one Dijkstra sweep from the circuit's anchor
-node (and one on the reversed graph) yields a whole factor.  The sweep is
+The weight queries "best path with length k mod ell" have two answers,
+one readout (``_read_factors``) picking between them by a cost estimate.
+On sparse groups they run on an extended graph with ell layered copies of
+the node set, where every arc advances the layer by one: one Dijkstra
+sweep from the circuit's anchor node (and one on the reversed graph)
+yields a whole factor.  The sweep is
 ``maxplus.visualize._layered_max_weights``, the label-setting kernel the
-visualization runs with one layer.
+visualization runs with one layer.  On dense groups the factors are rows
+and columns of the Kleene star of the visualized group's ell-th power at
+the circuit nodes (Sergeev and Schneider), computed on one array of the
+``maxplus.tropical`` kernel: ``_max_plus_power``, then
+``_max_plus_closure``.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ from .tropical import (
     DiagonalScaling,
     DimensionMismatchError,
     TropicalMatrix,
+    _kernel_arrays,
+    _max_plus_closure,
+    _max_plus_power,
     common_scale,
     matrix_power,
     scaled_int,
@@ -36,17 +45,65 @@ from .tropical import (
 from .visualize import InvariantViolationError, _layered_max_weights, visualize_all
 
 
+# The star readout pays off when the two layered sweeps (ell * m arc
+# relaxations each) cost more than the star: 1 + log2(ell) rounds, for the
+# power's squarings and the closure, of V array passes over V^2 cells.
+# Fitted to both readouts' times on 488 plain and reduced groups of seeded
+# and benchmark matrices (2-core host): an arc of the two sweeps costs as
+# much as 50 array cells, and each array pass a fixed 800 cells on top of
+# its V^2.
+_STAR_CELLS_PER_ARC = 50
+_STAR_CELLS_PER_PASS = 800
+
+
 def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, layers, orbits):
     """C and R over the given orbits, in full n-space coordinates.
 
     ``a_vis`` is a visualized group matrix over the node ids ``nodes``,
     ``scaling`` the conjugation vector that produced it, and ``orbits`` a
-    list of (root position, factor ids) pairs.  One forward and one backward
-    layered sweep from each root, with ``layers`` layers, read off the k-th
-    factor id of its orbit: that R row holds the best weights of paths from
-    the root with length k mod ``layers``, and that C column those of paths
-    into the root with length -k mod ``layers``, pushed back through the
-    scaling.  Nodes outside the group stay at the bottom element.
+    list of (positions, factor ids) pairs, where positions[k] lies k
+    critical (zero-weight) steps after positions[0].  The k-th factor id of
+    an orbit gets the R row of the best weights of paths from positions[0]
+    with length k mod ``layers``, which are those from positions[k] with
+    length divisible by ``layers``, and the C column of the mirror image,
+    pushed back through the scaling.  Nodes outside the group stay at the
+    bottom element.
+
+    Two readouts give the same factors: layered sweeps (``_sweep_factors``)
+    on sparse groups and the star of the ``layers``-th power
+    (``_star_factors``) on dense ones, by the cost estimate above.
+    """
+    nv = len(nodes)
+    star_cells = nv * layers.bit_length() * (nv * nv + _STAR_CELLS_PER_PASS)
+    if _STAR_CELLS_PER_ARC * layers * a_vis.finite_count >= star_cells:
+        return _star_factors(a_vis, scaling, nodes, n, layers, orbits)
+    return _sweep_factors(a_vis, scaling, nodes, n, layers, orbits)
+
+
+def _factor_pair(nodes, n, scale, d, labels):
+    """(C, R) from ``labels``, which yields (factor id, out, into) per factor.
+
+    out[j] (into[j]) is the scaled best weight of the factor's paths from
+    (into) the group's j-th node, or None.
+    """
+    r_entries = {}
+    c_entries = {}
+    count = 0
+    for fid, out, into in labels:
+        for j, orig in enumerate(nodes):
+            if out[j] is not None:
+                r_entries[(fid, orig)] = unscaled(out[j] - d[j], scale)
+            if into[j] is not None:
+                c_entries[(orig, fid)] = unscaled(d[j] + into[j], scale)
+        count += 1
+    return TropicalMatrix(n, count, c_entries), TropicalMatrix(count, n, r_entries)
+
+
+def _sweep_factors(a_vis, scaling, nodes, n, layers, orbits):
+    """``_read_factors`` by one forward and one backward layered sweep per orbit.
+
+    The sweeps run from positions[0] over ``layers`` layers; layer k of
+    each is the k-th factor.
     """
     scale = common_scale(a_vis.entries.values(), scaling.values)
     d = [scaled_int(v, scale) for v in scaling.values]
@@ -56,24 +113,41 @@ def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, lay
         sw = scaled_int(w, scale)
         out_adj[i].append((j, sw))
         in_adj[j].append((i, sw))
-    r_entries = {}
-    c_entries = {}
-    count = 0
-    for root, ids in orbits:
-        labels_f = _layered_max_weights(len(nodes), layers, out_adj.__getitem__, root)
-        labels_b = _layered_max_weights(
-            len(nodes), layers, in_adj.__getitem__, root, backward=True
-        )
-        for j, orig in enumerate(nodes):
+
+    def labels():
+        for positions, ids in orbits:
+            root = positions[0]
+            forward = _layered_max_weights(len(nodes), layers, out_adj.__getitem__, root)
+            backward = _layered_max_weights(
+                len(nodes), layers, in_adj.__getitem__, root, backward=True
+            )
             for k, fid in enumerate(ids):
-                lf = labels_f[j * layers + k]
-                if lf is not None:
-                    r_entries[(fid, orig)] = unscaled(lf - d[j], scale)
-                lb = labels_b[j * layers + k]
-                if lb is not None:
-                    c_entries[(orig, fid)] = unscaled(d[j] + lb, scale)
-        count += len(ids)
-    return TropicalMatrix(n, count, c_entries), TropicalMatrix(count, n, r_entries)
+                yield fid, forward[k::layers], backward[k::layers]
+
+    return _factor_pair(nodes, n, scale, d, labels())
+
+
+def _star_factors(a_vis, scaling, nodes, n, layers, orbits):
+    """``_read_factors`` from rows and columns of (A_vis^layers)^*.
+
+    One kernel array holds the power and its closure; every finite value
+    is a simple path of at most V arcs of the power, so the kernel's bound
+    is V * ``layers`` arcs of ``a_vis``.  The k-th factor is row and column
+    positions[k] of the star.
+    """
+    scale = common_scale(a_vis.entries.values(), scaling.values)
+    d = [scaled_int(v, scale) for v in scaling.values]
+    bottom, x = _kernel_arrays(scale, len(nodes) * layers, a_vis)
+    star = _max_plus_power(x, layers, bottom)
+    _max_plus_closure(star, bottom)
+    rows = [[None if v == bottom else v for v in row] for row in star.tolist()]
+    cols = list(zip(*rows))
+    labels = (
+        (fid, rows[c], cols[c])
+        for positions, ids in orbits
+        for c, fid in zip(positions, ids)
+    )
+    return _factor_pair(nodes, n, scale, d, labels)
 
 
 def compute_cr_pair(
@@ -100,7 +174,8 @@ def compute_cr_pair(
                 f"circuit arc ({u}, {v}) is not zero in the visualized submatrix"
             )
     ell = circuit.length
-    return _read_factors(a_vis, scaling, nodes, n, ell, [(pos[circuit.nodes[0]], range(ell))])
+    orbit = ([pos[v] for v in circuit.nodes], range(ell))
+    return _read_factors(a_vis, scaling, nodes, n, ell, [orbit])
 
 
 def build_s(circuit: CircuitRecord) -> TropicalMatrix:
@@ -368,7 +443,7 @@ def reduce_term(term: CsrTerm, a_vis: TropicalMatrix) -> CsrTerm:
     if a_vis.rows != len(term.nodes):
         raise ValueError("visualized submatrix does not match the term's group")
     cyc = cyclicity_classes(critical_graph(build_graph(a_vis), 0))
-    orbits = [(cyc.classes[ids[0]][0], ids) for ids in cyc.components]
+    orbits = [([cyc.classes[k][0] for k in ids], ids) for ids in cyc.components]
     c, r = _read_factors(a_vis, term.scaling, term.nodes, term.C.rows, cyc.sigma, orbits)
     count = len(cyc.classes)
     shift = {(ids[k - 1], ids[k]): 0 for ids in cyc.components for k in range(len(ids))}

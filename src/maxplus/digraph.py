@@ -20,9 +20,11 @@ from .tropical import (
     PositiveCircuitError,
     TropicalMatrix,
     TropicalScalar,
+    _kernel_result,
+    _star_array,
     as_value,
     common_scale,
-    kleene_star,
+    kleene_star,  # noqa: F401 -- perfbench/tracing.py wraps digraph.kleene_star
     scaled_int,
 )
 
@@ -357,7 +359,8 @@ def principal_eigenvectors(a: TropicalMatrix):
 def _principal_eigen(a: TropicalMatrix):
     """(eigenvalue, critical graph, eigenvectors) from one Karp run and one star.
 
-    The eigenvectors are as in ``principal_eigenvectors``.
+    The eigenvectors are as in ``principal_eigenvectors``; only their
+    columns of the star leave the scaled-integer domain.
     """
     g = build_graph(a)
     lam = karp_max_cycle_mean(g)
@@ -366,10 +369,8 @@ def _principal_eigen(a: TropicalMatrix):
     rate = lam.value
     critical = critical_graph(g, rate)
     shifted = {key: v - rate for key, v in a.entries.items()}
-    star = kleene_star(TropicalMatrix(a.rows, a.rows, shifted))
-    cols = {node: {} for node in critical.nodes}
-    for (i, j), v in star.entries.items():
-        if j in cols:
-            cols[j][(i, 0)] = v
-    vectors = [(node, TropicalMatrix(a.rows, 1, cols[node])) for node in sorted(cols)]
+    star, bottom, scale = _star_array(TropicalMatrix(a.rows, a.rows, shifted))
+    vectors = [
+        (node, _kernel_result(star[:, [node]], bottom, scale)) for node in sorted(critical.nodes)
+    ]
     return rate, critical, vectors

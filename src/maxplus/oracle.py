@@ -19,11 +19,16 @@ from .charpoly import MultiCircuit
 from .digraph import CircuitRecord
 from .tropical import (
     DimensionMismatchError,
+    PositiveCircuitError,
     TropicalMatrix,
+    _kernel_arrays,
+    _kernel_result,
+    _max_plus_power,
+    _max_plus_product,
     as_value,
-    kleene_star,
-    matrix_mul,
-    matrix_power,
+    common_scale,
+    matrix_mul,  # noqa: F401 -- perfbench/tracing.py wraps oracle.matrix_mul
+    matrix_power,  # noqa: F401 -- and oracle.matrix_power
 )
 
 _MAX_BRUTE_N = 12
@@ -294,9 +299,44 @@ def naive_matrix_power(a: TropicalMatrix, t: int) -> TropicalMatrix:
     return result
 
 
+def naive_kleene_star(a: TropicalMatrix) -> TropicalMatrix:
+    """Kleene star by the Floyd-Warshall loop over dense row lists, on the raw rationals.
+
+    Reference for ``maxplus.tropical.kleene_star``, which runs an array
+    kernel in the scaled-integer domain.  The loop finds the best nonempty
+    paths; a positive diagonal then means a positive-weight circuit
+    (PositiveCircuitError), and otherwise the diagonal becomes the empty
+    path's 0.
+    """
+    if not a.is_square:
+        raise DimensionMismatchError("Kleene star needs a square matrix")
+    n = a.rows
+    dist = a.to_rows()
+    for k in range(n):
+        row_k = dist[k]
+        for i in range(n):
+            d_ik = dist[i][k]
+            if d_ik is None:
+                continue
+            row_i = dist[i]
+            for j in range(n):
+                d_kj = row_k[j]
+                if d_kj is None:
+                    continue
+                cand = d_ik + d_kj
+                cur = row_i[j]
+                if cur is None or cand > cur:
+                    row_i[j] = cand
+    for v in range(n):
+        if dist[v][v] is not None and dist[v][v] > 0:
+            raise PositiveCircuitError()
+        dist[v][v] = 0
+    return TropicalMatrix.from_rows(dist)
+
+
 def mod_length_closure(a_vis: TropicalMatrix, ell: int) -> TropicalMatrix:
     """Best path weights with length divisible by ell: the star of the ell-th power."""
-    return kleene_star(naive_matrix_power(a_vis, ell))
+    return naive_kleene_star(naive_matrix_power(a_vis, ell))
 
 
 def critical_arcs_by_star(a: TropicalMatrix, rate):
@@ -308,7 +348,7 @@ def critical_arcs_by_star(a: TropicalMatrix, rate):
     diverges and PositiveCircuitError is raised.
     """
     shifted = {key: v - rate for key, v in a.entries.items()}
-    star = kleene_star(TropicalMatrix(a.rows, a.cols, shifted))
+    star = naive_kleene_star(TropicalMatrix(a.rows, a.cols, shifted))
     return frozenset(
         (u, v)
         for (u, v), w in shifted.items()
@@ -403,22 +443,32 @@ def bellman_ford_visualization(a_sub: TropicalMatrix, rate):
 def brute_power_check(a: TropicalMatrix, expansion, t_range, seed=None) -> OracleReport:
     """Compare the expansion against A^t, by repeated multiplication, on every t in ``t_range``.
 
-    The powers come from ``matrix_power`` and ``matrix_mul``, whose twins
-    (``naive_matrix_power`` and ``naive_matrix_mul``) are checked apart.
+    The powers stay on one array of the product kernel, bounded for paths
+    of the largest t: a binary power for the first t, then one product by
+    A per step.  Each power leaves the scaled-integer domain only to be
+    compared with ``expansion.evaluate(t)``.  The kernel's products and
+    powers are checked against their twins (``naive_matrix_mul`` and
+    ``naive_matrix_power``) apart.
     """
     ts = sorted(set(int(t) for t in t_range))
     instance = f"n={a.rows}, m={a.finite_count}, t in [{ts[0]}..{ts[-1]}]" if ts else "empty range"
     if not ts:
         return OracleReport("power-check", instance, True, seed=seed)
-    power = matrix_power(a, ts[0])
+    if ts[0] < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    scale = common_scale(a.entries.values())
+    bottom, base, power = _kernel_arrays(scale, ts[-1], a, TropicalMatrix.identity(a.rows))
+    if ts[0]:
+        power = _max_plus_power(base, ts[0], bottom)
     prev_t = ts[0]
     for t in ts:
         for _ in range(t - prev_t):
-            power = matrix_mul(power, a)
+            power = _max_plus_product(power, base, bottom)
         prev_t = t
+        want = _kernel_result(power, bottom, scale)
         got = expansion.evaluate(t)
-        if got != power:
-            bad = _first_difference(power, got)
+        if got != want:
+            bad = _first_difference(want, got)
             return OracleReport(
                 "power-check",
                 instance,

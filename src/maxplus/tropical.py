@@ -6,10 +6,12 @@ text formats) and the multiplicative identity is 0.  Every finite value is
 an exact rational, stored as a plain int whenever it is integral.  Floats
 are rejected on input so all results stay bit-exact.  Rational work runs in
 one scaled-integer domain (``common_scale`` and ``scaled_int`` in,
-``unscaled`` out), entered once per call: the Kleene star's closure and the
-max-plus product kernel behind ``matrix_mul`` and ``matrix_power`` see only
-ints.  The kernel works on dense numpy arrays; a bound on its results picks
-int64 or, above 2^59, Python ints in object arrays, on one code path.
+``unscaled`` out), entered once per call.  There the kernel works on dense
+numpy arrays: one max-plus product (``_max_plus_product``, behind
+``matrix_mul`` and ``matrix_power``) and one Floyd-Warshall closure
+(``_max_plus_closure``, behind ``kleene_star`` and the dense C/R factors of
+``maxplus.csr``).  A bound on the results picks int64 or, above 2^59,
+Python ints in object arrays, on one code path.
 """
 
 from __future__ import annotations
@@ -221,15 +223,15 @@ _INT64_BOUND = 1 << 59
 
 
 def _kernel_arrays(scale, t, *matrices):
-    """Enter the product kernel: its bottom element, then each matrix as a dense array.
+    """Enter the array kernel: its bottom element, then each matrix as a dense array.
 
-    The products to come are the powers up to t of one matrix, or the
-    product of two (t = 1), so every finite result lies within +-bound, t
-    times the sum of the matrices' largest |scaled entry|.  Below
-    ``_INT64_BOUND`` the arrays are int64 with the bottom at -2^61; above
-    it they hold Python ints (dtype object) with the bottom at -4 * bound.
-    Either way a sum with a bottom operand lands below bottom // 2 and a
-    finite one above.
+    Every finite result to come is the weight of a path of at most t arcs
+    of one matrix (its powers up to t, or its closure with t = n), or the
+    product of two (t = 1), so it lies within +-bound, t times the sum of
+    the matrices' largest |scaled entry|.  Below ``_INT64_BOUND`` the
+    arrays are int64 with the bottom at -2^61; above it they hold Python
+    ints (dtype object) with the bottom at -4 * bound.  Either way a sum
+    with a bottom operand lands below bottom // 2 and a finite one above.
     """
     scaled = [[scaled_int(v, scale) for v in m.entries.values()] for m in matrices]
     bound = t * sum(max(map(abs, values), default=0) for values in scaled)
@@ -258,6 +260,43 @@ def _max_plus_product(x, y, bottom):
         np.maximum(out, x[:, k : k + 1] + y[k : k + 1, :], out=out)
     out[out < bottom // 2] = bottom
     return out
+
+
+def _max_plus_power(x, t, bottom):
+    """The t-th power (t >= 1) of a square kernel array, by binary exponentiation.
+
+    Starts from the lowest set bit of t, not from the identity; the
+    kernel's bound must cover paths of t arcs.
+    """
+    result = None
+    while True:
+        if t & 1:
+            result = x if result is None else _max_plus_product(result, x, bottom)
+        t >>= 1
+        if not t:
+            return result
+        x = _max_plus_product(x, x, bottom)
+
+
+def _max_plus_closure(x, bottom):
+    """Kleene star of a square kernel array, in place.
+
+    Floyd-Warshall over max-plus, one ``np.maximum`` per pivot: afterwards
+    x[i, j] is the maximum weight of an i -> j path, the empty path's 0
+    included on the diagonal.  The diagonal is checked after every pivot:
+    until an entry turns positive every value is the weight of a simple
+    path, within the kernel's bound (t = n), and the first positive one is
+    a positive-weight circuit, for which the star diverges:
+    PositiveCircuitError.
+    """
+    low = bottom // 2
+    diagonal = x.diagonal()
+    for k in range(x.shape[0]):
+        np.maximum(x, x[:, k : k + 1] + x[k : k + 1, :], out=x)
+        x[x < low] = bottom
+        if (diagonal > 0).any():
+            raise PositiveCircuitError()
+    np.fill_diagonal(x, 0)
 
 
 def _kernel_result(out, bottom, scale):
@@ -294,67 +333,32 @@ def matrix_power(a: TropicalMatrix, t) -> TropicalMatrix:
         return TropicalMatrix.identity(a.rows)
     scale = common_scale(a.entries.values())
     bottom, base = _kernel_arrays(scale, t, a)
-    result = None
-    while True:
-        if t & 1:
-            result = base if result is None else _max_plus_product(result, base, bottom)
-        t >>= 1
-        if not t:
-            return _kernel_result(result, bottom, scale)
-        base = _max_plus_product(base, base, bottom)
-
-
-def _max_plus_closure(dist):
-    """Kleene star of a dense square int matrix, in place; None is the bottom element.
-
-    Floyd-Warshall over max-plus: afterwards dist[i][j] is the maximum
-    weight of a nonempty i -> j path, and the diagonal is then raised to the
-    empty path's 0.  A positive diagonal means a positive-weight circuit, for
-    which the star diverges: PositiveCircuitError.  Only ``kleene_star``
-    calls it, with entries already in the scaled-integer domain.
-    """
-    n = len(dist)
-    for k in range(n):
-        row_k = dist[k]
-        for i in range(n):
-            d_ik = dist[i][k]
-            if d_ik is None:
-                continue
-            row_i = dist[i]
-            for j in range(n):
-                d_kj = row_k[j]
-                if d_kj is None:
-                    continue
-                cand = d_ik + d_kj
-                cur = row_i[j]
-                if cur is None or cand > cur:
-                    row_i[j] = cand
-    for v in range(n):
-        if dist[v][v] is not None and dist[v][v] > 0:
-            raise PositiveCircuitError()
-        dist[v][v] = 0
+    return _kernel_result(_max_plus_power(base, t, bottom), bottom, scale)
 
 
 def kleene_star(a: TropicalMatrix) -> TropicalMatrix:
     """All-pairs maximum path weight, including empty paths on the diagonal.
 
-    Computed as an algebraic-path closure (Floyd-Warshall over max-plus) on
-    the entries scaled to ints by their common denominator.  Requires that
-    no circuit has positive weight; otherwise the series diverges and
-    PositiveCircuitError is raised.
+    Computed by ``_max_plus_closure`` on the entries scaled to ints by
+    their common denominator.  Requires that no circuit has positive
+    weight; otherwise the series diverges and PositiveCircuitError is
+    raised.
     """
     if not a.is_square:
         raise DimensionMismatchError("Kleene star needs a square matrix")
+    return _kernel_result(*_star_array(a))
+
+
+def _star_array(a: TropicalMatrix):
+    """The Kleene star of a square matrix as (kernel array, bottom, scale).
+
+    ``_kernel_result`` of the triple, or of any block of its array, leaves
+    the scaled-integer domain.
+    """
     scale = common_scale(a.entries.values())
-    dist = [[None if v is None else scaled_int(v, scale) for v in row] for row in a.to_rows()]
-    _max_plus_closure(dist)
-    entries = {
-        (i, j): unscaled(v, scale)
-        for i, row in enumerate(dist)
-        for j, v in enumerate(row)
-        if v is not None
-    }
-    return TropicalMatrix._trusted(a.rows, a.rows, entries)
+    bottom, x = _kernel_arrays(scale, a.rows, a)
+    _max_plus_closure(x, bottom)
+    return x, bottom, scale
 
 
 @dataclass(frozen=True, slots=True)

@@ -273,15 +273,17 @@ def test_reduced_term_sweeps_once_per_cycle_of_s(monkeypatch):
 
 def test_reduced_expand_runs_no_closure(monkeypatch):
     # Each visualized group's critical graph comes from its tight arcs and
-    # their strongly connected components, so a reduced expansion runs no
-    # Floyd-Warshall closure; every module binding of the kernel is counted.
+    # their strongly connected components, so it needs no Floyd-Warshall
+    # closure; and the groups here are small enough for the gate to keep
+    # their C/R factors on the layered sweeps.  Every module binding of the
+    # kernel is counted.
     import maxplus.digraph as digraph
     import maxplus.tropical as tropical
 
     calls = []
 
     def counted(real):
-        return lambda dist: calls.append(dist) or real(dist)
+        return lambda *args: calls.append(args) or real(*args)
 
     for module in (tropical, digraph, csr):
         if hasattr(module, "_max_plus_closure"):
@@ -534,6 +536,99 @@ def test_evaluate_backend_guard_edge(monkeypatch, extreme, backend):
     for t in (x.threshold, 10**18 + 1):
         assert x.evaluate(t) == _term_sum(x, t)
     assert len(calls) == 4  # two rate classes per call
+
+
+def _typed(m):
+    # Shape, then every entry with the type of its value.
+    return m.rows, m.cols, {key: (type(v), v) for key, v in m.entries.items()}
+
+
+def _readout_instances():
+    """Seeded matrices whose groups fall on both sides of the star readout's gate.
+
+    Small-integer, +-10^6 sparse irreducible, p/q and {0, -1} instances of
+    n 2-14, dense [-5, 5] ones of n 16-40, two of n 64-70, and two whose
+    entries are near 10^17, so that V * ell * M passes 2^59.
+    """
+    rng = random.Random(4747)
+    for k in range(120):
+        n = rng.randint(2, 14)
+        family = k % 4
+        if family == 0:
+            yield random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]))
+        elif family == 1:
+            yield random_irreducible_matrix(rng, n, rng.choice([0.1, 0.3]), -10**6, 10**6)
+        elif family == 2:
+            entries = {
+                (i, j): Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6)))
+                for i in range(n)
+                for j in range(n)
+                if rng.random() < 0.7
+            }
+            yield TropicalMatrix(n, n, entries)
+        else:
+            yield random_matrix(rng, n, rng.choice([0.3, 0.5, 0.8]), -1, 0)
+    for _ in range(8):
+        yield random_matrix(rng, rng.randint(16, 40), 1.0)
+    for _ in range(2):
+        yield random_matrix(rng, rng.randint(64, 70), 1.0)
+    for _ in range(2):
+        a = random_matrix(rng, rng.randint(16, 24), 1.0)
+        huge = {key: v * 10**17 + rng.randint(0, 9) for key, v in a.entries.items()}
+        yield TropicalMatrix(a.rows, a.cols, huge)
+
+
+def test_star_readout_matches_layered_sweeps(monkeypatch):
+    # Every (C, R) that a plain or a reduced expansion reads, once more by
+    # each readout directly: the same matrices, values with their types.
+    calls, picked, dtypes = [], [], []
+
+    def recorded(log, entry, real):
+        return lambda *args: log.append(entry(args)) or real(*args)
+
+    monkeypatch.setattr(csr, "_read_factors", recorded(calls, tuple, csr._read_factors))
+    for name in ("_star_factors", "_sweep_factors"):
+        readout = recorded(picked, lambda _, name=name: name, getattr(csr, name))
+        monkeypatch.setattr(csr, name, readout)
+    for a in _readout_instances():
+        expand(a, reduce_by_cyclicity=True)
+    monkeypatch.undo()
+    closure = recorded(dtypes, lambda args: args[0].dtype, csr._max_plus_closure)
+    monkeypatch.setattr(csr, "_max_plus_closure", closure)
+    reduced = large = 0
+    for args in calls:
+        by_star = csr._star_factors(*args)
+        by_sweep = csr._sweep_factors(*args)
+        assert [_typed(m) for m in by_star] == [_typed(m) for m in by_sweep]
+        reduced += not isinstance(args[5][0][1], range)  # plain orbits are range(ell)
+        large += len(args[2]) >= 64
+    assert len(calls) >= 500 and 200 <= reduced <= len(calls) - 200 and large >= 2
+    # The gate sent groups both ways during the expansions.
+    assert picked.count("_star_factors") >= 20 and picked.count("_sweep_factors") >= 400
+    assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize(
+    "top, dtype", [((1 << 55) - 1, np.int64), (1 << 55, object)], ids=["at-edge", "above"]
+)
+def test_star_readout_guard_edge(monkeypatch, top, dtype):
+    # A zero 4-circuit with chords of weight -top: the star readout's bound
+    # V * ell * M = 16 * top is 2^59 - 16, then 2^59.
+    dtypes = []
+    real = csr._max_plus_closure
+
+    def spied(x, bottom):
+        dtypes.append(x.dtype)
+        return real(x, bottom)
+
+    monkeypatch.setattr(csr, "_max_plus_closure", spied)
+    entries = {(k, (k + 1) % 4): 0 for k in range(4)}
+    entries.update({(0, 2): -top, (3, 1): -top, (2, 2): -top})
+    args = (TropicalMatrix(4, 4, entries), DiagonalScaling((0, 1, -1, 0)), (0, 1, 2, 3), 4, 4)
+    orbits = [([0, 1, 2, 3], range(4))]
+    by_star = csr._star_factors(*args, orbits)
+    assert dtypes == [np.dtype(dtype)]
+    assert [_typed(m) for m in by_star] == [_typed(m) for m in csr._sweep_factors(*args, orbits)]
 
 
 def _power_check_instance(family, rng):

@@ -5,12 +5,14 @@ import pytest
 
 from maxplus import CsrExpansion, TropicalMatrix, expand
 from maxplus.oracle import (
+    OracleReport,
     bellman_ford_visualization,
     brute_chi,
     brute_mmc,
     brute_power_check,
     elementary_circuits,
     mod_length_closure,
+    naive_matrix_power,
     random_matrix,
 )
 from fixtures import (
@@ -119,6 +121,49 @@ class TestBrutePowerCheck:
     def test_empty_range(self):
         a = tm([[5]])
         assert brute_power_check(a, expand(a), range(0)).match
+
+
+def _naive_report(a, x, ts, seed):
+    # The report brute_power_check should give, from the twin powers and a
+    # row-major scan for the first differing entry.
+    ts = sorted(set(ts))
+    instance = f"n={a.rows}, m={a.finite_count}, t in [{ts[0]}..{ts[-1]}]"
+    for t in ts:
+        want, got = naive_matrix_power(a, t), x.evaluate(t)
+        for i in range(a.rows):
+            for j in range(a.cols):
+                if want.get(i, j) != got.get(i, j):
+                    bad = (i, j, t, want.get(i, j), got.get(i, j))
+                    return OracleReport("power-check", instance, False, bad, seed)
+    return OracleReport("power-check", instance, True, seed=seed)
+
+
+def test_power_check_report_matches_naive_powers():
+    # Windows from t = 0 (the identity), around the threshold, where the
+    # expansion may still differ, and unsorted with repeats; small-integer,
+    # p/q and near-10^17 entries (object arrays in the kernel).
+    rng = random.Random(127)
+    mismatches = matches = 0
+    for k in range(45):
+        n = rng.randint(1, 6)
+        a = random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]))
+        if k % 3 == 1:
+            entries = {key: Fraction(v, rng.choice((1, 2, 3))) for key, v in a.entries.items()}
+            a = TropicalMatrix(n, n, entries)
+        elif k % 3 == 2:
+            entries = {key: v * 10**17 + rng.randint(0, 9) for key, v in a.entries.items()}
+            a = TropicalMatrix(n, n, entries)
+        x = expand(a)
+        for ts in (range(0, 6), range(max(0, x.threshold - 4), x.threshold + 3), [9, 2, 9, 5]):
+            report = brute_power_check(a, x, ts, seed=k)
+            want = _naive_report(a, x, ts, k)
+            assert report == want
+            if not report.match:
+                types = [type(v) for v in want.counterexample]
+                assert [type(v) for v in report.counterexample] == types
+            mismatches += not report.match
+            matches += report.match
+    assert mismatches >= 20 and matches >= 45
 
 
 def CsrTerm_with_rate(term, rate):

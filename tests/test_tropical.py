@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,8 @@ from maxplus import (
     matrix_mul,
     matrix_power,
 )
-from maxplus.oracle import naive_matrix_mul, naive_matrix_power
+from maxplus.digraph import build_graph, karp_max_cycle_mean
+from maxplus.oracle import naive_kleene_star, naive_matrix_mul, naive_matrix_power
 from maxplus.tropical import common_scale, scaled_int, unscaled
 from fixtures import DEMO_A3_ROWS, DEMO_D3, E, demo_matrix, tm
 
@@ -361,3 +363,89 @@ def test_product_guard_edge(kernel_dtypes, a, b, dtype):
     got = matrix_mul(a, b)
     assert kernel_dtypes == [np.dtype(dtype)]
     _assert_same_matrix(got, naive_matrix_mul(a, b))
+
+
+@pytest.fixture
+def closure_dtypes(monkeypatch):
+    """The dtype of every array the closure kernel runs on while the test lasts."""
+    seen = []
+    real = tropical._max_plus_closure
+
+    def spied(x, bottom):
+        seen.append(x.dtype)
+        return real(x, bottom)
+
+    monkeypatch.setattr(tropical, "_max_plus_closure", spied)
+    return seen
+
+
+def _star_parity_instances():
+    """Square matrices in five families, a third of them with positive circuits.
+
+    One third keeps its draw (a positive circuit is likely), one third is
+    shifted by its maximum cycle mean (critical circuits of weight 0, many
+    ties) and one third by one more (every circuit negative).  Every 13th
+    instance is all-bottom; four are dense at n = 64-70, two of them with
+    positive circuits (checked after every pivot); the "huge" family
+    (entries up to 10^17, n >= 6) puts the bound n * M above 2^59.
+    """
+    rng = random.Random(67)
+    families = ("small", "wide", "rational", "ties", "huge")
+    for k in range(520):
+        family = families[k % 5]
+        n = rng.randint(1, 12)
+        density = 0 if k % 13 == 0 else rng.choice((0.2, 0.5, 1.0))
+        if family == "huge":
+            n = rng.randint(6, 12)
+            a = _family_matrix(rng, "small", n, n, density)
+            huge = {key: v * 10**17 + rng.randint(0, 9) for key, v in a.entries.items()}
+            a = TropicalMatrix(n, n, huge)
+        else:
+            a = _family_matrix(rng, family, n, n, density)
+        yield _shifted(a, k % 3)
+    for k, family in enumerate(("small", "wide", "ties", "small")):
+        n = rng.randint(64, 70)
+        yield _shifted(_family_matrix(rng, family, n, n, 1.0), k % 3)
+
+
+def _shifted(a, how):
+    # how = 0: as drawn; 1: by the maximum cycle mean; 2: by one more.
+    lam = karp_max_cycle_mean(build_graph(a))
+    if how == 0 or lam.is_epsilon:
+        return a
+    shift = lam.value + (how == 2)
+    return TropicalMatrix(a.rows, a.cols, {key: v - shift for key, v in a.entries.items()})
+
+
+def test_kleene_star_matches_naive_twin(closure_dtypes):
+    # The array closure against the Floyd-Warshall dict loop of the oracle,
+    # on the raw rationals: the same values with their types, or the same
+    # error for a positive circuit.
+    count = rejected = large = 0
+    for a in _star_parity_instances():
+        try:
+            want = naive_kleene_star(a)
+        except PositiveCircuitError as err:
+            with pytest.raises(PositiveCircuitError, match=re.escape(str(err))):
+                kleene_star(a)
+            rejected += 1
+        else:
+            _assert_same_matrix(kleene_star(a), want)
+        count += 1
+        large += a.rows >= 64
+    assert count >= 500 and large == 4
+    assert 100 < rejected < count - 300
+    assert set(closure_dtypes) == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize(
+    "top, dtype", [((1 << 57) - 1, np.int64), (1 << 57, object)], ids=["at-edge", "above"]
+)
+def test_closure_guard_edge(closure_dtypes, top, dtype):
+    # A 4-cycle of arcs -top: its star reaches -3 * top off the diagonal and
+    # the bound n * M = 4 * top is 2^59 - 4, then 2^59.
+    a = TropicalMatrix(4, 4, {(k, (k + 1) % 4): -top for k in range(4)})
+    got = kleene_star(a)
+    assert closure_dtypes == [np.dtype(dtype)]
+    _assert_same_matrix(got, naive_kleene_star(a))
+    assert got.get(0, 3) == -3 * top and got.get(0, 0) == 0
