@@ -29,6 +29,7 @@ from .tropical import (
     as_value,
     common_scale,
     scaled_int,
+    unscaled,
 )
 
 
@@ -59,7 +60,7 @@ class MultiCircuit:
 
     @property
     def total_weight(self):
-        return as_value(sum((Fraction(c.weight) for c in self.circuits), Fraction(0)))
+        return as_value(sum(c.weight for c in self.circuits))
 
     def __str__(self):
         return "{" + ", ".join(str(c) for c in self.circuits) + "}"
@@ -127,10 +128,10 @@ class Mmcs:
 def _scaled_entries(a, lam, n):
     """``lam`` and the entries of ``a`` in one scaled-integer domain.
 
-    Returns ``(lam_s, off, diag)``: ``off[i]`` lists the off-diagonal cells
-    of row i as ``(j, scaled value * (n + 1))``, ready for the primary
-    place of the lexicographic costs, and ``diag[i]`` is the scaled a_ii or
-    None.
+    Returns ``(scale, lam_s, off, diag)``: ``off[i]`` lists the
+    off-diagonal cells of row i as ``(j, scaled value * (n + 1))``, ready
+    for the primary place of the lexicographic costs, and ``diag[i]`` is
+    the scaled a_ii or None.
     """
     scale = common_scale((lam,), a.entries.values())
     k = n + 1
@@ -141,7 +142,7 @@ def _scaled_entries(a, lam, n):
             diag[i] = scaled_int(v, scale)
         else:
             off[i].append((j, scaled_int(v, scale) * k))
-    return scaled_int(lam, scale), off, diag
+    return scale, scaled_int(lam, scale), off, diag
 
 
 def _lexicographic_costs(off, diag, lam_s, want_max_length):
@@ -150,7 +151,9 @@ def _lexicographic_costs(off, diag, lam_s, want_max_length):
     ``is_loop[i]`` tells whether a diagonal pick at i is the self-loop
     circuit rather than a ``lam`` pick: a loop above ``lam`` always is, a tie
     a_ii == lam only for the long witness.  The secondary bonus rewards
-    loops when ``want_max_length`` and ``lam`` picks otherwise.
+    loops and arcs when ``want_max_length`` and ``lam`` picks otherwise, so
+    an assignment's total is (n + 1) times its scaled weight plus its
+    multi-circuit's length (long) or its number of ``lam`` picks (short).
     """
     n = len(diag)
     k = n + 1
@@ -171,7 +174,6 @@ def _witness_from_perm(a, perm, is_loop):
     n = len(perm)
     seen = [False] * n
     circuits = []
-    lam_picks = 0
     weight_of = lambda u, v: a.entries.get((u, v))
     for start in range(n):
         if seen[start]:
@@ -182,11 +184,9 @@ def _witness_from_perm(a, perm, is_loop):
             seen[v] = True
             cycle.append(v)
             v = perm[v]
-        if len(cycle) == 1 and not is_loop[start]:
-            lam_picks += 1
-        else:
+        if len(cycle) > 1 or is_loop[start]:
             circuits.append(CircuitRecord.from_nodes(weight_of, tuple(cycle)))
-    return MultiCircuit(tuple(circuits)), lam_picks
+    return MultiCircuit(tuple(circuits))
 
 
 def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
@@ -202,27 +202,24 @@ def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
         raise DimensionMismatchError("chi is defined for square matrices")
     lam = as_value(lam)
     n = a.rows
-    lam_s, off, diag = _scaled_entries(a, lam, n)
-    results = {}
+    scale, lam_s, off, diag = _scaled_entries(a, lam, n)
+    runs = []
     for want_max_length in (False, True):
         rows, is_loop = _lexicographic_costs(off, diag, lam_s, want_max_length)
-        _, perm = max_assignment(rows)
-        witness, lam_picks = _witness_from_perm(a, perm, is_loop)
-        results[want_max_length] = (witness, n - lam_picks)
-    # The attained value is reconstructed from the witness; the encoded
-    # totals only order the permutations.
-    value_min = results[False][0].total_weight + lam * (n - results[False][1])
-    value_max = results[True][0].total_weight + lam * (n - results[True][1])
-    if value_min != value_max:
+        total, perm = max_assignment(rows)
+        # The certified total decodes to (scaled value, secondary count).
+        runs.append((_witness_from_perm(a, perm, is_loop), *divmod(total, n + 1)))
+    (witness_min, short_s, lam_picks), (witness_max, long_s, max_length) = runs
+    if short_s != long_s:
         raise AssertionError("lexicographic runs disagree on the primary optimum")
     return ChiEvaluation(
         n=n,
         lam=lam,
-        value=as_value(value_min),
-        min_length=results[False][1],
-        max_length=results[True][1],
-        witness_min=results[False][0],
-        witness_max=results[True][0],
+        value=unscaled(short_s, scale),
+        min_length=n - lam_picks,
+        max_length=max_length,
+        witness_min=witness_min,
+        witness_max=witness_max,
     )
 
 
@@ -284,9 +281,12 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
     lo = as_value(min(0, n * min(values)) - max(0, n * max(values)) - 1)
     hi = as_value(max(values) + 1)
     e_lo = chi_eval(a, lo)
-    e_hi = chi_eval(a, hi)
-    if e_lo.min_length != e_lo.max_length or e_hi.min_length != e_hi.max_length:
+    if e_lo.min_length != e_lo.max_length:
         raise AssertionError("bracketing points must not be breakpoints")
+    # Above every entry each circuit loses to lam picks: chi(hi) = n * hi,
+    # attained only by the empty multi-circuit.
+    empty = MultiCircuit.empty()
+    e_hi = ChiEvaluation(n, hi, as_value(n * hi), 0, 0, empty, empty)
     found = _search_breakpoints(a, n, lo, e_lo, hi, e_hi)
     roots = tuple(sorted(found, reverse=True))
     multicircuits = [MultiCircuit.empty()]

@@ -18,12 +18,19 @@ visualization runs with one layer.  On dense groups the factors are rows
 and columns of the Kleene star of the visualized group's ell-th power at
 the circuit nodes (Sergeev and Schneider), computed on one array of the
 ``maxplus.tropical`` kernel: ``_max_plus_power``, then
-``_max_plus_closure``.
+``_max_plus_closure``.  Which of the two is cheaper also depends on the
+kernel's dtype, which ``maxplus.tropical`` alone decides.
+
+Evaluation stacks the terms of each rate class into one factor pair, so
+that C S^t R summed over the class is one max-plus product: on n >= 64 it
+is the kernel's ``_max_plus_product``, on int64 or object arrays as the
+kernel's bound decides; below that, a loop over sparse lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -37,6 +44,7 @@ from .tropical import (
     _kernel_arrays,
     _max_plus_closure,
     _max_plus_power,
+    _max_plus_product,
     common_scale,
     matrix_power,
     scaled_int,
@@ -51,9 +59,14 @@ from .visualize import InvariantViolationError, _layered_max_weights, visualize_
 # Fitted to both readouts' times on 488 plain and reduced groups of seeded
 # and benchmark matrices (2-core host): an arc of the two sweeps costs as
 # much as 50 array cells, and each array pass a fixed 800 cells on top of
-# its V^2.
+# its V^2.  A cell of an object array (Python ints, past the kernel's int64
+# bound) counts as _OBJECT_CELL_COST int64 cells: on 43 dense groups (V
+# 8-80) of [-5, 5] matrices times 10^17, the object star took 1-17 times
+# the int64 star's time, more as V grows, and wherever the int64 estimate
+# picked the star, the sweeps were faster or within a few percent.
 _STAR_CELLS_PER_ARC = 50
 _STAR_CELLS_PER_PASS = 800
+_OBJECT_CELL_COST = 8
 
 
 def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, layers, orbits):
@@ -69,15 +82,21 @@ def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, lay
     pushed back through the scaling.  Nodes outside the group stay at the
     bottom element.
 
-    Two readouts give the same factors: layered sweeps (``_sweep_factors``)
+    Two readouts give the same factors: layered sweeps (``_sweep_labels``)
     on sparse groups and the star of the ``layers``-th power
-    (``_star_factors``) on dense ones, by the cost estimate above.
+    (``_star_labels``) on dense ones, by the cost estimate above, with the
+    star's cells weighed by the dtype of its kernel array.
     """
+    scale = common_scale(a_vis.entries.values(), scaling.values)
+    d = [scaled_int(v, scale) for v in scaling.values]
     nv = len(nodes)
+    sweep_cells = _STAR_CELLS_PER_ARC * layers * a_vis.finite_count
     star_cells = nv * layers.bit_length() * (nv * nv + _STAR_CELLS_PER_PASS)
-    if _STAR_CELLS_PER_ARC * layers * a_vis.finite_count >= star_cells:
-        return _star_factors(a_vis, scaling, nodes, n, layers, orbits)
-    return _sweep_factors(a_vis, scaling, nodes, n, layers, orbits)
+    if sweep_cells >= star_cells:
+        bottom, x = _kernel_arrays(scale, nv * layers, a_vis)
+        if x.dtype != object or sweep_cells >= _OBJECT_CELL_COST * star_cells:
+            return _factor_pair(nodes, n, scale, d, _star_labels(x, bottom, layers, orbits))
+    return _factor_pair(nodes, n, scale, d, _sweep_labels(a_vis, scale, layers, orbits))
 
 
 def _factor_pair(nodes, n, scale, d, labels):
@@ -99,55 +118,42 @@ def _factor_pair(nodes, n, scale, d, labels):
     return TropicalMatrix(n, count, c_entries), TropicalMatrix(count, n, r_entries)
 
 
-def _sweep_factors(a_vis, scaling, nodes, n, layers, orbits):
-    """``_read_factors`` by one forward and one backward layered sweep per orbit.
+def _sweep_labels(a_vis, scale, layers, orbits):
+    """``_read_factors``' labels by one forward and one backward layered sweep per orbit.
 
     The sweeps run from positions[0] over ``layers`` layers; layer k of
     each is the k-th factor.
     """
-    scale = common_scale(a_vis.entries.values(), scaling.values)
-    d = [scaled_int(v, scale) for v in scaling.values]
-    out_adj = [[] for _ in nodes]
-    in_adj = [[] for _ in nodes]
+    nv = a_vis.rows
+    out_adj = [[] for _ in range(nv)]
+    in_adj = [[] for _ in range(nv)]
     for (i, j), w in a_vis.entries.items():
         sw = scaled_int(w, scale)
         out_adj[i].append((j, sw))
         in_adj[j].append((i, sw))
-
-    def labels():
-        for positions, ids in orbits:
-            root = positions[0]
-            forward = _layered_max_weights(len(nodes), layers, out_adj.__getitem__, root)
-            backward = _layered_max_weights(
-                len(nodes), layers, in_adj.__getitem__, root, backward=True
-            )
-            for k, fid in enumerate(ids):
-                yield fid, forward[k::layers], backward[k::layers]
-
-    return _factor_pair(nodes, n, scale, d, labels())
+    for positions, ids in orbits:
+        root = positions[0]
+        forward = _layered_max_weights(nv, layers, out_adj.__getitem__, root)
+        backward = _layered_max_weights(nv, layers, in_adj.__getitem__, root, backward=True)
+        for k, fid in enumerate(ids):
+            yield fid, forward[k::layers], backward[k::layers]
 
 
-def _star_factors(a_vis, scaling, nodes, n, layers, orbits):
-    """``_read_factors`` from rows and columns of (A_vis^layers)^*.
+def _star_labels(x, bottom, layers, orbits):
+    """``_read_factors``' labels from rows and columns of (A_vis^layers)^*.
 
-    One kernel array holds the power and its closure; every finite value
-    is a simple path of at most V arcs of the power, so the kernel's bound
-    is V * ``layers`` arcs of ``a_vis``.  The k-th factor is row and column
-    positions[k] of the star.
+    ``x`` is A_vis as a kernel array whose bound covers V * ``layers`` arcs:
+    every finite value of the power's closure is a simple path of at most V
+    arcs of the power.  The array then holds the power and its closure; the
+    k-th factor is row and column positions[k] of the star.
     """
-    scale = common_scale(a_vis.entries.values(), scaling.values)
-    d = [scaled_int(v, scale) for v in scaling.values]
-    bottom, x = _kernel_arrays(scale, len(nodes) * layers, a_vis)
     star = _max_plus_power(x, layers, bottom)
     _max_plus_closure(star, bottom)
     rows = [[None if v == bottom else v for v in row] for row in star.tolist()]
     cols = list(zip(*rows))
-    labels = (
-        (fid, rows[c], cols[c])
-        for positions, ids in orbits
-        for c, fid in zip(positions, ids)
-    )
-    return _factor_pair(nodes, n, scale, d, labels)
+    for positions, ids in orbits:
+        for c, fid in zip(positions, ids):
+            yield fid, rows[c], cols[c]
 
 
 def compute_cr_pair(
@@ -200,12 +206,6 @@ def _successor_of(s: TropicalMatrix):
     return tuple(succ)
 
 
-# The int64 bottom element of evaluate's numpy path.  With every finite
-# entry below 2^38 in magnitude, a sum with a bottom operand stays below
-# _NP_BOTTOM // 2 and a finite sum above it; two bottoms add without overflow.
-_NP_BOTTOM = -(1 << 42)
-
-
 def _perm_power(succ, t: int):
     out = [0] * len(succ)
     seen = [False] * len(succ)
@@ -221,7 +221,7 @@ def _perm_power(succ, t: int):
         shift = t % len(cycle)
         for idx, v in enumerate(cycle):
             out[v] = cycle[(idx + shift) % len(cycle)]
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,10 +249,6 @@ class CsrTerm:
         _successor_of(self.S)  # validates the permutation structure
         if self.C.cols != self.S.rows or self.S.cols != self.R.rows:
             raise DimensionMismatchError("factor dimensions are inconsistent")
-
-    @property
-    def order(self) -> int:
-        return self.S.rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,12 +280,14 @@ class CsrExpansion:
     def _prepare(self):
         """The t-independent part of evaluate, in one scaled-integer domain.
 
-        Terms of equal rate share one class (scaled rate, [factors]); each
-        term's factors are (successor permutation of S, C columns, R rows).
-        With n >= 64 and every scaled C/R entry below 2^38 in magnitude the
-        columns and rows are int64 arrays (n x ell and ell x n, bottom
-        entries at -2^42), which keeps every partial sum exact; otherwise
-        they are per-index lists of (node, int).
+        Terms of equal rate share one class (scaled rate, factors), whose
+        factors stack the terms: the C blocks side by side, the R blocks
+        one under the other and one successor permutation, each term's
+        block offset by the orders before it.  With n >= 64 the factors are
+        (successor, bottom, C array, R array) from ``_kernel_arrays``,
+        otherwise (successor, C columns, R rows) as per-index lists of
+        (node, int), which are faster there (at n = 50 on ``blocks``,
+        1.1 ms per evaluation against 1.9 ms on arrays).
         """
         n = self.n
         scale = common_scale(
@@ -297,35 +295,35 @@ class CsrExpansion:
             *(term.C.entries.values() for term in self.terms),
             *(term.R.entries.values() for term in self.terms),
         )
-        use_numpy = n >= 64 and all(
-            abs(v) * scale < (1 << 38)
-            for term in self.terms
-            for factor in (term.C, term.R)
-            for v in factor.entries.values()
-        )
+        use_numpy = n >= 64
         classes = []
-        for term in self.terms:
-            ell = term.order
+        for rate, terms in groupby(self.terms, key=lambda term: term.rate):
+            succ, c_entries, r_entries = [], {}, {}
+            for term in terms:
+                offset = len(succ)
+                succ.extend(offset + k for k in _successor_of(term.S))
+                if not offset:
+                    # The first term's keys are already in place; sharing
+                    # them keeps a large class from doubling its memory.
+                    c_entries.update(term.C.entries)
+                    r_entries.update(term.R.entries)
+                    continue
+                c_entries.update(((i, offset + k), v) for (i, k), v in term.C.entries.items())
+                r_entries.update(((offset + k, j), v) for (k, j), v in term.R.entries.items())
+            order = len(succ)
             if use_numpy:
-                cols = np.full((n, ell), _NP_BOTTOM, dtype=np.int64)
-                rows = np.full((ell, n), _NP_BOTTOM, dtype=np.int64)
-                for (i, k), v in term.C.entries.items():
-                    cols[i, k] = scaled_int(v, scale)
-                for (k, j), v in term.R.entries.items():
-                    rows[k, j] = scaled_int(v, scale)
+                c = TropicalMatrix._trusted(n, order, c_entries)
+                r = TropicalMatrix._trusted(order, n, r_entries)
+                factors = (succ, *_kernel_arrays(scale, 1, c, r))
             else:
-                cols = [[] for _ in range(ell)]
-                rows = [[] for _ in range(ell)]
-                for (i, k), v in term.C.entries.items():
+                cols = [[] for _ in range(order)]
+                rows = [[] for _ in range(order)]
+                for (i, k), v in c_entries.items():
                     cols[k].append((i, scaled_int(v, scale)))
-                for (k, j), v in term.R.entries.items():
+                for (k, j), v in r_entries.items():
                     rows[k].append((j, scaled_int(v, scale)))
-            factors = (_successor_of(term.S), cols, rows)
-            srate = scaled_int(term.rate, scale)
-            if classes and classes[-1][0] == srate:
-                classes[-1][1].append(factors)
-            else:
-                classes.append((srate, [factors]))
+                factors = (succ, cols, rows)
+            classes.append((scaled_int(rate, scale), factors))
         return scale, use_numpy, classes
 
     def evaluate(self, t: int) -> TropicalMatrix:
@@ -333,9 +331,10 @@ class CsrExpansion:
 
         S^t is an index rotation and the rate shift is a single scalar, so
         the cost does not depend on t.  Everything else (the scaled-integer
-        domain, the factors in it, the permutations and the backend) is
-        fixed when the expansion is built; a call rotates, accumulates each
-        rate class and adds its shift t * rate in unbounded Python ints.
+        domain, the stacked factors in it, the permutations and the
+        backend) is fixed when the expansion is built; a call rotates,
+        accumulates each rate class and adds its shift t * rate in
+        unbounded Python ints.
         """
         if not isinstance(t, int) or t < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -349,36 +348,32 @@ class CsrExpansion:
         scale, use_numpy, classes = self._prepared
         accumulate = self._accumulate_numpy if use_numpy else self._accumulate_python
         acc = {}
-        for srate, terms in classes:
-            accumulate(terms, t, t * srate, acc)
+        for srate, factors in classes:
+            accumulate(factors, t, t * srate, acc)
         # unscaled values are normalized and the keys are in range.
         return TropicalMatrix._trusted(n, n, {key: unscaled(v, scale) for key, v in acc.items()})
 
-    def _accumulate_python(self, terms, t, shift, acc):
-        for succ, cols, rows in terms:
-            power = _perm_power(succ, t)
-            for k, col in enumerate(cols):
-                row = rows[power[k]]
-                if not row:
-                    continue
-                for i, cv in col:
-                    base = cv + shift
-                    for j, rv in row:
-                        key = (i, j)
-                        cand = base + rv
-                        cur = acc.get(key)
-                        if cur is None or cand > cur:
-                            acc[key] = cand
+    def _accumulate_python(self, factors, t, shift, acc):
+        succ, cols, rows = factors
+        power = _perm_power(succ, t)
+        for k, col in enumerate(cols):
+            row = rows[power[k]]
+            if not row:
+                continue
+            for i, cv in col:
+                base = cv + shift
+                for j, rv in row:
+                    key = (i, j)
+                    cand = base + rv
+                    cur = acc.get(key)
+                    if cur is None or cand > cur:
+                        acc[key] = cand
 
-    def _accumulate_numpy(self, terms, t, shift, acc):
-        best = np.full((self.n, self.n), _NP_BOTTOM, dtype=np.int64)
-        for succ, cols, rows in terms:
-            power = _perm_power(succ, t)
-            for k in range(len(succ)):
-                np.maximum(best, cols[:, k : k + 1] + rows[power[k] : power[k] + 1, :], out=best)
-        ii, jj = np.nonzero(best > _NP_BOTTOM // 2)
-        vals = best[ii, jj]
-        for i, j, v in zip(ii.tolist(), jj.tolist(), vals.tolist()):
+    def _accumulate_numpy(self, factors, t, shift, acc):
+        succ, bottom, cols, rows = factors
+        best = _max_plus_product(cols, rows[_perm_power(succ, t)], bottom)
+        ii, jj = np.nonzero(best != bottom)
+        for i, j, v in zip(ii.tolist(), jj.tolist(), best[ii, jj].tolist()):
             key = (i, j)
             cand = v + shift
             cur = acc.get(key)

@@ -8,10 +8,11 @@ are rejected on input so all results stay bit-exact.  Rational work runs in
 one scaled-integer domain (``common_scale`` and ``scaled_int`` in,
 ``unscaled`` out), entered once per call.  There the kernel works on dense
 numpy arrays: one max-plus product (``_max_plus_product``, behind
-``matrix_mul`` and ``matrix_power``) and one Floyd-Warshall closure
-(``_max_plus_closure``, behind ``kleene_star`` and the dense C/R factors of
-``maxplus.csr``).  A bound on the results picks int64 or, above 2^59,
-Python ints in object arrays, on one code path.
+``matrix_mul``, ``matrix_power`` and the evaluation of ``maxplus.csr``
+expansions) and one Floyd-Warshall closure (``_max_plus_closure``, behind
+``kleene_star`` and the dense C/R factors of ``maxplus.csr``).  A bound on
+the results picks int64 or, above 2^59, Python ints in object arrays, on
+one code path; callers read the choice from the arrays' dtype.
 """
 
 from __future__ import annotations

@@ -223,7 +223,7 @@ def _lexicographic_instances():
             roots = characteristic_roots(a).roots
             points = set(roots) | {r - 1 for r in roots} | {Fraction(x + y, 2) for x, y in zip(roots, roots[1:])}
             for lam in sorted(points):
-                lam_s, off, diag = _scaled_entries(a, lam, a.rows)
+                _, lam_s, off, diag = _scaled_entries(a, lam, a.rows)
                 for want_max_length in (False, True):
                     yield _lexicographic_costs(off, diag, lam_s, want_max_length)[0]
 

@@ -71,6 +71,21 @@ class TestChiEval:
             # midpoint value lies on or below the chord, exactly
             assert (v2 - v1) * (l3 - l1) <= (v3 - v1) * (l2 - l1)
 
+    def test_empty_multicircuit_alone_attains_above_every_entry(self):
+        # characteristic_roots takes chi at max entry + 1 in closed form.
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            q = rng.randint(1, 4)
+            m = random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]))
+            a = TropicalMatrix(n, n, {key: Fraction(v, q) for key, v in m.entries.items()})
+            if not a.entries:
+                continue
+            hi = max(a.entries.values()) + 1
+            ev = chi_eval(a, hi)
+            assert (ev.value, ev.min_length, ev.max_length) == (n * hi, 0, 0)
+            assert ev.witness_min == ev.witness_max == MultiCircuit.empty()
+
 
 class TestCharacteristicRoots:
     def test_demo_roots(self):

@@ -168,7 +168,7 @@ def test_wide_matrix_exercises_fast_evaluation_path():
 
 
 def test_wide_matrix_with_huge_values_stays_exact():
-    # Entries beyond the int64 guard must fall back to plain big ints.
+    # Entries past the kernel's int64 bound put evaluate on object arrays.
     rng = random.Random(6565)
     entries = {
         (i, j): rng.randint(-3, 3) * 10**20
@@ -448,13 +448,16 @@ def _term_sum(x, t):
     return TropicalMatrix(x.n, x.n, out)
 
 
-def _guard_edge_expansion(extreme):
-    # n = 64, scale 3 (from the rate 7/3): C/R entries at +-extreme/3 scale to
-    # +-extreme; the other entries are small, some of them thirds.
-    rng = random.Random(extreme)
+def _guard_edge_expansion(c_extreme, r_extreme):
+    # n = 64, scale 3 (from the rate 7/3): C entries at +-c_extreme/3 and R
+    # entries at +-r_extreme/3 scale to +-c_extreme and +-r_extreme, so the
+    # kernel bound of each rate class is c_extreme + r_extreme.  The other
+    # entries are small, some of them thirds.  The first two terms share a
+    # rate, so their factors stack into one class.
+    rng = random.Random(c_extreme + r_extreme)
     n = 64
 
-    def factor(rows, cols):
+    def factor(rows, cols, extreme):
         entries = {
             (i, j): Fraction(rng.randint(-30, 30), rng.choice((1, 3)))
             for i in range(rows)
@@ -465,15 +468,16 @@ def _guard_edge_expansion(extreme):
         entries[(rows - 1, cols - 1)] = Fraction(-extreme, 3)
         return TropicalMatrix(rows, cols, entries)
 
+    groups = ((Fraction(7, 3), (0, 1, 2)), (Fraction(7, 3), (5, 6)), (-2, (3, 4)))
     terms = []
-    for group, (rate, nodes) in enumerate(((Fraction(7, 3), (0, 1, 2)), (-2, (3, 4))), start=1):
+    for group, (rate, nodes) in enumerate(groups, start=1):
         circuit = CircuitRecord(nodes, rate * len(nodes))
         terms.append(
             CsrTerm(
                 rate=rate,
-                C=factor(n, len(nodes)),
+                C=factor(n, len(nodes), c_extreme),
                 S=build_s(circuit),
-                R=factor(len(nodes), n),
+                R=factor(len(nodes), n, r_extreme),
                 circuit=circuit,
                 group=group,
                 nodes=nodes,
@@ -484,41 +488,33 @@ def _guard_edge_expansion(extreme):
 
 
 def _backend_forms(x):
-    """Each rate class of ``x._prepared`` with its factors in both backends' forms.
+    """Each stacked rate class of ``x._prepared``, at n >= 64, in both accumulators' forms.
 
-    Yields (scaled rate, array factors, list factors): the int64 columns
-    and rows of ``_accumulate_numpy`` and the (index, int) lists of
-    ``_accumulate_python``, whichever of the two the guard picked.
+    Yields (scaled rate, array factors, list factors): the kernel arrays
+    of ``_accumulate_numpy`` that ``_prepare`` built, and the same stacked
+    class as the (index, int) lists of ``_accumulate_python``.
     """
-    bottom = csr._NP_BOTTOM
     _, use_numpy, classes = x._prepared
-    for srate, terms in classes:
-        arrays, lists = [], []
-        for succ, cols, rows in terms:
-            if use_numpy:
-                cols = [[(i, v) for i, v in enumerate(c) if v != bottom] for c in cols.T.tolist()]
-                rows = [[(j, v) for j, v in enumerate(r) if v != bottom] for r in rows.tolist()]
-            col_array = np.full((x.n, len(succ)), bottom, dtype=np.int64)
-            row_array = np.full((len(succ), x.n), bottom, dtype=np.int64)
-            for k, (col, row) in enumerate(zip(cols, rows)):
-                for i, v in col:
-                    col_array[i, k] = v
-                for j, v in row:
-                    row_array[k, j] = v
-            arrays.append((succ, col_array, row_array))
-            lists.append((succ, cols, rows))
-        yield srate, arrays, lists
+    assert use_numpy
+    for srate, arrays in classes:
+        succ, bottom, cols, rows = arrays
+        col_lists = [[(i, v) for i, v in enumerate(c) if v != bottom] for c in cols.T.tolist()]
+        row_lists = [[(j, v) for j, v in enumerate(r) if v != bottom] for r in rows.tolist()]
+        yield srate, arrays, (succ, col_lists, row_lists)
 
 
 @pytest.mark.parametrize(
-    "extreme, backend",
-    [((1 << 38) - 1, "_accumulate_numpy"), (1 << 38, "_accumulate_python")],
+    "c_extreme, r_extreme, dtype",
+    [(1 << 58, (1 << 58) - 1, np.int64), (1 << 58, 1 << 58, object)],
+    ids=["at-edge", "above"],
 )
-def test_evaluate_backend_guard_edge(monkeypatch, extreme, backend):
-    # The int64 path is taken exactly when every scaled C/R entry is below
-    # 2^38 in magnitude; on both sides of that edge the result is exact.
-    x = _guard_edge_expansion(extreme)
-    # The backend the guard did not pick agrees on the same factors.
+def test_evaluate_class_bound_edge(monkeypatch, c_extreme, r_extreme, dtype):
+    # At n >= 64 each rate class is one kernel product, on int64 arrays
+    # while the class's bound is below 2^59 and on object arrays from 2^59
+    # on; on both sides the result is exact.
+    x = _guard_edge_expansion(c_extreme, r_extreme)
+    assert [(len(f[0]), f[2].dtype) for _, f in x._prepared[2]] == [(5, dtype), (2, dtype)]
+    # The list accumulator agrees on the same stacked classes.
     for t in (x.threshold, x.threshold + 1, 10**18 + 1):
         by_numpy, by_python = {}, {}
         for srate, arrays, lists in _backend_forms(x):
@@ -526,16 +522,16 @@ def test_evaluate_backend_guard_edge(monkeypatch, extreme, backend):
             x._accumulate_python(lists, t, t * srate, by_python)
         assert by_numpy == by_python
     calls = []
-    real = getattr(CsrExpansion, backend)
+    real = CsrExpansion._accumulate_numpy
 
     def counted(self, *args):
-        calls.append(backend)
+        calls.append(args[0][2].dtype)
         return real(self, *args)
 
-    monkeypatch.setattr(CsrExpansion, backend, counted)
-    for t in (x.threshold, 10**18 + 1):
+    monkeypatch.setattr(CsrExpansion, "_accumulate_numpy", counted)
+    for t in (x.threshold, x.threshold + 1, 10**18 + 1):
         assert x.evaluate(t) == _term_sum(x, t)
-    assert len(calls) == 4  # two rate classes per call
+    assert calls == [np.dtype(dtype)] * 6  # one product per rate class and call
 
 
 def _typed(m):
@@ -578,33 +574,40 @@ def _readout_instances():
         yield TropicalMatrix(a.rows, a.cols, huge)
 
 
+def _recorded(log, entry, real):
+    return lambda *args: log.append(entry(args)) or real(*args)
+
+
+def _forced(readout, args):
+    """``_read_factors(*args)`` with its gate forced to "star" or "sweep"."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csr, "_STAR_CELLS_PER_ARC", 1 << 200 if readout == "star" else 0)
+        return csr._read_factors(*args)
+
+
 def test_star_readout_matches_layered_sweeps(monkeypatch):
     # Every (C, R) that a plain or a reduced expansion reads, once more by
-    # each readout directly: the same matrices, values with their types.
+    # each readout: the same matrices, values with their types.
     calls, picked, dtypes = [], [], []
-
-    def recorded(log, entry, real):
-        return lambda *args: log.append(entry(args)) or real(*args)
-
-    monkeypatch.setattr(csr, "_read_factors", recorded(calls, tuple, csr._read_factors))
-    for name in ("_star_factors", "_sweep_factors"):
-        readout = recorded(picked, lambda _, name=name: name, getattr(csr, name))
+    monkeypatch.setattr(csr, "_read_factors", _recorded(calls, tuple, csr._read_factors))
+    for name in ("_star_labels", "_sweep_labels"):
+        readout = _recorded(picked, lambda _, name=name: name, getattr(csr, name))
         monkeypatch.setattr(csr, name, readout)
     for a in _readout_instances():
         expand(a, reduce_by_cyclicity=True)
     monkeypatch.undo()
-    closure = recorded(dtypes, lambda args: args[0].dtype, csr._max_plus_closure)
+    closure = _recorded(dtypes, lambda args: args[0].dtype, csr._max_plus_closure)
     monkeypatch.setattr(csr, "_max_plus_closure", closure)
     reduced = large = 0
     for args in calls:
-        by_star = csr._star_factors(*args)
-        by_sweep = csr._sweep_factors(*args)
+        by_star = _forced("star", args)
+        by_sweep = _forced("sweep", args)
         assert [_typed(m) for m in by_star] == [_typed(m) for m in by_sweep]
         reduced += not isinstance(args[5][0][1], range)  # plain orbits are range(ell)
         large += len(args[2]) >= 64
     assert len(calls) >= 500 and 200 <= reduced <= len(calls) - 200 and large >= 2
     # The gate sent groups both ways during the expansions.
-    assert picked.count("_star_factors") >= 20 and picked.count("_sweep_factors") >= 400
+    assert picked.count("_star_labels") >= 20 and picked.count("_sweep_labels") >= 400
     assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
 
 
@@ -624,11 +627,33 @@ def test_star_readout_guard_edge(monkeypatch, top, dtype):
     monkeypatch.setattr(csr, "_max_plus_closure", spied)
     entries = {(k, (k + 1) % 4): 0 for k in range(4)}
     entries.update({(0, 2): -top, (3, 1): -top, (2, 2): -top})
-    args = (TropicalMatrix(4, 4, entries), DiagonalScaling((0, 1, -1, 0)), (0, 1, 2, 3), 4, 4)
     orbits = [([0, 1, 2, 3], range(4))]
-    by_star = csr._star_factors(*args, orbits)
+    args = (TropicalMatrix(4, 4, entries), DiagonalScaling((0, 1, -1, 0)), (0, 1, 2, 3), 4, 4, orbits)
+    by_star = _forced("star", args)
     assert dtypes == [np.dtype(dtype)]
-    assert [_typed(m) for m in by_star] == [_typed(m) for m in csr._sweep_factors(*args, orbits)]
+    assert [_typed(m) for m in by_star] == [_typed(m) for m in _forced("sweep", args)]
+
+
+@pytest.mark.parametrize("n, seed, ell", [(40, 5, 29), (80, 204, 39)])
+def test_star_readout_gate_weighs_object_cells(monkeypatch, n, seed, ell):
+    # Group 1 of a dense [-5, 5] matrix goes to the int64 star; the same
+    # group times 10^17 (the same ell, V * ell * M past 2^59) would put the
+    # star on object arrays, several times slower than the sweeps there.
+    a = random_matrix(random.Random(seed), n, 1.0)
+    part = partition_nodes(characteristic_roots(a), n)
+    group = visualize_all(a, part).group(1)
+    circuit = part.quasi_critical[0]
+    assert circuit.length == ell and len(group.nodes) == n
+    pos = {v: k for k, v in enumerate(group.nodes)}
+    orbits = [([pos[v] for v in circuit.nodes], range(ell))]
+    picked = []
+    for name in ("_star_labels", "_sweep_labels"):
+        monkeypatch.setattr(csr, name, _recorded(picked, lambda _, name=name: name, getattr(csr, name)))
+    for factor in (1, 10**17):
+        a_vis = TropicalMatrix(n, n, {key: v * factor for key, v in group.matrix.entries.items()})
+        scaling = DiagonalScaling(tuple(v * factor for v in group.scaling.values))
+        csr._read_factors(a_vis, scaling, group.nodes, n, ell, orbits)
+    assert picked == ["_star_labels", "_sweep_labels"]
 
 
 def _power_check_instance(family, rng):
