@@ -8,7 +8,6 @@ from .tropical import (
     TropicalMatrix,
     TropicalScalar,
     as_value,
-    diag_conjugate,
     kleene_star,
     matrix_mul,
     matrix_power,

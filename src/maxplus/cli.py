@@ -6,8 +6,9 @@ Matrix files come in two shapes, both with exact values only (integers or
   dense    first line "n", then n whitespace-separated rows
   sparse   first line "n m", then m lines "i j w" with 1-based indices
 
-Expansions serialize to a JSON document with every number carried as an
-exact decimal string, so a dump/load round trip evaluates identically.
+Expansions serialize to a JSON document with every value carried as an
+exact decimal string and every count or index as a JSON integer, so a
+dump/load round trip evaluates identically.  Digits are ASCII digits.
 
 Exit codes: 0 success (or verified match), 1 verified mismatch, 2 usage,
 parse, or domain errors.
@@ -36,7 +37,8 @@ class MatrixFormatError(ValueError):
     """A matrix or expansion file does not follow the documented grammar."""
 
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+_COUNT_RE = re.compile(r"[0-9]+\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 def parse_value_token(token: str):
@@ -46,7 +48,7 @@ def parse_value_token(token: str):
     if _INT_RE.match(token):
         return int(token)
     num, sep, den = token.partition("/")
-    if sep and _INT_RE.match(num) and den.isdigit() and int(den) > 0:
+    if sep and _INT_RE.match(num) and _COUNT_RE.match(den) and int(den) > 0:
         return as_value(Fraction(int(num), int(den)))
     raise MatrixFormatError(f"bad value token {token!r}")
 
@@ -67,10 +69,30 @@ def parse_matrix(text: str) -> TropicalMatrix:
     raise MatrixFormatError("header must be 'n' (dense) or 'n m' (sparse)")
 
 
-def _parse_count(token: str, what: str) -> int:
-    if not token.isdigit():
-        raise MatrixFormatError(f"{what} must be a nonnegative integer, got {token!r}")
-    return int(token)
+def _parse_count(x, what: str, from_json: bool = False) -> int:
+    """A count or an index: ASCII digits in text, a nonnegative int (not a bool) in JSON."""
+    if type(x) is not (int if from_json else str) or not _COUNT_RE.match(str(x)):
+        raise MatrixFormatError(f"{what} must be a nonnegative integer, got {x!r}")
+    return int(x)
+
+
+def _parse_triples(triples, rows, cols, from_json=False) -> dict:
+    """The entries of 1-based (i, j, w) triples: indices in range, w finite, each cell once."""
+    entries = {}
+    for item in triples:
+        if len(item) != 3:
+            raise MatrixFormatError(f"entry needs 'i j w', got {item!r}")
+        i = _parse_count(item[0], "row index", from_json)
+        j = _parse_count(item[1], "col index", from_json)
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            raise MatrixFormatError(f"index ({i}, {j}) outside {rows}x{cols}")
+        v = parse_value_token(item[2])
+        if v is None:
+            raise MatrixFormatError("entry values must be finite")
+        if (i - 1, j - 1) in entries:
+            raise MatrixFormatError(f"duplicate entry ({i}, {j})")
+        entries[(i - 1, j - 1)] = v
+    return entries
 
 
 def _parse_dense(header, body) -> TropicalMatrix:
@@ -95,22 +117,7 @@ def _parse_sparse(header, body) -> TropicalMatrix:
         raise MatrixFormatError("dimension must be positive")
     if len(body) != m:
         raise MatrixFormatError(f"expected {m} entry lines, found {len(body)}")
-    entries = {}
-    for ln in body:
-        tokens = ln.split()
-        if len(tokens) != 3:
-            raise MatrixFormatError(f"entry line needs 'i j w', got {ln!r}")
-        i = _parse_count(tokens[0], "row index")
-        j = _parse_count(tokens[1], "col index")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise MatrixFormatError(f"index ({i}, {j}) outside 1..{n}")
-        v = parse_value_token(tokens[2])
-        if v is None:
-            raise MatrixFormatError("sparse entries must be finite")
-        if (i - 1, j - 1) in entries:
-            raise MatrixFormatError(f"duplicate entry ({i}, {j})")
-        entries[(i - 1, j - 1)] = v
-    return TropicalMatrix(n, n, entries)
+    return TropicalMatrix(n, n, _parse_triples((ln.split() for ln in body), n, n))
 
 
 def serialize_matrix(a: TropicalMatrix, sparse: bool = False) -> str:
@@ -149,21 +156,20 @@ def _matrix_block(m: TropicalMatrix) -> dict:
     }
 
 
-def _matrix_from_block(block, rows=None, cols=None) -> TropicalMatrix:
-    try:
-        r, c = int(block["rows"]), int(block["cols"])
-        raw = block["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"bad matrix block: {exc}")
-    if (rows is not None and r != rows) or (cols is not None and c != cols):
+def _matrix_from_block(block, rows, cols) -> TropicalMatrix:
+    r = _parse_count(block["rows"], "block rows", True)
+    c = _parse_count(block["cols"], "block cols", True)
+    if r != rows or c != cols:
         raise MatrixFormatError("matrix block dimensions are inconsistent")
-    entries = {}
-    for item in raw:
-        if len(item) != 3:
-            raise MatrixFormatError("matrix block entries must be [i, j, w] triples")
-        i, j, w = item
-        entries[(int(i) - 1, int(j) - 1)] = parse_value_token(str(w))
-    return TropicalMatrix(r, c, entries)
+    return TropicalMatrix(r, c, _parse_triples(block["entries"], r, c, True))
+
+
+def _node_ids(values, n, what) -> tuple:
+    """0-based node ids from a JSON list of 1-based ones."""
+    ids = tuple(_parse_count(v, what, True) - 1 for v in values)
+    if not all(0 <= v < n for v in ids):
+        raise MatrixFormatError(f"{what} outside 1..{n}")
+    return ids
 
 
 def dump_expansion(x: CsrExpansion, input_digest: str | None = None) -> dict:
@@ -202,44 +208,41 @@ def load_expansion(doc: dict) -> CsrExpansion:
     if not isinstance(doc, dict) or doc.get("format") != "maxplus-expansion/1":
         raise MatrixFormatError("not a maxplus-expansion/1 document")
     try:
-        n = int(doc["n"])
-        threshold = int(doc["threshold"])
-        raw_terms = doc["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"bad expansion document: {exc}")
-    terms = []
-    for raw in raw_terms:
-        try:
-            nodes = tuple(int(v) - 1 for v in raw["nodes"])
-            circuit_nodes = tuple(int(v) - 1 for v in raw["circuit"]["nodes"])
-            circuit = CircuitRecord(
-                circuit_nodes, parse_value_token(str(raw["circuit"]["weight"]))
-            )
-            scaling = DiagonalScaling(
-                tuple(parse_value_token(str(v)) for v in raw["scaling"])
-            )
+        n = _parse_count(doc["n"], "n", True)
+        terms = []
+        for raw in doc["terms"]:
+            ell = _parse_count(raw["S"]["rows"], "block rows", True)
             classes = raw.get("classes")
             if classes is not None:
-                classes = tuple(tuple(int(v) - 1 for v in cls) for cls in classes)
-            ell = int(raw["S"]["rows"])
-            term = CsrTerm(
-                rate=parse_value_token(str(raw["rate"])),
-                C=_matrix_from_block(raw["C"], rows=n, cols=ell),
-                S=_matrix_from_block(raw["S"], rows=ell, cols=ell),
-                R=_matrix_from_block(raw["R"], rows=ell, cols=n),
-                circuit=circuit,
-                group=int(raw["group"]),
-                nodes=nodes,
-                scaling=scaling,
-                reduced=bool(raw.get("reduced", False)),
-                classes=classes,
+                classes = tuple(_node_ids(cls, n, "class member") for cls in classes)
+            reduced = raw.get("reduced", False)
+            if type(reduced) is not bool:
+                raise MatrixFormatError(f"reduced must be true or false, got {reduced!r}")
+            scaling = tuple(parse_value_token(v) for v in raw["scaling"])
+            circuit = CircuitRecord(
+                _node_ids(raw["circuit"]["nodes"], n, "circuit node"),
+                parse_value_token(raw["circuit"]["weight"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, MatrixFormatError):
-                raise
-            raise MatrixFormatError(f"bad expansion term: {exc}")
-        terms.append(term)
-    return CsrExpansion(n=n, terms=tuple(terms), threshold=threshold)
+            terms.append(
+                CsrTerm(
+                    rate=parse_value_token(raw["rate"]),
+                    C=_matrix_from_block(raw["C"], n, ell),
+                    S=_matrix_from_block(raw["S"], ell, ell),
+                    R=_matrix_from_block(raw["R"], ell, n),
+                    circuit=circuit,
+                    group=_parse_count(raw["group"], "group", True),
+                    nodes=_node_ids(raw["nodes"], n, "node"),
+                    scaling=DiagonalScaling(scaling),
+                    reduced=reduced,
+                    classes=classes,
+                )
+            )
+        threshold = _parse_count(doc["threshold"], "threshold", True)
+        return CsrExpansion(n=n, terms=tuple(terms), threshold=threshold)
+    except MatrixFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MatrixFormatError(f"bad expansion document: {exc}")
 
 
 def _read_matrix(path: str) -> TropicalMatrix:
@@ -288,19 +291,14 @@ def _cmd_expand(args) -> int:
 
 def _parse_t_range(spec: str):
     lo, sep, hi = spec.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit() or int(lo) > int(hi):
+    if not sep or _parse_count(lo, "t-range start") > _parse_count(hi, "t-range end"):
         raise MatrixFormatError(f"bad t-range {spec!r}, expected 'a..b'")
     return range(int(lo), int(hi) + 1)
 
 
 def _cmd_power(args) -> int:
     a = _read_matrix(args.file)
-    try:
-        t = int(args.t)
-    except ValueError:
-        raise MatrixFormatError(f"bad exponent {args.t!r}")
-    if t < 0:
-        raise MatrixFormatError("exponent must be nonnegative")
+    t = _parse_count(args.t, "exponent")
     mode = "naive" if args.naive else "csr" if args.csr else None
     if mode is None:
         mode = "csr" if t >= 2 * a.rows * a.rows else "naive"

@@ -336,7 +336,7 @@ class CsrExpansion:
         accumulates each rate class and adds its shift t * rate in
         unbounded Python ints.
         """
-        if not isinstance(t, int) or t < 0:
+        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
             raise ValueError("exponent must be a nonnegative integer")
         n = self.n
         if not self.terms:

@@ -32,26 +32,23 @@ from .tropical import (
 class WeightedDigraph:
     """Arc-list digraph with an adjacency index."""
 
-    __slots__ = ("n", "arcs", "_out", "_weight")
+    __slots__ = ("n", "arcs", "_out")
 
     def __init__(self, n, arcs):
         self.n = n
         self.arcs = tuple((u, v, as_value(w)) for u, v, w in arcs)
         self._out = [[] for _ in range(n)]
-        self._weight = {}
+        seen = set()
         for u, v, w in self.arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range")
-            if (u, v) in self._weight:
+            if (u, v) in seen:
                 raise ValueError(f"duplicate arc ({u}, {v})")
+            seen.add((u, v))
             self._out[u].append((v, w))
-            self._weight[(u, v)] = w
 
     def out_arcs(self, u):
         return self._out[u]
-
-    def weight(self, u, v):
-        return self._weight.get((u, v))
 
     @property
     def arc_count(self):
@@ -158,10 +155,6 @@ class CircuitRecord:
     def length(self) -> int:
         return len(self.nodes)
 
-    @property
-    def mean(self):
-        return as_value(Fraction(self.weight, self.length))
-
     def arc_pairs(self):
         ns = self.nodes
         return tuple((ns[k], ns[(k + 1) % len(ns)]) for k in range(len(ns)))
@@ -229,8 +222,6 @@ def karp_max_cycle_mean(g: WeightedDigraph) -> TropicalScalar:
     """
     best = None
     for comp in tarjan_scc(g.n, lambda u: (v for v, _ in g.out_arcs(u))):
-        if len(comp) == 1 and g.weight(comp[0], comp[0]) is None:
-            continue
         lam = _karp_component(g, comp)
         if lam is not None and (best is None or lam > best):
             best = lam
@@ -306,40 +297,42 @@ class CyclicityClasses:
 
 
 def cyclicity_classes(cg: CriticalGraph) -> CyclicityClasses:
+    """The cyclicity classes of a critical graph, by one search per component.
+
+    Precondition: every arc of ``cg`` lies on a circuit of ``cg`` (every
+    critical arc lies on a critical circuit), so no arc leaves its strongly
+    connected component and a search from the smallest unseen node reaches
+    exactly that node's component.
+    """
     if cg.is_empty:
         raise ValueError("empty critical graph has no cyclicity")
-    nodes = sorted(cg.nodes)
-    pos = {v: k for k, v in enumerate(nodes)}
-    succ = [[] for _ in nodes]
+    succ = {v: [] for v in cg.nodes}
     for u, v in cg.arcs:
-        succ[pos[u]].append(pos[v])
-    comps = tarjan_scc(len(nodes), lambda u: succ[u])
+        succ[u].append(v)
+    level = {}
     sigma = 1
     classes = []
     components = []
-    for comp in sorted(comps, key=lambda c: nodes[c[0]]):
-        comp_set = set(comp)
-        root = comp[0]
-        level = {root: 0}
+    for root in sorted(cg.nodes):
+        if root in level:
+            continue
+        level[root] = 0
+        comp = [root]
         queue = [root]
-        arcs_inside = []
+        g = 0
         while queue:
             u = queue.pop()
             for v in succ[u]:
-                if v not in comp_set:
-                    continue
-                arcs_inside.append((u, v))
-                if v not in level:
+                if v in level:
+                    g = math.gcd(g, level[u] + 1 - level[v])
+                else:
                     level[v] = level[u] + 1
+                    comp.append(v)
                     queue.append(v)
-        g = 0
-        for u, v in arcs_inside:
-            g = math.gcd(g, level[u] + 1 - level[v])
-        g = abs(g)
         sigma = math.lcm(sigma, g)
         buckets = {}
         for u in comp:
-            buckets.setdefault(level[u] % g, []).append(nodes[u])
+            buckets.setdefault(level[u] % g, []).append(u)
         components.append(tuple(range(len(classes), len(classes) + g)))
         for _, members in sorted(buckets.items()):
             classes.append(tuple(sorted(members)))

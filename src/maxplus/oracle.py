@@ -18,6 +18,7 @@ from fractions import Fraction
 from .charpoly import MultiCircuit
 from .digraph import CircuitRecord
 from .tropical import (
+    DiagonalScaling,
     DimensionMismatchError,
     PositiveCircuitError,
     TropicalMatrix,
@@ -410,6 +411,31 @@ def _max_weight_labels(graph: ExtendedGraph, source_id: int):
     return labels
 
 
+def submatrix(a: TropicalMatrix, keep) -> TropicalMatrix:
+    """The principal submatrix of ``a`` on the given positions, in increasing order."""
+    pos = {v: k for k, v in enumerate(sorted(keep))}
+    entries = {
+        (pos[i], pos[j]): v for (i, j), v in a.entries.items() if i in pos and j in pos
+    }
+    return TropicalMatrix(len(pos), len(pos), entries)
+
+
+def diag_conjugate(a: TropicalMatrix, d: DiagonalScaling, shift=0) -> TropicalMatrix:
+    """Conjugation with a uniform shift: entry (i, j) becomes -d_i + (a_ij + shift) + d_j.
+
+    The definition of visualization, on the raw rationals: reference for
+    ``maxplus.visualize.visualize_all``, which conjugates inline on scaled
+    ints.  Conjugating by d and then by -d restores the matrix; diagonal
+    entries only pick up the shift.
+    """
+    dv = d.values
+    if a.rows != a.cols or len(dv) != a.rows:
+        raise DimensionMismatchError("scaling length must equal the matrix order")
+    shift = as_value(shift)
+    entries = {(i, j): -dv[i] + (v + shift) + dv[j] for (i, j), v in a.entries.items()}
+    return TropicalMatrix(a.rows, a.cols, entries)
+
+
 def bellman_ford_visualization(a_sub: TropicalMatrix, rate):
     """Single-shot visualization reference, by label-correcting sweeps.
 
@@ -419,8 +445,6 @@ def bellman_ford_visualization(a_sub: TropicalMatrix, rate):
     sweep: no priority queue, no node insertion order.  Returns the
     conjugated matrix and the potential vector.
     """
-    from .tropical import DiagonalScaling, as_value, diag_conjugate
-
     n = a_sub.rows
     rate = as_value(rate)
     shifted = {key: v - rate for key, v in a_sub.entries.items()}

@@ -22,16 +22,15 @@ from .charpoly import Mmcs
 class NodePartition:
     """Groups N_1..N_r with their quasi-critical circuits and growth rates.
 
-    ``groups[s]`` is the sorted node tuple of group s+1; ``k_of[s]`` is the
-    1-based root index that created it; ``growth_rates[s]`` the matching
-    root.  Rates are weakly decreasing.  ``prefix_nodes(s)`` is the union
-    of the first s groups and ``remaining_nodes(s)`` its complement plus
-    group s itself (the node set the s-th expansion term lives on).
+    ``groups[s]`` is the sorted node tuple of group s+1 and
+    ``growth_rates[s]`` the root whose circuit opened it.  Rates are weakly
+    decreasing.  ``prefix_nodes(s)`` is the union of the first s groups and
+    ``remaining_nodes(s)`` its complement plus group s itself (the node set
+    the s-th expansion term lives on).
     """
 
     n: int
     groups: tuple
-    k_of: tuple
     growth_rates: tuple
     quasi_critical: tuple
 
@@ -74,10 +73,10 @@ def partition_nodes(mmcs: Mmcs, n: int) -> NodePartition:
     from n on is the all-bottom matrix, so there is nothing to group.
     """
     if mmcs.p == 0:
-        return NodePartition(n, (), (), (), ())
+        return NodePartition(n, (), (), ())
     groups = []
     creators = []
-    k_of = []
+    rates = []
     covered = set()
     for k in range(1, mmcs.p + 1):
         for circuit in sorted(mmcs.multicircuits[k].circuits, key=lambda c: c.nodes[0]):
@@ -88,13 +87,12 @@ def partition_nodes(mmcs: Mmcs, n: int) -> NodePartition:
             else:
                 groups.append(set(nodes))
                 creators.append(circuit)
-                k_of.append(k)
+                rates.append(mmcs.roots[k - 1])
                 covered |= nodes
     groups[-1] |= set(range(n)) - covered
     return NodePartition(
         n=n,
         groups=tuple(tuple(sorted(g)) for g in groups),
-        k_of=tuple(k_of),
-        growth_rates=tuple(mmcs.roots[k - 1] for k in k_of),
+        growth_rates=tuple(rates),
         quasi_critical=tuple(creators),
     )

@@ -195,16 +195,6 @@ class TropicalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def submatrix(self, keep):
-        """The principal submatrix on the given positions, in increasing order."""
-        pos = {v: k for k, v in enumerate(sorted(keep))}
-        entries = {
-            (pos[i], pos[j]): v
-            for (i, j), v in self.entries.items()
-            if i in pos and j in pos
-        }
-        return TropicalMatrix(len(pos), len(pos), entries)
-
     def __eq__(self, other):
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
@@ -328,7 +318,7 @@ def matrix_power(a: TropicalMatrix, t) -> TropicalMatrix:
     """
     if not a.is_square:
         raise DimensionMismatchError("matrix power needs a square matrix")
-    if not isinstance(t, int) or t < 0:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
         raise ValueError("exponent must be a nonnegative integer")
     if t == 0:
         return TropicalMatrix.identity(a.rows)
@@ -370,25 +360,3 @@ class DiagonalScaling:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_value(v) for v in self.values))
-
-    def __len__(self):
-        return len(self.values)
-
-    def inverse(self) -> "DiagonalScaling":
-        return DiagonalScaling(tuple(-v for v in self.values))
-
-
-def diag_conjugate(a: TropicalMatrix, d: DiagonalScaling, shift=0) -> TropicalMatrix:
-    """Conjugation with a uniform shift: entry (i, j) becomes -d_i + (a_ij + shift) + d_j.
-
-    Conjugating by d and then by its inverse restores the matrix; diagonal
-    entries only pick up the shift.
-    """
-    if a.rows != a.cols or len(d) != a.rows:
-        raise DimensionMismatchError("scaling length must equal the matrix order")
-    shift = as_value(shift)
-    dv = d.values
-    entries = {
-        (i, j): -dv[i] + (v + shift) + dv[j] for (i, j), v in a.entries.items()
-    }
-    return TropicalMatrix(a.rows, a.cols, entries)

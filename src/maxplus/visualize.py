@@ -102,7 +102,6 @@ class GroupVisualization:
     nodes: tuple
     matrix: TropicalMatrix
     scaling: DiagonalScaling
-    processed_order: tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +120,7 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
     ``matrix = diag(-d) ((-rate) A(V_s)) diag(d)`` with every entry <= 0 and
     the quasi-critical circuit's arcs exactly 0.  Nodes inside a group are
     processed in descending index order; the d vectors depend on that order
-    (they are not unique), so it is fixed and recorded.
+    (they are not unique), so it is fixed.
     """
     if a.rows != a.cols or a.rows != part.n:
         raise ValueError("matrix and partition sizes disagree")
@@ -149,8 +148,7 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
     for s in range(part.r, 0, -1):
         rate = srates[s - 1]
         in_arcs = lambda v: ((u, w - rate - d[u] + d[v]) for u, w in in_adj[v])
-        order = tuple(sorted(part.groups[s - 1], reverse=True))
-        for i in order:
+        for i in sorted(part.groups[s - 1], reverse=True):
             nprime.add(i)
             for j, w in row_arcs[i]:
                 if j in nprime:
@@ -197,6 +195,6 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
                     f"quasi-critical arc ({u}, {v}) is not zero after visualization"
                 )
         scaling = DiagonalScaling(tuple(unscaled(d[j], scale) for j in nodes))
-        results.append(GroupVisualization(s, nodes, matrix, scaling, order))
+        results.append(GroupVisualization(s, nodes, matrix, scaling))
     results.reverse()
     return VisualizationResult(tuple(results))

@@ -159,10 +159,10 @@ def test_c04_golden_visualization():
             gv.matrix.get(pos[u], pos[v]) == 0
             for u, v in part.quasi_critical[s - 1].arc_pairs()
         )
-        from maxplus import diag_conjugate
+        from maxplus.oracle import diag_conjugate, submatrix
 
         invariants &= (
-            diag_conjugate(a.submatrix(gv.nodes), gv.scaling, -part.growth_rates[s - 1])
+            diag_conjugate(submatrix(a, gv.nodes), gv.scaling, -part.growth_rates[s - 1])
             == gv.matrix
         )
     assert _report(4, exact and invariants, "d and visualized matrices entrywise exact")

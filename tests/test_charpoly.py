@@ -174,7 +174,7 @@ class TestCharacteristicRoots:
             mm = characteristic_roots(a)
             for k, lam in enumerate(mm.roots):
                 for circuit in mm.multicircuits[k + 1].circuits:
-                    assert circuit.mean >= lam
+                    assert Fraction(circuit.weight, circuit.length) >= lam
 
 
 def _recursion_depth():

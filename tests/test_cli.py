@@ -72,6 +72,11 @@ class TestMatrixFiles:
             "2 2\n1 1 5\n1 1 6\n",  # duplicate entry
             "2 1\n1 1 .\n",  # sparse entries must be finite
             "1 2 3\nx\n",  # bad header
+            "1\n\u0663\n",  # a non-ASCII digit as a value
+            "\u0662\n1 2\n3 4\n",  # ... as the dimension
+            "2 1\n\u0661 1 5\n",  # ... as an index
+            "1\n1/\u00b2\n",  # a superscript denominator
+            "2 1\n1 1_0 5\n",  # int() would take the underscore
         ],
     )
     def test_malformed_rejected(self, text):
@@ -101,6 +106,42 @@ class TestExpansionDocument:
             load_expansion({"format": "something-else"})
         doc = dump_expansion(expand(demo_matrix()))
         doc["terms"][0]["C"]["rows"] = 4  # inconsistent block dimension
+        with pytest.raises(MatrixFormatError):
+            load_expansion(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (("n",), 10.9),
+            (("n",), "10"),
+            (("threshold",), "200"),
+            (("threshold",), True),
+            (("terms", 0, "group"), 1.0),
+            (("terms", 0, "nodes", 0), "1"),
+            (("terms", 0, "circuit", "nodes", 0), 0),
+            (("terms", 0, "classes", 0, 0), 11),
+            (("terms", 0, "C", "rows"), 10.0),
+            (("terms", 0, "C", "entries", 0, 0), True),
+            (("terms", 0, "C", "entries", 0, 0), 1.9),
+            (("terms", 0, "C", "entries", 0, 1), 3),
+            (("terms", 0, "C", "entries", 1), [1, 1, "999"]),
+            (("terms", 0, "C", "entries", 0, 2), "."),
+            (("terms", 0, "C", "entries", 0, 2), 0),
+            (("terms", 0, "reduced"), "false"),
+            (("terms", 0, "reduced"), 1),
+        ],
+    )
+    def test_document_grammar_is_strict(self, field, value):
+        # Counts and indices are JSON integers (not bools), values are
+        # strings, each cell of a block appears once and in range, and
+        # reduced is a JSON boolean; anything else is a format error.
+        doc = dump_expansion(expand(demo_matrix(), reduce_by_cyclicity=True))
+        load_expansion(json.loads(json.dumps(doc)))  # the untouched document loads
+        *path, last = field
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
         with pytest.raises(MatrixFormatError):
             load_expansion(doc)
 
@@ -238,6 +279,26 @@ class TestCommands:
 
     def test_bad_t_range_exits_2(self, capsys):
         assert run_command(["verify", DEMO_DENSE, "--t-range", "5"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power", ONE, "\u0663"],
+            ["power", ONE, "1_0"],
+            ["power", ONE, "-3"],
+            ["verify", DEMO_DENSE, "--t-range", "\u0661..\u0662"],
+            ["verify", DEMO_DENSE, "--t-range", "3..2"],
+        ],
+    )
+    def test_bad_counts_are_bad_input(self, argv, capsys):
+        assert run_command(argv) == 2
+        assert "bad input" in capsys.readouterr().err
+
+    def test_superscript_denominator_is_bad_input(self, tmp_path, capsys):
+        f = tmp_path / "bad.mpx"
+        f.write_text("1\n1/\u00b2\n", encoding="utf-8")
+        assert run_command(["roots", str(f)]) == 2
+        assert "bad input" in capsys.readouterr().err
 
     def test_acyclic_expand_mentions_empty(self, tmp_path, capsys):
         f = tmp_path / "acyclic.mpx"

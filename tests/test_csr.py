@@ -436,6 +436,14 @@ def test_term_rates_weakly_decreasing_enforced():
         CsrExpansion(n=10, terms=(x.terms[2], x.terms[0]), threshold=200)
 
 
+def test_evaluate_rejects_negative_and_bool_exponents():
+    # matrix_power rejects the same exponents with the same error.
+    x = expand(demo_matrix())
+    for t in (-1, True, False):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            x.evaluate(t)
+
+
 def _term_sum(x, t):
     """The sum over terms of t*rate + C S^t R, by plain matrix products."""
     out = {}

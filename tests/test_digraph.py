@@ -9,6 +9,7 @@ from maxplus import (
     PositiveCircuitError,
     TropicalMatrix,
     TropicalScalar,
+    as_value,
     build_graph,
     characteristic_roots,
     critical_graph,
@@ -61,7 +62,10 @@ class TestKarp:
         # The table runs on scaled ints; the mean comes back with the type
         # as_value gives it (int when integral, else Fraction).
         for a in _karp_instances():
-            want = max((c.mean for c in elementary_circuits(a)), default=None)
+            want = max(
+                (as_value(Fraction(c.weight, c.length)) for c in elementary_circuits(a)),
+                default=None,
+            )
             got = karp_max_cycle_mean(build_graph(a))
             if want is None:
                 assert got.is_epsilon
@@ -138,7 +142,12 @@ class TestCriticalGraph:
                 cg = critical_graph(g, rate)
                 assert bool(cg.nodes) == nonempty
                 # every critical arc lies on a circuit of mean exactly rate
-                tight = {arc for c in circuits if c.mean == rate for arc in c.arc_pairs()}
+                tight = {
+                    arc
+                    for c in circuits
+                    if Fraction(c.weight, c.length) == rate
+                    for arc in c.arc_pairs()
+                }
                 assert cg.arcs == tight
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
@@ -260,11 +269,48 @@ class TestCyclicityClasses:
             cyc = cyclicity_classes(cg)
             class_of = _class_of(cyc)
             for circuit in elementary_circuits(a):
-                if circuit.mean != lam:
+                if Fraction(circuit.weight, circuit.length) != lam:
                     continue
                 visited = {class_of[v] for v in circuit.nodes}
                 assert circuit.length % len(visited) == 0
                 assert cyc.sigma % len(visited) == 0
+
+    def test_class_counts_equal_gcd_of_critical_circuit_lengths(self):
+        # Brute force, independent of any search order: the critical
+        # circuits, joined when they share a node, make up the components;
+        # each component has as many classes as the gcd of its circuits'
+        # lengths, and sigma is the lcm of those gcds.
+        rng = random.Random(29)
+        several = 0
+        for k in range(90):
+            n = rng.randint(1, 8)
+            if k % 3 == 0:
+                a = random_irreducible_matrix(rng, n, 0.4)
+            else:  # entries in {0, -1} tie many circuits
+                low, high = (-1, 0) if k % 3 == 1 else (-2, 2)
+                a = random_matrix(rng, n, rng.choice([0.3, 0.5]), low, high)
+            g = build_graph(a)
+            lam = karp_max_cycle_mean(g)
+            if lam.is_epsilon:
+                continue
+            cyc = cyclicity_classes(critical_graph(g, lam.value))
+            comps = []  # [node set, gcd of circuit lengths]
+            for c in elementary_circuits(a):
+                if Fraction(c.weight, c.length) != lam.value:
+                    continue
+                joined = [comp for comp in comps if comp[0] & set(c.nodes)]
+                nodes = set(c.nodes).union(*(comp[0] for comp in joined))
+                length = math.gcd(c.length, *(comp[1] for comp in joined))
+                comps = [comp for comp in comps if comp not in joined] + [[nodes, length]]
+            want = {frozenset(nodes): length for nodes, length in comps}
+            got = {
+                frozenset(v for c in comp for v in cyc.classes[c]): len(comp)
+                for comp in cyc.components
+            }
+            assert got == want
+            assert cyc.sigma == math.lcm(*want.values())
+            several += len(want) > 1
+        assert several > 0
 
     def test_components_list_classes_in_step_order(self):
         # One critical step moves each class to the next id of its
@@ -350,7 +396,7 @@ def test_circuit_record_canonical_rotation():
     assert c.nodes == (0, 1, 2)
     assert c.weight == 6
     assert c.length == 3
-    assert c.mean == 2
+    assert Fraction(c.weight, c.length) == 2
     assert str(c) == "(1,2,3,1)"
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from maxplus import (
     TropicalScalar,
@@ -7,7 +8,7 @@ from maxplus import (
     karp_max_cycle_mean,
     partition_nodes,
 )
-from maxplus.oracle import random_matrix
+from maxplus.oracle import random_matrix, submatrix
 from fixtures import (
     DEMO_GROUPS,
     DEMO_QUASI_CIRCUITS,
@@ -23,7 +24,7 @@ def test_demo_groups():
     assert part.groups == DEMO_GROUPS
     assert part.growth_rates == DEMO_RATES
     assert tuple(c.nodes for c in part.quasi_critical) == DEMO_QUASI_CIRCUITS
-    assert part.k_of == (1, 3, 5)
+    assert part.growth_rates == (mm.roots[0], mm.roots[2], mm.roots[4])
 
 
 def test_demo_prefix_and_remaining_sets():
@@ -57,7 +58,8 @@ def test_quasi_critical_mean_equals_growth_rate():
         a = random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]))
         part = partition_nodes(characteristic_roots(a), n)
         for s in range(1, part.r + 1):
-            assert part.quasi_critical[s - 1].mean == part.growth_rates[s - 1]
+            circuit = part.quasi_critical[s - 1]
+            assert Fraction(circuit.weight, circuit.length) == part.growth_rates[s - 1]
 
 
 def test_remaining_subgraph_max_mean_equals_growth_rate():
@@ -67,7 +69,7 @@ def test_remaining_subgraph_max_mean_equals_growth_rate():
         a = random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]))
         part = partition_nodes(characteristic_roots(a), n)
         for s in range(1, part.r + 1):
-            sub = a.submatrix(part.remaining_nodes(s))
+            sub = submatrix(a, part.remaining_nodes(s))
             lam = karp_max_cycle_mean(build_graph(sub))
             assert lam == TropicalScalar(part.growth_rates[s - 1])
 
