@@ -95,34 +95,35 @@ class Mmcs:
 
     ``multicircuits[k]`` attains chi on the whole closed interval between
     root k+1 and root k (the 0th entry is the empty multi-circuit, optimal
-    above the largest root).  The multiplicity of root k is the jump in
-    attaining length, and the lengths increase strictly along the sequence.
+    above the largest root).  The lengths increase strictly along the
+    sequence, and the multiplicity of root k is the jump in attaining
+    length.
     """
 
     roots: tuple
-    multiplicities: tuple
     epsilon_multiplicity: int
     multicircuits: tuple
 
     def __post_init__(self):
         p = len(self.roots)
-        if len(self.multiplicities) != p or len(self.multicircuits) != p + 1:
+        if len(self.multicircuits) != p + 1:
             raise ValueError("inconsistent MMCS arity")
         if any(self.roots[k] <= self.roots[k + 1] for k in range(p - 1)):
             raise ValueError("roots must be strictly decreasing")
         if self.multicircuits[0].total_length != 0:
             raise ValueError("the 0th multi-circuit must be empty")
-        for k in range(p):
-            jump = (
-                self.multicircuits[k + 1].total_length
-                - self.multicircuits[k].total_length
-            )
-            if jump != self.multiplicities[k] or jump <= 0:
-                raise ValueError("multiplicities must equal the length jumps")
+        if any(jump <= 0 for jump in self.multiplicities):
+            raise ValueError("multi-circuit lengths must increase strictly")
 
     @property
     def p(self) -> int:
         return len(self.roots)
+
+    @property
+    def multiplicities(self) -> tuple:
+        """The multiplicity of each root: the jump in multi-circuit length across it."""
+        lengths = [mc.total_length for mc in self.multicircuits]
+        return tuple(lengths[k + 1] - lengths[k] for k in range(self.p))
 
 
 def _scaled_entries(a, lam, n):
@@ -276,7 +277,7 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
         raise DimensionMismatchError("roots are defined for square matrices")
     n = a.rows
     if not a.entries:
-        return Mmcs((), (), n, (MultiCircuit.empty(),))
+        return Mmcs((), n, (MultiCircuit.empty(),))
     values = list(a.entries.values())
     lo = as_value(min(0, n * min(values)) - max(0, n * max(values)) - 1)
     hi = as_value(max(values) + 1)
@@ -290,13 +291,11 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
     found = _search_breakpoints(a, n, lo, e_lo, hi, e_hi)
     roots = tuple(sorted(found, reverse=True))
     multicircuits = [MultiCircuit.empty()]
-    multiplicities = []
-    for k, lam in enumerate(roots):
+    for lam in roots:
         ev = found[lam]
         if ev.min_length != multicircuits[-1].total_length:
             raise AssertionError("adjacent root intervals disagree on lengths")
-        multiplicities.append(ev.max_length - ev.min_length)
         multicircuits.append(ev.witness_max)
     eps_mult = n - multicircuits[-1].total_length
-    return Mmcs(roots, tuple(multiplicities), eps_mult, tuple(multicircuits))
+    return Mmcs(roots, eps_mult, tuple(multicircuits))
 

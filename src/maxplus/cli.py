@@ -8,7 +8,8 @@ Matrix files come in two shapes, both with exact values only (integers or
 
 Expansions serialize to a JSON document with every value carried as an
 exact decimal string and every count or index as a JSON integer, so a
-dump/load round trip evaluates identically.  Digits are ASCII digits.
+dump/load round trip evaluates identically.  Digits are ASCII digits, and
+``run_command`` reads and writes values of any length.
 
 Exit codes: 0 success (or verified match), 1 verified mismatch, 2 usage,
 parse, or domain errors.
@@ -41,15 +42,23 @@ _COUNT_RE = re.compile(r"[0-9]+\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
+def _int(digits: str) -> int:
+    """int(digits), with the interpreter's limit on decimal digits as a format error."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise MatrixFormatError(str(exc)) from None
+
+
 def parse_value_token(token: str):
     """One value token: integer, "p/q", or the bottom element ("." / "-inf")."""
     if token in (".", "-inf"):
         return None
     if _INT_RE.match(token):
-        return int(token)
+        return _int(token)
     num, sep, den = token.partition("/")
-    if sep and _INT_RE.match(num) and _COUNT_RE.match(den) and int(den) > 0:
-        return as_value(Fraction(int(num), int(den)))
+    if sep and _INT_RE.match(num) and _COUNT_RE.match(den) and _int(den) > 0:
+        return as_value(Fraction(_int(num), _int(den)))
     raise MatrixFormatError(f"bad value token {token!r}")
 
 
@@ -73,7 +82,7 @@ def _parse_count(x, what: str, from_json: bool = False) -> int:
     """A count or an index: ASCII digits in text, a nonnegative int (not a bool) in JSON."""
     if type(x) is not (int if from_json else str) or not _COUNT_RE.match(str(x)):
         raise MatrixFormatError(f"{what} must be a nonnegative integer, got {x!r}")
-    return int(x)
+    return _int(x)
 
 
 def _parse_triples(triples, rows, cols, from_json=False) -> dict:
@@ -120,12 +129,7 @@ def _parse_sparse(header, body) -> TropicalMatrix:
     return TropicalMatrix(n, n, _parse_triples((ln.split() for ln in body), n, n))
 
 
-def serialize_matrix(a: TropicalMatrix, sparse: bool = False) -> str:
-    if sparse:
-        lines = [f"{a.rows} {a.finite_count}"]
-        for (i, j), v in sorted(a.entries.items()):
-            lines.append(f"{i + 1} {j + 1} {format_value(v)}")
-        return "\n".join(lines) + "\n"
+def serialize_matrix(a: TropicalMatrix) -> str:
     lines = [str(a.rows)]
     grid = a.to_rows()
     for row in grid:
@@ -218,6 +222,8 @@ def load_expansion(doc: dict) -> CsrExpansion:
             reduced = raw.get("reduced", False)
             if type(reduced) is not bool:
                 raise MatrixFormatError(f"reduced must be true or false, got {reduced!r}")
+            if reduced != (classes is not None):
+                raise MatrixFormatError("reduced must be true exactly when classes are given")
             scaling = tuple(parse_value_token(v) for v in raw["scaling"])
             circuit = CircuitRecord(
                 _node_ids(raw["circuit"]["nodes"], n, "circuit node"),
@@ -233,12 +239,12 @@ def load_expansion(doc: dict) -> CsrExpansion:
                     group=_parse_count(raw["group"], "group", True),
                     nodes=_node_ids(raw["nodes"], n, "node"),
                     scaling=DiagonalScaling(scaling),
-                    reduced=reduced,
                     classes=classes,
                 )
             )
-        threshold = _parse_count(doc["threshold"], "threshold", True)
-        return CsrExpansion(n=n, terms=tuple(terms), threshold=threshold)
+        if _parse_count(doc["threshold"], "threshold", True) != 2 * n * n:
+            raise MatrixFormatError(f"threshold must be 2 n^2 = {2 * n * n}")
+        return CsrExpansion(n=n, terms=tuple(terms))
     except MatrixFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -408,13 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    Values of any length cross the file formats: the interpreter's limit on
+    decimal digits, where it has one, is lifted for the run and restored.
+    """
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # from argparse: --help, --version or a usage error
+        return 0 if exc.code in (0, None) else 2
     except OSError as exc:
         print(f"maxplus: cannot read input: {exc}", file=sys.stderr)
         return 2
@@ -424,6 +436,9 @@ def run_command(argv) -> int:
     except ValueError as exc:
         print(f"maxplus: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 def main() -> None:

@@ -5,7 +5,9 @@ holds the best path weights leaving the group circuit with length divisible
 by the circuit length, C the mirror image arriving at it, and S is the
 circuit's cyclic permutation, so S^t reduces to an index rotation.  Summed
 over groups, the terms reproduce the t-th power of the matrix exactly for
-every t >= 2 n^2, no matter how large t is.
+every t >= 2 n^2, no matter how large t is.  A reduced term (``reduce_term``)
+indexes C and R by the cyclicity classes of the group's critical graph
+instead, and S is the class permutation.
 
 The weight queries "best path with length k mod ell" have two answers,
 one readout (``_read_factors``) picking between them by a cost estimate.
@@ -36,7 +38,7 @@ import numpy as np
 
 from .charpoly import characteristic_roots
 from .digraph import CircuitRecord, build_graph, critical_graph, cyclicity_classes
-from .partition import partition_nodes
+from .partition import NodePartition, partition_nodes
 from .tropical import (
     DiagonalScaling,
     DimensionMismatchError,
@@ -50,7 +52,12 @@ from .tropical import (
     scaled_int,
     unscaled,
 )
-from .visualize import InvariantViolationError, _layered_max_weights, visualize_all
+from .visualize import (
+    GroupVisualization,
+    InvariantViolationError,
+    _layered_max_weights,
+    visualize_all,
+)
 
 
 # The star readout pays off when the two layered sweeps (ell * m arc
@@ -242,13 +249,16 @@ class CsrTerm:
     group: int
     nodes: tuple
     scaling: DiagonalScaling
-    reduced: bool = False
     classes: tuple | None = None
 
     def __post_init__(self):
         _successor_of(self.S)  # validates the permutation structure
         if self.C.cols != self.S.rows or self.S.cols != self.R.rows:
             raise DimensionMismatchError("factor dimensions are inconsistent")
+
+    @property
+    def reduced(self) -> bool:
+        return self.classes is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,7 +273,6 @@ class CsrExpansion:
 
     n: int
     terms: tuple
-    threshold: int
     source: TropicalMatrix | None = None
     # (scale, use_numpy, rate classes): everything evaluate reads, built
     # once per instance; see ``_prepare``.
@@ -276,6 +285,10 @@ class CsrExpansion:
         if len(self.terms) > self.n:
             raise ValueError("more terms than matrix order")
         object.__setattr__(self, "_prepared", self._prepare())
+
+    @property
+    def threshold(self) -> int:
+        return 2 * self.n * self.n
 
     def _prepare(self):
         """The t-independent part of evaluate, in one scaled-integer domain.
@@ -344,7 +357,7 @@ class CsrExpansion:
             # so the power is all-bottom from n on.
             if t < n and self.source is not None:
                 return matrix_power(self.source, t)
-            return TropicalMatrix.epsilon(n, n)
+            return TropicalMatrix.epsilon(n)
         scale, use_numpy, classes = self._prepared
         accumulate = self._accumulate_numpy if use_numpy else self._accumulate_python
         acc = {}
@@ -387,9 +400,9 @@ def expand(a: TropicalMatrix, reduce_by_cyclicity: bool = False) -> CsrExpansion
     Produces at most one term per partition group (so at most n), with
     weakly decreasing growth rates and validity threshold 2 n^2.  An acyclic
     matrix yields the empty expansion.  With ``reduce_by_cyclicity`` every
-    term is post-processed onto the cyclicity classes of its critical
-    graph, which can shrink the factors; the default is the plain
-    quasi-critical-circuit form.
+    term is built over the cyclicity classes of its group's critical graph
+    (``reduce_term``), which can shrink the factors; the default is the
+    plain quasi-critical-circuit form.
     """
     if not a.is_square:
         raise DimensionMismatchError("expansion needs a square matrix")
@@ -400,6 +413,9 @@ def expand(a: TropicalMatrix, reduce_by_cyclicity: bool = False) -> CsrExpansion
     terms = []
     for s in range(1, part.r + 1):
         gv = vis.group(s)
+        if reduce_by_cyclicity:
+            terms.append(reduce_term(part, gv))
+            continue
         circuit = part.quasi_critical[s - 1]
         c, r = compute_cr_pair(gv.matrix, gv.scaling, circuit, gv.nodes, n)
         term = CsrTerm(
@@ -412,45 +428,38 @@ def expand(a: TropicalMatrix, reduce_by_cyclicity: bool = False) -> CsrExpansion
             nodes=gv.nodes,
             scaling=gv.scaling,
         )
-        if reduce_by_cyclicity:
-            term = reduce_term(term, gv.matrix)
         terms.append(term)
-    return CsrExpansion(n=n, terms=tuple(terms), threshold=2 * n * n, source=a)
+    return CsrExpansion(n=n, terms=tuple(terms), source=a)
 
 
-def reduce_term(term: CsrTerm, a_vis: TropicalMatrix) -> CsrTerm:
-    """Rebuild one term over the cyclicity classes of its critical graph.
+def reduce_term(part: NodePartition, gv: GroupVisualization) -> CsrTerm:
+    """The term of group ``gv.group`` over the cyclicity classes of its critical graph.
 
-    The visualized submatrix has maximum cycle mean 0; its critical graph
-    may extend beyond the quasi-critical circuit.  Grouping critical nodes
-    into cyclicity classes gives factors indexed by classes, with the class
-    permutation as the S factor: R has, per class, the best weights of
-    paths leaving any class member with length divisible by the cyclicity
-    sigma (class members are interchangeable: they are linked by zero-weight
-    critical paths of fitting length).  Each critical component is one
-    orbit of ``_read_factors`` with sigma layers: its period divides sigma,
-    so layer r of the component's root reads the class r critical steps on.
-    The sum of the reduced terms equals the sum of the plain terms for every
-    t >= threshold.
+    The visualized group matrix has maximum cycle mean 0; its critical graph
+    may extend beyond the quasi-critical circuit.  The reduced term has one
+    factor index per cyclicity class, with the class permutation as S: R
+    has, per class, the best weights of paths leaving any class member with
+    length divisible by the cyclicity sigma (class members are
+    interchangeable: they are linked by zero-weight critical paths of
+    fitting length), and C mirrors it.  Each critical component is one orbit
+    of ``_read_factors`` with sigma layers: its period divides sigma, so
+    layer r of the component's root reads the class r critical steps on.
+    The reduced terms sum to the plain terms for every t >= 2 n^2.  Rate
+    and circuit come from ``part``, everything else from ``gv``.
     """
-    if term.reduced:
-        return term
-    if a_vis.rows != len(term.nodes):
-        raise ValueError("visualized submatrix does not match the term's group")
-    cyc = cyclicity_classes(critical_graph(build_graph(a_vis), 0))
+    cyc = cyclicity_classes(critical_graph(build_graph(gv.matrix), 0))
     orbits = [([cyc.classes[k][0] for k in ids], ids) for ids in cyc.components]
-    c, r = _read_factors(a_vis, term.scaling, term.nodes, term.C.rows, cyc.sigma, orbits)
+    c, r = _read_factors(gv.matrix, gv.scaling, gv.nodes, part.n, cyc.sigma, orbits)
     count = len(cyc.classes)
     shift = {(ids[k - 1], ids[k]): 0 for ids in cyc.components for k in range(len(ids))}
     return CsrTerm(
-        rate=term.rate,
+        rate=part.growth_rates[gv.group - 1],
         C=c,
         S=TropicalMatrix(count, count, shift),
         R=r,
-        circuit=term.circuit,
-        group=term.group,
-        nodes=term.nodes,
-        scaling=term.scaling,
-        reduced=True,
-        classes=tuple(tuple(term.nodes[m] for m in members) for members in cyc.classes),
+        circuit=part.quasi_critical[gv.group - 1],
+        group=gv.group,
+        nodes=gv.nodes,
+        scaling=gv.scaling,
+        classes=tuple(tuple(gv.nodes[m] for m in members) for members in cyc.classes),
     )

@@ -50,13 +50,6 @@ class WeightedDigraph:
     def out_arcs(self, u):
         return self._out[u]
 
-    @property
-    def arc_count(self):
-        return len(self.arcs)
-
-    def __repr__(self):
-        return f"WeightedDigraph(n={self.n}, m={self.arc_count})"
-
 
 def build_graph(a: TropicalMatrix) -> WeightedDigraph:
     """The digraph of a square matrix: one arc per finite entry."""
@@ -230,15 +223,10 @@ def karp_max_cycle_mean(g: WeightedDigraph) -> TropicalScalar:
 
 @dataclass(frozen=True, slots=True)
 class CriticalGraph:
-    """Nodes and arcs lying on circuits whose mean equals the given rate."""
+    """Nodes and arcs on circuits whose mean is the rate given to ``critical_graph``."""
 
     nodes: frozenset
     arcs: frozenset
-    rate: object
-
-    @property
-    def is_empty(self):
-        return not self.nodes
 
 
 def critical_graph(g: WeightedDigraph, rate) -> CriticalGraph:
@@ -274,7 +262,7 @@ def critical_graph(g: WeightedDigraph, rate) -> CriticalGraph:
     comp = {v: k for k, members in enumerate(tarjan_scc(g.n, succ.__getitem__)) for v in members}
     critical = frozenset((u, v) for u, v in tight if comp[u] == comp[v])
     nodes = frozenset(u for u, _ in critical) | frozenset(v for _, v in critical)
-    return CriticalGraph(nodes, critical, rate)
+    return CriticalGraph(nodes, critical)
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,7 +292,7 @@ def cyclicity_classes(cg: CriticalGraph) -> CyclicityClasses:
     connected component and a search from the smallest unseen node reaches
     exactly that node's component.
     """
-    if cg.is_empty:
+    if not cg.nodes:
         raise ValueError("empty critical graph has no cyclicity")
     succ = {v: [] for v in cg.nodes}
     for u, v in cg.arcs:

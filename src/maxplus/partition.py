@@ -24,9 +24,8 @@ class NodePartition:
 
     ``groups[s]`` is the sorted node tuple of group s+1 and
     ``growth_rates[s]`` the root whose circuit opened it.  Rates are weakly
-    decreasing.  ``prefix_nodes(s)`` is the union of the first s groups and
-    ``remaining_nodes(s)`` its complement plus group s itself (the node set
-    the s-th expansion term lives on).
+    decreasing.  The s-th expansion term lives on group s and the groups
+    after it.
     """
 
     n: int
@@ -49,18 +48,6 @@ class NodePartition:
     @property
     def r(self) -> int:
         return len(self.groups)
-
-    def prefix_nodes(self, s: int) -> frozenset:
-        """Union of groups 1..s (1-based)."""
-        out = set()
-        for grp in self.groups[:s]:
-            out |= set(grp)
-        return frozenset(out)
-
-    def remaining_nodes(self, s: int) -> tuple:
-        """Sorted nodes not in any group before s (1-based): group s and later."""
-        before = self.prefix_nodes(s - 1)
-        return tuple(v for v in range(self.n) if v not in before)
 
 
 def partition_nodes(mmcs: Mmcs, n: int) -> NodePartition:

@@ -173,9 +173,9 @@ class TropicalMatrix:
         return cls(n, n, {(i, i): 0 for i in range(n)})
 
     @classmethod
-    def epsilon(cls, rows, cols=None):
-        """The all-bottom matrix (the additive identity)."""
-        return cls(rows, rows if cols is None else cols, {})
+    def epsilon(cls, n):
+        """The all-bottom n x n matrix (the additive identity)."""
+        return cls(n, n, {})
 
     def get(self, i, j):
         """Raw entry: a finite value, or None for the bottom element."""

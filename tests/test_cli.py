@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,9 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 DEMO_DENSE = str(FIXTURES / "demo10-dense.mpx")
 DEMO_SPARSE = str(FIXTURES / "demo10-sparse.mpx")
 ONE = str(FIXTURES / "one.mpx")
+# 10^5000, past the 4,300 decimal digits that int() and str() take by default.
+HUGE_DIGITS = "1" + "0" * 5000
+HUGE_TEXT = f"1\n{HUGE_DIGITS}\n"
 
 
 class TestValueTokens:
@@ -53,9 +57,9 @@ class TestMatrixFiles:
         rng = random.Random(127)
         for _ in range(10):
             a = random_matrix(rng, rng.randint(1, 6), 0.5)
-            text = serialize_matrix(a, sparse=True)
-            assert parse_matrix(text) == a
-            assert serialize_matrix(parse_matrix(text), sparse=True) == text
+            lines = [f"{a.rows} {a.finite_count}"]
+            lines += [f"{i + 1} {j + 1} {v}" for (i, j), v in sorted(a.entries.items())]
+            assert parse_matrix("\n".join(lines) + "\n") == a
 
     def test_canonical_dense_is_stable(self):
         a = demo_matrix()
@@ -82,6 +86,24 @@ class TestMatrixFiles:
     def test_malformed_rejected(self, text):
         with pytest.raises(MatrixFormatError):
             parse_matrix(text)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on decimal digits"
+    )
+    def test_values_past_the_digit_limit_are_bad_input(self):
+        # Called directly, under the interpreter's default limit, the readers
+        # report a too-long value as a format error (run_command lifts it).
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(MatrixFormatError):
+                parse_matrix(HUGE_TEXT)
+            with pytest.raises(MatrixFormatError):
+                parse_value_token("1/" + HUGE_DIGITS)
+            with pytest.raises(MatrixFormatError):
+                cli._parse_count(HUGE_DIGITS, "exponent")
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestExpansionDocument:
@@ -145,6 +167,29 @@ class TestExpansionDocument:
         with pytest.raises(MatrixFormatError):
             load_expansion(doc)
 
+    @pytest.mark.parametrize("threshold", [3, 199, 201])
+    def test_threshold_other_than_2n2_rejected(self, threshold):
+        # evaluate(t) is the t-th power from 2 n^2 on, whatever a document says.
+        doc = dump_expansion(expand(demo_matrix()))
+        doc["threshold"] = threshold
+        with pytest.raises(MatrixFormatError, match="threshold"):
+            load_expansion(doc)
+
+    @pytest.mark.parametrize(
+        "reduce, change",
+        [
+            (False, lambda term: term.update(reduced=True)),
+            (True, lambda term: term.update(reduced=False)),
+            (True, lambda term: term.pop("reduced")),
+        ],
+        ids=["reduced-without-classes", "classes-not-reduced", "classes-reduced-missing"],
+    )
+    def test_reduced_must_agree_with_classes(self, reduce, change):
+        doc = dump_expansion(expand(demo_matrix(), reduce_by_cyclicity=reduce))
+        change(doc["terms"][0])
+        with pytest.raises(MatrixFormatError, match="reduced"):
+            load_expansion(doc)
+
     def test_acyclic_document_loses_the_naive_fallback(self):
         # A loaded empty expansion has no source matrix: every power from
         # the order upward is all-bottom either way, and below the order it
@@ -204,7 +249,7 @@ class TestCommands:
 
             x = real_expand(a, **kwargs)
             bumped = replace(x.terms[0], rate=x.terms[0].rate + 1)
-            return cli.CsrExpansion(n=x.n, terms=(bumped,) + x.terms[1:], threshold=x.threshold)
+            return cli.CsrExpansion(n=x.n, terms=(bumped,) + x.terms[1:])
 
         monkeypatch.setattr(cli, "expand", corrupted)
         assert run_command(["verify", DEMO_DENSE, "--t-range", "200..203", "--seed", "9"]) == 1
@@ -299,6 +344,27 @@ class TestCommands:
         f.write_text("1\n1/\u00b2\n", encoding="utf-8")
         assert run_command(["roots", str(f)]) == 2
         assert "bad input" in capsys.readouterr().err
+
+    def test_values_of_any_length(self, tmp_path, capsys):
+        # A 1x1 matrix with the entry 10^5000: its root, and its cube
+        # 3 * 10^5000, cross both file formats exactly; the interpreter's
+        # digit limit is back in force afterwards.
+        f = tmp_path / "huge.mpx"
+        f.write_text(HUGE_TEXT)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert run_command(["roots", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            f"{HUGE_DIGITS} (x1)\n"
+            "mmcs:\n"
+            "  M_0 = {}  (length 0, weight 0)\n"
+            f"  M_1 = {{(1,1)}}  (length 1, weight {HUGE_DIGITS})\n"
+        )
+        assert run_command(["power", str(f), "3"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("1\n3" + HUGE_DIGITS[1:] + "\n", "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_acyclic_expand_mentions_empty(self, tmp_path, capsys):
         f = tmp_path / "acyclic.mpx"

@@ -228,7 +228,8 @@ def _tie_heavy_instances():
     for _ in range(40):
         n = rng.randint(3, 9)
         a = random_matrix(rng, n, rng.choice([0.3, 0.5, 0.8]), -1, 0)
-        yield a, visualize_all(a, partition_nodes(characteristic_roots(a), n))
+        part = partition_nodes(characteristic_roots(a), n)
+        yield a, part, visualize_all(a, part)
 
 
 def test_r_rows_match_mod_length_closure():
@@ -242,7 +243,7 @@ def test_r_rows_match_mod_length_closure():
     for term in expand(a).terms:
         _assert_factors_match_closure(term, vis.group(term.group))
     mixed_periods = 0
-    for a, vis in _tie_heavy_instances():
+    for a, _, vis in _tie_heavy_instances():
         for term in expand(a, reduce_by_cyclicity=True).terms:
             _assert_factors_match_closure(term, vis.group(term.group))
             mixed_periods += len({len(c) for c in _cycles(term.S)}) > 1
@@ -261,10 +262,10 @@ def test_reduced_term_sweeps_once_per_cycle_of_s(monkeypatch):
 
     monkeypatch.setattr(csr, "_layered_max_weights", counted)
     several = 0
-    for a, vis in _tie_heavy_instances():
-        for term in expand(a).terms:
+    for _, part, vis in _tie_heavy_instances():
+        for gv in vis.groups:
             calls.clear()
-            reduced = reduce_term(term, vis.group(term.group).matrix)
+            reduced = reduce_term(part, gv)
             cycles = len(_cycles(reduced.S))
             assert len(calls) == 2 * cycles
             several += cycles > 1
@@ -288,7 +289,7 @@ def test_reduced_expand_runs_no_closure(monkeypatch):
     for module in (tropical, digraph, csr):
         if hasattr(module, "_max_plus_closure"):
             monkeypatch.setattr(module, "_max_plus_closure", counted(module._max_plus_closure))
-    instances = [demo_matrix()] + [a for a, _ in _tie_heavy_instances()]
+    instances = [demo_matrix()] + [a for a, _, _ in _tie_heavy_instances()]
     for a in instances:
         x = expand(a, reduce_by_cyclicity=True)
         assert x.terms and all(term.reduced for term in x.terms)
@@ -308,7 +309,7 @@ def test_path_splitting_bound_on_demo():
         closure = mod_length_closure(gv.matrix, term.circuit.length)
         ell = term.circuit.length
         cpos = [pos[v] for v in term.circuit.nodes]
-        single = CsrExpansion(n=10, terms=(term,), threshold=200)
+        single = CsrExpansion(n=10, terms=(term,))
         for t in range(200, 206):
             shifted = single.evaluate(t)
             for (i, j), w in shifted.entries.items():
@@ -341,7 +342,7 @@ class TestReduceTerm:
         vis = visualize_all(a, part)
         x = expand(a)
         term = x.terms[1]  # the (4,4) self-loop group; its critical graph is the loop
-        reduced = reduce_term(term, vis.group(2).matrix)
+        reduced = reduce_term(part, vis.group(2))
         assert reduced.reduced
         assert reduced.classes == ((3,),)
         assert reduced.C == term.C
@@ -362,10 +363,10 @@ class TestReduceTerm:
         vis = visualize_all(a, part)
         x = expand(a)
         term = x.terms[0]
-        reduced = reduce_term(term, vis.group(1).matrix)
+        reduced = reduce_term(part, vis.group(1))
         assert reduced.classes == ((0,), (1,))
-        plain = CsrExpansion(n=10, terms=(term,), threshold=200)
-        small = CsrExpansion(n=10, terms=(reduced,), threshold=200)
+        plain = CsrExpansion(n=10, terms=(term,))
+        small = CsrExpansion(n=10, terms=(reduced,))
         for t in range(200, 211):
             assert plain.evaluate(t) == small.evaluate(t)
 
@@ -378,12 +379,20 @@ class TestReduceTerm:
             report = brute_power_check(a, x, range(x.threshold, x.threshold + 9))
             assert report.match, report.counterexample
 
-    def test_reducing_twice_is_idempotent(self):
-        a = demo_matrix()
-        part = partition_nodes(characteristic_roots(a), 10)
-        vis = visualize_all(a, part)
-        term = reduce_term(expand(a).terms[0], vis.group(1).matrix)
-        assert reduce_term(term, vis.group(1).matrix) is term
+    def test_reduced_expand_reads_factors_once_per_term(self, monkeypatch):
+        # A reduced term is built from its visualized group: one factor
+        # readout per term, and no plain C/R pair read first.
+        reads, plain = [], []
+        monkeypatch.setattr(csr, "_read_factors", _recorded(reads, tuple, csr._read_factors))
+        monkeypatch.setattr(csr, "compute_cr_pair", _recorded(plain, tuple, csr.compute_cr_pair))
+        instances = [demo_matrix()] + [a for a, _, _ in _tie_heavy_instances()]
+        terms = 0
+        for a in instances:
+            reads.clear()
+            x = expand(a, reduce_by_cyclicity=True)
+            assert [args[2] for args in reads] == [term.nodes for term in x.terms]
+            terms += len(x.terms)
+        assert plain == [] and terms > 40
 
 
 def test_extended_graph_matches_layered_labels():
@@ -433,7 +442,7 @@ def test_concurrent_expansions_agree():
 def test_term_rates_weakly_decreasing_enforced():
     x = expand(demo_matrix())
     with pytest.raises(ValueError):
-        CsrExpansion(n=10, terms=(x.terms[2], x.terms[0]), threshold=200)
+        CsrExpansion(n=10, terms=(x.terms[2], x.terms[0]))
 
 
 def test_evaluate_rejects_negative_and_bool_exponents():
@@ -492,7 +501,7 @@ def _guard_edge_expansion(c_extreme, r_extreme):
                 scaling=DiagonalScaling((0,) * len(nodes)),
             )
         )
-    return CsrExpansion(n=n, terms=tuple(terms), threshold=2 * n * n)
+    return CsrExpansion(n=n, terms=tuple(terms))
 
 
 def _backend_forms(x):
@@ -602,6 +611,7 @@ def test_star_readout_matches_layered_sweeps(monkeypatch):
         readout = _recorded(picked, lambda _, name=name: name, getattr(csr, name))
         monkeypatch.setattr(csr, name, readout)
     for a in _readout_instances():
+        expand(a)
         expand(a, reduce_by_cyclicity=True)
     monkeypatch.undo()
     closure = _recorded(dtypes, lambda args: args[0].dtype, csr._max_plus_closure)

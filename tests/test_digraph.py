@@ -33,12 +33,12 @@ from fixtures import E, demo_matrix, tm, workload_module
 def test_build_graph_demo_counts():
     g = build_graph(demo_matrix())
     assert g.n == 10
-    assert g.arc_count == 18
+    assert len(g.arcs) == 18
 
 
 def test_build_graph_epsilon_matrix():
     g = build_graph(TropicalMatrix.epsilon(3))
-    assert g.n == 3 and g.arc_count == 0
+    assert g.n == 3 and g.arcs == ()
 
 
 def test_build_graph_identity():
@@ -252,7 +252,7 @@ class TestCyclicityClasses:
         from maxplus import CriticalGraph
 
         with pytest.raises(ValueError):
-            cyclicity_classes(CriticalGraph(frozenset(), frozenset(), 0))
+            cyclicity_classes(CriticalGraph(frozenset(), frozenset()))
 
     def test_class_counts_divide_circuit_lengths(self):
         # Walking a critical circuit advances the class by one step per arc,

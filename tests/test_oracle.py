@@ -112,7 +112,7 @@ class TestBrutePowerCheck:
         bad_terms = (
             CsrTerm_with_rate(x.terms[0], x.terms[0].rate + 1),
         ) + x.terms[1:]
-        bad = CsrExpansion(n=10, terms=bad_terms, threshold=200)
+        bad = CsrExpansion(n=10, terms=bad_terms)
         report = brute_power_check(a, bad, range(200, 206), seed=42)
         assert not report.match
         assert report.seed == 42

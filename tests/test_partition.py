@@ -27,15 +27,6 @@ def test_demo_groups():
     assert part.growth_rates == (mm.roots[0], mm.roots[2], mm.roots[4])
 
 
-def test_demo_prefix_and_remaining_sets():
-    part = partition_nodes(characteristic_roots(demo_matrix()), 10)
-    assert part.prefix_nodes(1) == frozenset({0, 1, 2})
-    assert part.prefix_nodes(2) == frozenset({0, 1, 2, 3, 4})
-    assert part.remaining_nodes(1) == tuple(range(10))
-    assert part.remaining_nodes(2) == (3, 4, 5, 6, 7, 8, 9)
-    assert part.remaining_nodes(3) == (5, 6, 7, 8, 9)
-
-
 def test_single_self_loop():
     a = tm([[5]])
     part = partition_nodes(characteristic_roots(a), 1)
@@ -69,7 +60,8 @@ def test_remaining_subgraph_max_mean_equals_growth_rate():
         a = random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]))
         part = partition_nodes(characteristic_roots(a), n)
         for s in range(1, part.r + 1):
-            sub = submatrix(a, part.remaining_nodes(s))
+            # The s-th term lives on group s and the groups after it.
+            sub = submatrix(a, tuple(sorted(v for grp in part.groups[s - 1 :] for v in grp)))
             lam = karp_max_cycle_mean(build_graph(sub))
             assert lam == TropicalScalar(part.growth_rates[s - 1])
 
@@ -84,8 +76,6 @@ def test_groups_cover_and_are_disjoint():
             continue
         seen = [v for grp in part.groups for v in grp]
         assert sorted(seen) == list(range(n))
-        # every circuit node of the MMCS lands in some group by construction
-        assert part.prefix_nodes(part.r) == frozenset(range(n))
 
 
 def test_partition_is_deterministic():
