@@ -2,7 +2,6 @@
 
 from .tropical import (
     EPSILON,
-    DiagonalScaling,
     DimensionMismatchError,
     PositiveCircuitError,
     TropicalMatrix,
@@ -16,7 +15,6 @@ from .digraph import (
     CircuitRecord,
     CriticalGraph,
     CyclicityClasses,
-    WeightedDigraph,
     build_graph,
     critical_graph,
     cyclicity_classes,

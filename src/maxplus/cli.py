@@ -8,8 +8,10 @@ Matrix files come in two shapes, both with exact values only (integers or
 
 Expansions serialize to a JSON document with every value carried as an
 exact decimal string and every count or index as a JSON integer, so a
-dump/load round trip evaluates identically.  Digits are ASCII digits, and
-``run_command`` reads and writes values of any length.
+dump/load round trip gives an equal expansion.  Digits are ASCII digits.
+The writers and ``run_command`` take values of any length; the readers,
+called outside ``run_command``, report a value past the interpreter's
+limit on decimal digits as a MatrixFormatError.
 
 Exit codes: 0 success (or verified match), 1 verified mismatch, 2 usage,
 parse, or domain errors.
@@ -18,6 +20,7 @@ parse, or domain errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import re
@@ -30,7 +33,7 @@ from .csr import CsrExpansion, CsrTerm, expand
 from .digraph import CircuitRecord, _principal_eigen
 from .oracle import brute_power_check
 from .partition import partition_nodes
-from .tropical import DiagonalScaling, TropicalMatrix, as_value, matrix_power
+from .tropical import TropicalMatrix, as_value, matrix_power
 from .visualize import visualize_all
 
 
@@ -40,6 +43,19 @@ class MatrixFormatError(ValueError):
 
 _COUNT_RE = re.compile(r"[0-9]+\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+
+
+@contextlib.contextmanager
+def _any_length_values():
+    """Lift the interpreter's limit on decimal digits, where it has one, for the block."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 def _int(digits: str) -> int:
@@ -129,6 +145,7 @@ def _parse_sparse(header, body) -> TropicalMatrix:
     return TropicalMatrix(n, n, _parse_triples((ln.split() for ln in body), n, n))
 
 
+@_any_length_values()
 def serialize_matrix(a: TropicalMatrix) -> str:
     lines = [str(a.rows)]
     grid = a.to_rows()
@@ -137,6 +154,7 @@ def serialize_matrix(a: TropicalMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_any_length_values()
 def matrix_grid(a: TropicalMatrix) -> str:
     """Aligned dense rendering (no header line)."""
     cells = [[format_value(v) for v in row] for row in a.to_rows()]
@@ -176,6 +194,7 @@ def _node_ids(values, n, what) -> tuple:
     return ids
 
 
+@_any_length_values()
 def dump_expansion(x: CsrExpansion, input_digest: str | None = None) -> dict:
     terms = []
     for term in x.terms:
@@ -189,7 +208,7 @@ def dump_expansion(x: CsrExpansion, input_digest: str | None = None) -> dict:
                     "weight": format_value(term.circuit.weight),
                 },
                 "nodes": [v + 1 for v in term.nodes],
-                "scaling": [format_value(v) for v in term.scaling.values],
+                "scaling": [format_value(v) for v in term.scaling],
                 "classes": None
                 if term.classes is None
                 else [[v + 1 for v in cls] for cls in term.classes],
@@ -225,6 +244,8 @@ def load_expansion(doc: dict) -> CsrExpansion:
             if reduced != (classes is not None):
                 raise MatrixFormatError("reduced must be true exactly when classes are given")
             scaling = tuple(parse_value_token(v) for v in raw["scaling"])
+            if None in scaling:
+                raise MatrixFormatError("scaling values must be finite")
             circuit = CircuitRecord(
                 _node_ids(raw["circuit"]["nodes"], n, "circuit node"),
                 parse_value_token(raw["circuit"]["weight"]),
@@ -238,7 +259,7 @@ def load_expansion(doc: dict) -> CsrExpansion:
                     circuit=circuit,
                     group=_parse_count(raw["group"], "group", True),
                     nodes=_node_ids(raw["nodes"], n, "node"),
-                    scaling=DiagonalScaling(scaling),
+                    scaling=scaling,
                     classes=classes,
                 )
             )
@@ -351,7 +372,7 @@ def _cmd_visualize(args) -> int:
             f"{format_value(part.growth_rates[gv.group - 1])}, "
             f"circuit = {part.quasi_critical[gv.group - 1]}"
         )
-        print("d = (" + ", ".join(format_value(v) for v in gv.scaling.values) + ")")
+        print("d = (" + ", ".join(format_value(v) for v in gv.scaling) + ")")
         print(matrix_grid(gv.matrix))
     return 0
 
@@ -413,15 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_any_length_values()
 def run_command(argv) -> int:
     """Run one command line and return its exit code.
 
     Values of any length cross the file formats: the interpreter's limit on
     decimal digits, where it has one, is lifted for the run and restored.
     """
-    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if saved:
-        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -436,9 +455,6 @@ def run_command(argv) -> int:
     except ValueError as exc:
         print(f"maxplus: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if saved:
-            sys.set_int_max_str_digits(saved)
 
 
 def main() -> None:

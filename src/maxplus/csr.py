@@ -37,10 +37,9 @@ from itertools import groupby
 import numpy as np
 
 from .charpoly import characteristic_roots
-from .digraph import CircuitRecord, build_graph, critical_graph, cyclicity_classes
+from .digraph import CircuitRecord, critical_graph, cyclicity_classes
 from .partition import NodePartition, partition_nodes
 from .tropical import (
-    DiagonalScaling,
     DimensionMismatchError,
     TropicalMatrix,
     _kernel_arrays,
@@ -76,7 +75,7 @@ _STAR_CELLS_PER_PASS = 800
 _OBJECT_CELL_COST = 8
 
 
-def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, layers, orbits):
+def _read_factors(a_vis: TropicalMatrix, scaling: tuple, nodes, n, layers, orbits):
     """C and R over the given orbits, in full n-space coordinates.
 
     ``a_vis`` is a visualized group matrix over the node ids ``nodes``,
@@ -94,8 +93,8 @@ def _read_factors(a_vis: TropicalMatrix, scaling: DiagonalScaling, nodes, n, lay
     (``_star_labels``) on dense ones, by the cost estimate above, with the
     star's cells weighed by the dtype of its kernel array.
     """
-    scale = common_scale(a_vis.entries.values(), scaling.values)
-    d = [scaled_int(v, scale) for v in scaling.values]
+    scale = common_scale(a_vis.entries.values(), scaling)
+    d = [scaled_int(v, scale) for v in scaling]
     nv = len(nodes)
     sweep_cells = _STAR_CELLS_PER_ARC * layers * a_vis.finite_count
     star_cells = nv * layers.bit_length() * (nv * nv + _STAR_CELLS_PER_PASS)
@@ -164,7 +163,7 @@ def _star_labels(x, bottom, layers, orbits):
 
 
 def compute_cr_pair(
-    a_vis: TropicalMatrix, scaling: DiagonalScaling, circuit: CircuitRecord, nodes, n: int
+    a_vis: TropicalMatrix, scaling: tuple, circuit: CircuitRecord, nodes, n: int
 ):
     """The C and R factors of one group, in full n-space coordinates.
 
@@ -237,8 +236,10 @@ class CsrTerm:
 
     C has one column (and R one row) per circuit node, in circuit order;
     for a reduced term they are indexed by cyclicity classes instead and
-    ``classes`` holds the class memberships.  ``nodes`` and ``scaling``
-    record the group submatrix the factors were built from.
+    ``classes`` holds the class memberships, one class per index.
+    ``nodes`` (distinct node ids, the circuit's among them) and ``scaling``
+    (one value per node) record the group submatrix the factors were built
+    from; ``group`` is its 1-based number.
     """
 
     rate: object
@@ -248,13 +249,23 @@ class CsrTerm:
     circuit: CircuitRecord
     group: int
     nodes: tuple
-    scaling: DiagonalScaling
+    scaling: tuple
     classes: tuple | None = None
 
     def __post_init__(self):
         _successor_of(self.S)  # validates the permutation structure
         if self.C.cols != self.S.rows or self.S.cols != self.R.rows:
             raise DimensionMismatchError("factor dimensions are inconsistent")
+        if self.classes is not None and len(self.classes) != self.S.rows:
+            raise DimensionMismatchError("a reduced term needs one class per factor index")
+        if len(self.scaling) != len(self.nodes):
+            raise DimensionMismatchError("scaling length must equal the node count")
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError("term nodes must be distinct")
+        if not set(self.circuit.nodes) <= set(self.nodes):
+            raise ValueError("circuit nodes must be term nodes")
+        if self.group < 1:
+            raise ValueError("groups are numbered from 1")
 
     @property
     def reduced(self) -> bool:
@@ -268,20 +279,23 @@ class CsrExpansion:
     Below the threshold the evaluation is still defined but may differ from
     the true power in either direction; the contract starts at
     threshold = 2 n^2.  ``source`` (when present) lets the degenerate
-    acyclic case answer small-t queries by naive powering.
+    acyclic case answer small-t queries by naive powering; it takes no
+    part in ``==``, so an expansion equals its loaded JSON document.
     """
 
     n: int
     terms: tuple
-    source: TropicalMatrix | None = None
+    source: TropicalMatrix | None = field(default=None, compare=False)
     # (scale, use_numpy, rate classes): everything evaluate reads, built
     # once per instance; see ``_prepare``.
     _prepared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rates = [term.rate for term in self.terms]
-        if any(rates[i] < rates[i + 1] for i in range(len(rates) - 1)):
-            raise ValueError("term rates must be weakly decreasing")
+        for before, after in zip(self.terms, self.terms[1:]):
+            if before.rate < after.rate:
+                raise ValueError("term rates must be weakly decreasing")
+            if before.group >= after.group:
+                raise ValueError("term groups must be strictly increasing")
         if len(self.terms) > self.n:
             raise ValueError("more terms than matrix order")
         object.__setattr__(self, "_prepared", self._prepare())
@@ -447,7 +461,7 @@ def reduce_term(part: NodePartition, gv: GroupVisualization) -> CsrTerm:
     The reduced terms sum to the plain terms for every t >= 2 n^2.  Rate
     and circuit come from ``part``, everything else from ``gv``.
     """
-    cyc = cyclicity_classes(critical_graph(build_graph(gv.matrix), 0))
+    cyc = cyclicity_classes(critical_graph(gv.matrix, 0))
     orbits = [([cyc.classes[k][0] for k in ids], ids) for ids in cyc.components]
     c, r = _read_factors(gv.matrix, gv.scaling, gv.nodes, part.n, cyc.sigma, orbits)
     count = len(cyc.classes)

@@ -1,11 +1,12 @@
-"""Digraph view of a square max-plus matrix.
+"""Digraph algorithms on a square max-plus matrix.
 
-A square matrix and a weighted digraph are two descriptions of the same
-object: there is an arc (i, j) of weight a_ij exactly when the entry is
-finite.  This module holds the graph-side machinery: circuits and their
-means, Karp's maximum cycle mean, the critical graph, cyclicity classes,
-and principal eigenvectors.  The critical graph needs no closure: it is the
-tight arcs of a potential inside their strongly connected components.
+A square matrix and a weighted digraph are one object: there is an arc
+(i, j) of weight a_ij exactly when the entry is finite, so the algorithms
+here read ``TropicalMatrix.entries`` as the arc list.  This module holds
+the graph-side machinery: circuits and their means, Karp's maximum cycle
+mean, the critical graph, cyclicity classes, and principal eigenvectors.
+The critical graph needs no closure: it is the tight arcs of a potential
+inside their strongly connected components.
 """
 
 from __future__ import annotations
@@ -29,34 +30,15 @@ from .tropical import (
 )
 
 
-class WeightedDigraph:
-    """Arc-list digraph with an adjacency index."""
+def build_graph(a: TropicalMatrix) -> TropicalMatrix:
+    """The digraph of a square matrix, which is the matrix itself: ``a``.
 
-    __slots__ = ("n", "arcs", "_out")
-
-    def __init__(self, n, arcs):
-        self.n = n
-        self.arcs = tuple((u, v, as_value(w)) for u, v, w in arcs)
-        self._out = [[] for _ in range(n)]
-        seen = set()
-        for u, v, w in self.arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-            self._out[u].append((v, w))
-
-    def out_arcs(self, u):
-        return self._out[u]
-
-
-def build_graph(a: TropicalMatrix) -> WeightedDigraph:
-    """The digraph of a square matrix: one arc per finite entry."""
+    Raises DimensionMismatchError when ``a`` is not square; the graph
+    algorithms below run this check on their argument.
+    """
     if not a.is_square:
         raise DimensionMismatchError("only square matrices define a digraph")
-    arcs = sorted((i, j, v) for (i, j), v in a.entries.items())
-    return WeightedDigraph(a.rows, arcs)
+    return a
 
 
 def tarjan_scc(n, successors):
@@ -157,19 +139,20 @@ class CircuitRecord:
         return "(" + ",".join(str(v + 1) for v in closed) + ")"
 
 
-def _karp_component(g: WeightedDigraph, comp):
+def _karp_component(out, comp):
     """Maximum cycle mean inside one strongly connected component.
 
-    The table runs on the arc weights scaled to ints; the means
-    (top - base) / (nc - k) are compared by cross-multiplication, and only
-    the best one becomes a rational again.
+    ``out[u]`` lists the (head, weight) arcs leaving u.  The table runs on
+    the arc weights scaled to ints; the means (top - base) / (nc - k) are
+    compared by cross-multiplication, and only the best one becomes a
+    rational again.
     """
     pos = {v: k for k, v in enumerate(comp)}
     nc = len(comp)
     arcs = [
         (pos[u], pos[v], w)
         for u in comp
-        for v, w in g.out_arcs(u)
+        for v, w in out[u]
         if v in pos
     ]
     if not arcs:
@@ -207,15 +190,18 @@ def _karp_component(g: WeightedDigraph, comp):
     return None if best is None else as_value(Fraction(best[0], best[1] * scale))
 
 
-def karp_max_cycle_mean(g: WeightedDigraph) -> TropicalScalar:
+def karp_max_cycle_mean(a: TropicalMatrix) -> TropicalScalar:
     """Maximum mean weight over all elementary circuits; bottom if acyclic.
 
     Runs Karp's dynamic program independently on every strongly connected
     component and takes the best, so reducible matrices are handled.
     """
+    out = [[] for _ in range(build_graph(a).rows)]
+    for (u, v), w in a.entries.items():
+        out[u].append((v, w))
     best = None
-    for comp in tarjan_scc(g.n, lambda u: (v for v, _ in g.out_arcs(u))):
-        lam = _karp_component(g, comp)
+    for comp in tarjan_scc(a.rows, lambda u: (v for v, _ in out[u])):
+        lam = _karp_component(out, comp)
         if lam is not None and (best is None or lam > best):
             best = lam
     return EPSILON if best is None else TropicalScalar(best)
@@ -229,7 +215,7 @@ class CriticalGraph:
     arcs: frozenset
 
 
-def critical_graph(g: WeightedDigraph, rate) -> CriticalGraph:
+def critical_graph(a: TropicalMatrix, rate) -> CriticalGraph:
     """The subgraph of arcs on circuits of mean exactly ``rate``.
 
     ``rate`` must be at least the maximum cycle mean, else PositiveCircuitError
@@ -240,12 +226,13 @@ def critical_graph(g: WeightedDigraph, rate) -> CriticalGraph:
     components of the tight subgraph.  A visualized matrix at rate 0 settles
     in one pass: O(m).
     """
+    n = build_graph(a).rows
     rate = as_value(rate)
-    scale = common_scale((w for _, _, w in g.arcs), (rate,))
+    scale = common_scale(a.entries.values(), (rate,))
     srate = scaled_int(rate, scale)
-    arcs = [(u, v, scaled_int(w, scale) - srate) for u, v, w in g.arcs]
-    p = [0] * g.n
-    for _ in range(g.n + 1):
+    arcs = [(u, v, scaled_int(w, scale) - srate) for (u, v), w in a.entries.items()]
+    p = [0] * n
+    for _ in range(n + 1):
         settled = True
         for u, v, w in arcs:
             if w + p[v] > p[u]:
@@ -256,10 +243,10 @@ def critical_graph(g: WeightedDigraph, rate) -> CriticalGraph:
     else:
         raise PositiveCircuitError()
     tight = [(u, v) for u, v, w in arcs if w + p[v] == p[u]]
-    succ = [[] for _ in range(g.n)]
+    succ = [[] for _ in range(n)]
     for u, v in tight:
         succ[u].append(v)
-    comp = {v: k for k, members in enumerate(tarjan_scc(g.n, succ.__getitem__)) for v in members}
+    comp = {v: k for k, members in enumerate(tarjan_scc(n, succ.__getitem__)) for v in members}
     critical = frozenset((u, v) for u, v in tight if comp[u] == comp[v])
     nodes = frozenset(u for u, _ in critical) | frozenset(v for _, v in critical)
     return CriticalGraph(nodes, critical)
@@ -343,12 +330,11 @@ def _principal_eigen(a: TropicalMatrix):
     The eigenvectors are as in ``principal_eigenvectors``; only their
     columns of the star leave the scaled-integer domain.
     """
-    g = build_graph(a)
-    lam = karp_max_cycle_mean(g)
+    lam = karp_max_cycle_mean(a)
     if lam.is_epsilon:
         raise ValueError("matrix has no finite eigenvalue (acyclic graph)")
     rate = lam.value
-    critical = critical_graph(g, rate)
+    critical = critical_graph(a, rate)
     shifted = {key: v - rate for key, v in a.entries.items()}
     star, bottom, scale = _star_array(TropicalMatrix(a.rows, a.rows, shifted))
     vectors = [

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .charpoly import MultiCircuit
 from .digraph import CircuitRecord
 from .tropical import (
-    DiagonalScaling,
     DimensionMismatchError,
     PositiveCircuitError,
     TropicalMatrix,
@@ -420,7 +419,7 @@ def submatrix(a: TropicalMatrix, keep) -> TropicalMatrix:
     return TropicalMatrix(len(pos), len(pos), entries)
 
 
-def diag_conjugate(a: TropicalMatrix, d: DiagonalScaling, shift=0) -> TropicalMatrix:
+def diag_conjugate(a: TropicalMatrix, d: tuple, shift=0) -> TropicalMatrix:
     """Conjugation with a uniform shift: entry (i, j) becomes -d_i + (a_ij + shift) + d_j.
 
     The definition of visualization, on the raw rationals: reference for
@@ -428,11 +427,10 @@ def diag_conjugate(a: TropicalMatrix, d: DiagonalScaling, shift=0) -> TropicalMa
     ints.  Conjugating by d and then by -d restores the matrix; diagonal
     entries only pick up the shift.
     """
-    dv = d.values
-    if a.rows != a.cols or len(dv) != a.rows:
+    if a.rows != a.cols or len(d) != a.rows:
         raise DimensionMismatchError("scaling length must equal the matrix order")
     shift = as_value(shift)
-    entries = {(i, j): -dv[i] + (v + shift) + dv[j] for (i, j), v in a.entries.items()}
+    entries = {(i, j): -d[i] + (v + shift) + d[j] for (i, j), v in a.entries.items()}
     return TropicalMatrix(a.rows, a.cols, entries)
 
 
@@ -460,7 +458,7 @@ def bellman_ford_visualization(a_sub: TropicalMatrix, rate):
             break
     else:
         raise ValueError("shifted matrix has a positive circuit")
-    vis = diag_conjugate(a_sub, DiagonalScaling(tuple(p)), -rate)
+    vis = diag_conjugate(a_sub, p, -rate)
     return vis, tuple(p)
 
 

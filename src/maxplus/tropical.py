@@ -13,12 +13,14 @@ expansions) and one Floyd-Warshall closure (``_max_plus_closure``, behind
 ``kleene_star`` and the dense C/R factors of ``maxplus.csr``).  A bound on
 the results picks int64 or, above 2^59, Python ints in object arrays, on
 one code path; callers read the choice from the arrays' dtype.
+
+A square matrix is also its weighted digraph (``maxplus.digraph`` reads
+``entries`` as arcs), and a diagonal scaling is a plain tuple of values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -351,12 +353,3 @@ def _star_array(a: TropicalMatrix):
     _max_plus_closure(x, bottom)
     return x, bottom, scale
 
-
-@dataclass(frozen=True, slots=True)
-class DiagonalScaling:
-    """A finite scaling vector d, used as conjugation diag(-d) . A . diag(d)."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_value(v) for v in self.values))

@@ -30,13 +30,7 @@ import heapq
 from dataclasses import dataclass
 
 from .partition import NodePartition
-from .tropical import (
-    DiagonalScaling,
-    TropicalMatrix,
-    common_scale,
-    scaled_int,
-    unscaled,
-)
+from .tropical import TropicalMatrix, common_scale, scaled_int, unscaled
 
 
 class InvariantViolationError(RuntimeError):
@@ -101,7 +95,7 @@ class GroupVisualization:
     group: int
     nodes: tuple
     matrix: TropicalMatrix
-    scaling: DiagonalScaling
+    scaling: tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +186,7 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
                 raise InvariantViolationError(
                     f"quasi-critical arc ({u}, {v}) is not zero after visualization"
                 )
-        scaling = DiagonalScaling(tuple(unscaled(d[j], scale) for j in nodes))
+        scaling = tuple(unscaled(d[j], scale) for j in nodes)
         results.append(GroupVisualization(s, nodes, matrix, scaling))
     results.reverse()
     return VisualizationResult(tuple(results))

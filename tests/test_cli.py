@@ -105,6 +105,28 @@ class TestMatrixFiles:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on decimal digits"
+    )
+    def test_writers_take_values_of_any_length(self):
+        # Called directly, under the interpreter's default limit, the
+        # writers still write a too-long value whole, and leave the limit
+        # as they found it.
+        big = tropical.TropicalMatrix(1, 1, {(0, 0): 10**5000})
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            text = serialize_matrix(big)
+            grid = cli.matrix_grid(big)
+            doc = dump_expansion(expand(big))
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert text == HUGE_TEXT
+        assert grid == HUGE_DIGITS
+        assert doc["terms"][0]["rate"] == HUGE_DIGITS
+        assert doc["terms"][0]["C"]["entries"] == [[1, 1, "0"]]
+
 
 class TestExpansionDocument:
     def test_round_trip_evaluates_identically(self):
@@ -122,6 +144,12 @@ class TestExpansionDocument:
         x = expand(a, reduce_by_cyclicity=True)
         loaded = load_expansion(dump_expansion(x))
         assert loaded.evaluate(220) == x.evaluate(220)
+
+    @pytest.mark.parametrize("reduce", [False, True], ids=["plain", "reduced"])
+    @pytest.mark.parametrize("name", ["demo10-dense.mpx", "demo10-sparse.mpx", "one.mpx"])
+    def test_expansion_equals_its_document(self, name, reduce):
+        x = expand(parse_matrix((FIXTURES / name).read_text()), reduce_by_cyclicity=reduce)
+        assert load_expansion(json.loads(json.dumps(dump_expansion(x)))) == x
 
     def test_bad_documents_rejected(self):
         with pytest.raises(MatrixFormatError):
@@ -151,12 +179,22 @@ class TestExpansionDocument:
             (("terms", 0, "C", "entries", 0, 2), 0),
             (("terms", 0, "reduced"), "false"),
             (("terms", 0, "reduced"), 1),
+            (("terms", 0, "scaling"), ["0"]),
+            (("terms", 0, "scaling", 0), "."),
+            (("terms", 0, "classes"), [[1, 2]]),
+            (("terms", 0, "nodes", 1), 1),
+            (("terms", 0, "group"), 0),
+            (("terms", 1, "circuit", "nodes", 0), 1),
+            (("terms", 2, "group"), 2),
         ],
     )
     def test_document_grammar_is_strict(self, field, value):
         # Counts and indices are JSON integers (not bools), values are
         # strings, each cell of a block appears once and in range, and
-        # reduced is a JSON boolean; anything else is a format error.
+        # reduced is a JSON boolean.  A term agrees with itself: one finite
+        # scaling value per node, one class per factor index, distinct
+        # nodes holding the circuit's, a group from 1 on, and groups
+        # increase from term to term.  Anything else is a format error.
         doc = dump_expansion(expand(demo_matrix(), reduce_by_cyclicity=True))
         load_expansion(json.loads(json.dumps(doc)))  # the untouched document loads
         *path, last = field

@@ -6,6 +6,7 @@ import pytest
 
 from maxplus import (
     CircuitRecord,
+    DimensionMismatchError,
     PositiveCircuitError,
     TropicalMatrix,
     TropicalScalar,
@@ -30,20 +31,15 @@ from maxplus.oracle import (
 from fixtures import E, demo_matrix, tm, workload_module
 
 
-def test_build_graph_demo_counts():
-    g = build_graph(demo_matrix())
-    assert g.n == 10
-    assert len(g.arcs) == 18
-
-
-def test_build_graph_epsilon_matrix():
-    g = build_graph(TropicalMatrix.epsilon(3))
-    assert g.n == 3 and g.arcs == ()
-
-
-def test_build_graph_identity():
-    g = build_graph(TropicalMatrix.identity(2))
-    assert sorted(g.arcs) == [(0, 0, 0), (1, 1, 0)]
+def test_a_square_matrix_is_its_own_graph():
+    # The graph algorithms read the matrix's entries as arcs; build_graph
+    # is the one square check, and each of them runs it.
+    a = demo_matrix()
+    assert build_graph(a) is a
+    wide = TropicalMatrix(2, 3, {(0, 0): 0, (1, 1): 0})
+    for check in (build_graph, karp_max_cycle_mean, lambda m: critical_graph(m, 0)):
+        with pytest.raises(DimensionMismatchError):
+            check(wide)
 
 
 class TestKarp:
@@ -152,7 +148,7 @@ class TestCriticalGraph:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_path_into_a_critical_loop_settles_within_the_pass_limit(self, n):
-        # Arcs i -> i+1 above the rate come in build_graph order, so each
+        # Arcs i -> i+1 above the rate come in entry (row) order, so each
         # Bellman-Ford pass settles one more node back from the loop at the
         # rate on node n-1; the last pass sees no change.
         rows = [[E] * n for _ in range(n)]

@@ -4,10 +4,9 @@ import pytest
 
 from maxplus import (
     CircuitRecord,
-    DiagonalScaling,
     InvariantViolationError,
     NodePartition,
-    WeightedDigraph,
+    TropicalMatrix,
     characteristic_roots,
     partition_nodes,
     visualize_all,
@@ -38,43 +37,43 @@ def demo_visualization():
     return part, visualize_all(a, part)
 
 
-def _max_weight_to_sink(g, sink):
+def _max_weight_to_sink(a, sink):
     """Labels of the one-layer backward sweep, as (reachable set, label dict)."""
-    in_adj = [[] for _ in range(g.n)]
-    for u, v, w in g.arcs:
+    in_adj = [[] for _ in range(a.rows)]
+    for (u, v), w in a.entries.items():
         in_adj[v].append((u, w))
-    labels = _layered_max_weights(g.n, 1, in_adj.__getitem__, sink, backward=True)
+    labels = _layered_max_weights(a.rows, 1, in_adj.__getitem__, sink, backward=True)
     reachable = frozenset(v for v, lab in enumerate(labels) if lab is not None)
     return reachable, {v: labels[v] for v in reachable}
 
 
 class TestDijkstraSingleSink:
     def test_isolated_sink(self):
-        g = WeightedDigraph(1, [])
+        g = TropicalMatrix.epsilon(1)
         reachable, labels = _max_weight_to_sink(g, 0)
         assert reachable == frozenset({0})
         assert labels == {0: 0}
 
     def test_chain(self):
-        g = WeightedDigraph(3, [(0, 1, -1), (1, 2, -2)])
+        g = TropicalMatrix(3, 3, {(0, 1): -1, (1, 2): -2})
         reachable, labels = _max_weight_to_sink(g, 2)
         assert reachable == frozenset({0, 1, 2})
         assert labels == {0: -3, 1: -2, 2: 0}
 
     def test_unreachable_node_excluded(self):
-        g = WeightedDigraph(3, [(0, 2, -1)])
+        g = TropicalMatrix(3, 3, {(0, 2): -1})
         reachable, labels = _max_weight_to_sink(g, 2)
         assert reachable == frozenset({0, 2})
         assert 1 not in labels
 
     def test_positive_arcs_incident_to_sink_allowed(self):
-        g = WeightedDigraph(3, [(0, 1, -1), (1, 2, 5), (2, 0, 3)])
+        g = TropicalMatrix(3, 3, {(0, 1): -1, (1, 2): 5, (2, 0): 3})
         reachable, labels = _max_weight_to_sink(g, 2)
         assert labels[1] == 5
         assert labels[0] == 4
 
     def test_positive_arc_elsewhere_rejected(self):
-        g = WeightedDigraph(3, [(0, 1, 1), (1, 2, -1)])
+        g = TropicalMatrix(3, 3, {(0, 1): 1, (1, 2): -1})
         with pytest.raises(InvariantViolationError):
             _max_weight_to_sink(g, 2)
 
@@ -84,21 +83,21 @@ class TestDemoVisualization:
         _, vis = demo_visualization()
         gv = vis.group(3)
         assert gv.nodes == (5, 6, 7, 8, 9)
-        assert gv.scaling == DiagonalScaling(DEMO_D3)
+        assert gv.scaling == DEMO_D3
         assert gv.matrix == tm(DEMO_A3_ROWS)
 
     def test_group_2(self):
         _, vis = demo_visualization()
         gv = vis.group(2)
         assert gv.nodes == (3, 4, 5, 6, 7, 8, 9)
-        assert gv.scaling == DiagonalScaling(DEMO_D2)
+        assert gv.scaling == DEMO_D2
         assert gv.matrix == tm(DEMO_A2_ROWS)
 
     def test_group_1(self):
         _, vis = demo_visualization()
         gv = vis.group(1)
         assert gv.nodes == tuple(range(10))
-        assert gv.scaling == DiagonalScaling(DEMO_D1)
+        assert gv.scaling == DEMO_D1
         assert gv.matrix == tm(DEMO_A1_ROWS)
 
     def test_single_self_loop(self):
@@ -107,7 +106,7 @@ class TestDemoVisualization:
         vis = visualize_all(a, part)
         gv = vis.group(1)
         assert gv.matrix == tm([[0]])
-        assert gv.scaling == DiagonalScaling((0,))
+        assert gv.scaling == (0,)
 
 
 def _groups_for(a):
