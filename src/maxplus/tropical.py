@@ -6,7 +6,8 @@ text formats) and the multiplicative identity is 0.  Every finite value is
 an exact rational, stored as a plain int whenever it is integral.  Floats
 are rejected on input so all results stay bit-exact.  Rational work runs in
 one scaled-integer domain (``common_scale`` and ``scaled_int`` in,
-``unscaled`` out), entered once per call.  There the kernel works on dense
+``unscaled`` out, and ``_kernel_result`` out of an array in one
+vectorized pass), entered once per call.  There the kernel works on dense
 numpy arrays: one max-plus product (``_max_plus_product``, behind
 ``matrix_mul``, ``matrix_power`` and the evaluation of ``maxplus.csr``
 expansions) and one Floyd-Warshall closure (``_max_plus_closure``, behind
@@ -292,13 +293,41 @@ def _max_plus_closure(x, bottom):
     np.fill_diagonal(x, 0)
 
 
-def _kernel_result(out, bottom, scale):
-    """Leave the scaled-integer domain: the matrix of a kernel array."""
+def _kernel_result(out, bottom, scale, shifts=None, which=None):
+    """Leave the scaled-integer domain: the matrix of a kernel array.
+
+    The cells of ``out`` that are not ``bottom`` are the finite entries,
+    in row-major order.  Entry (i, j) is out[i, j] / scale or, given
+    ``shifts`` (Python ints of any size) and an index array ``which`` of
+    out's shape, (out[i, j] + shifts[which[i, j]]) / scale: an int where
+    the scale divides it, else a Fraction, as ``unscaled`` gives.
+
+    The division runs on arrays, with ``//`` and ``%`` (``np.divmod``
+    rejects object arrays).  Each shift splits into scale * high + low
+    with 0 <= low < scale: low joins the dividend and high the quotient,
+    both as arrays, int64 while the values stay within the kernel's bound
+    and Python ints in object arrays past it.  A Fraction is made only
+    where the remainder is not 0.
+    """
     ii, jj = np.nonzero(out != bottom)
-    entries = {
-        (i, j): unscaled(v, scale)
-        for i, j, v in zip(ii.tolist(), jj.tolist(), out[ii, jj].tolist())
-    }
+    q = out[ii, jj]
+    if scale >= _INT64_BOUND:
+        q = q.astype(object)
+    if shifts is not None:
+        k = which[ii, jj]
+        high, low = zip(*(divmod(s, scale) for s in shifts))
+        q = q + np.array(low, dtype=q.dtype)[k]
+    if scale > 1:
+        q, r = q // scale, q % scale
+    if shifts is not None:
+        wide = q.dtype == object or max(map(abs, high)) >= _INT64_BOUND
+        q = q + np.array(high, dtype=object if wide else np.int64)[k]
+    values = q.tolist()
+    if scale > 1:
+        nonzero = np.flatnonzero(r)
+        for m, b in zip(nonzero.tolist(), r[nonzero].tolist()):
+            values[m] = Fraction(values[m] * scale + b, scale)
+    entries = dict(zip(zip(ii.tolist(), jj.tolist()), values))
     return TropicalMatrix._trusted(out.shape[0], out.shape[1], entries)
 
 

@@ -186,6 +186,7 @@ class TestExpansionDocument:
             (("terms", 0, "group"), 0),
             (("terms", 1, "circuit", "nodes", 0), 1),
             (("terms", 2, "group"), 2),
+            (("terms", 2, "classes", 0), [1]),
         ],
     )
     def test_document_grammar_is_strict(self, field, value):
@@ -193,8 +194,9 @@ class TestExpansionDocument:
         # strings, each cell of a block appears once and in range, and
         # reduced is a JSON boolean.  A term agrees with itself: one finite
         # scaling value per node, one class per factor index, distinct
-        # nodes holding the circuit's, a group from 1 on, and groups
-        # increase from term to term.  Anything else is a format error.
+        # nodes holding the circuit's and the classes' members, a group
+        # from 1 on, and groups increase from term to term.  Anything else
+        # is a format error.
         doc = dump_expansion(expand(demo_matrix(), reduce_by_cyclicity=True))
         load_expansion(json.loads(json.dumps(doc)))  # the untouched document loads
         *path, last = field

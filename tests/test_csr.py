@@ -510,13 +510,44 @@ def _backend_forms(x):
     of ``_accumulate_numpy`` that ``_prepare`` built, and the same stacked
     class as the (index, int) lists of ``_accumulate_python``.
     """
-    _, use_numpy, classes = x._prepared
-    assert use_numpy
+    _, merge, classes = x._prepared
+    assert merge is not None
     for srate, arrays in classes:
         succ, bottom, cols, rows = arrays
         col_lists = [[(i, v) for i, v in enumerate(c) if v != bottom] for c in cols.T.tolist()]
         row_lists = [[(j, v) for j, v in enumerate(r) if v != bottom] for r in rows.tolist()]
         yield srate, arrays, (succ, col_lists, row_lists)
+
+
+def _merged(x, t):
+    """Each finite cell's (winning class, scaled value) once every class is merged.
+
+    The merge arrays start as ``evaluate`` starts them; a won cell's value
+    is its entry in the winning class's frame plus that class's shift.
+    """
+    _, (dtype, bottom), classes = x._prepared
+    val = np.full((x.n, x.n), bottom, dtype=dtype)
+    win = np.full((x.n, x.n), -1, dtype=np.intp)
+    for c in range(len(classes)):
+        x._accumulate_numpy(c, t, val, win)
+    assert ((val != bottom) == (win >= 0)).all()
+    shifts = [t * srate for srate, _ in classes]
+    return {
+        (i, j): (w, v + shifts[w])
+        for i, (wins, vals) in enumerate(zip(win.tolist(), val.tolist()))
+        for j, (w, v) in enumerate(zip(wins, vals))
+        if w >= 0
+    }
+
+
+def _accumulators_agree(x, t):
+    """The array merge and the list accumulator give the same scaled values at t."""
+    by_python = {}
+    for srate, _, lists in _backend_forms(x):
+        x._accumulate_python(lists, t, t * srate, by_python)
+    merged = _merged(x, t)
+    assert {key: v for key, (_, v) in merged.items()} == by_python
+    return merged
 
 
 @pytest.mark.parametrize(
@@ -532,22 +563,242 @@ def test_evaluate_class_bound_edge(monkeypatch, c_extreme, r_extreme, dtype):
     assert [(len(f[0]), f[2].dtype) for _, f in x._prepared[2]] == [(5, dtype), (2, dtype)]
     # The list accumulator agrees on the same stacked classes.
     for t in (x.threshold, x.threshold + 1, 10**18 + 1):
-        by_numpy, by_python = {}, {}
-        for srate, arrays, lists in _backend_forms(x):
-            x._accumulate_numpy(arrays, t, t * srate, by_numpy)
-            x._accumulate_python(lists, t, t * srate, by_python)
-        assert by_numpy == by_python
+        _accumulators_agree(x, t)
     calls = []
     real = CsrExpansion._accumulate_numpy
 
-    def counted(self, *args):
-        calls.append(args[0][2].dtype)
-        return real(self, *args)
+    def counted(self, c, *args):
+        calls.append(self._prepared[2][c][1][2].dtype)
+        return real(self, c, *args)
 
     monkeypatch.setattr(CsrExpansion, "_accumulate_numpy", counted)
     for t in (x.threshold, x.threshold + 1, 10**18 + 1):
         assert x.evaluate(t) == _term_sum(x, t)
     assert calls == [np.dtype(dtype)] * 6  # one product per rate class and call
+
+
+def _one_node_terms(n, factors):
+    """An expansion with one term per (rate, C column, R row), each over a 1-node circuit."""
+    terms = []
+    for group, (rate, c, r) in enumerate(factors, start=1):
+        circuit = CircuitRecord((group,), rate)
+        terms.append(
+            CsrTerm(
+                rate=rate, C=c, S=build_s(circuit), R=r, circuit=circuit,
+                group=group, nodes=(group,), scaling=(0,),
+            )
+        )
+    return CsrExpansion(n=n, terms=tuple(terms))
+
+
+def _column(n, values):
+    return TropicalMatrix(n, 1, {(i, 0): v for i, v in values.items()})
+
+
+def _row(n, values):
+    return TropicalMatrix(1, n, {(0, j): v for j, v in values.items()})
+
+
+def _merge_edge_expansion(t, offset, scale, huge):
+    """Rate classes w, c and z at n = 64 where class c leads w by up to t - 1 - offset.
+
+    In scaled units s_w = 0 and s_c = -1 (rates 0 and -1/scale), so the
+    gap t * (s_w - s_c) is t.  C_w and R_w sit within a few units of their
+    lowest value -a_w, -b_w, and C_c, R_c of their highest a_c, b_c, so
+    class c's entry beats w's by up to B_w + B_c = t - 1 - offset (their
+    bounds): at offset -8 c wins some cells, ties some and loses others,
+    at -1 it ties at best, and from 0 on it loses every cell w holds.
+    Rows 60-63 are bottom in C_w and C_c, and columns 60-63 in R_w, which
+    class c fills.  Class z (rate -10^6) holds rows 0-3 and 60-63, with
+    entries near 10^20 (an object class) when ``huge``.
+    """
+    rng = random.Random(f"{t}/{offset}/{scale}/{huge}")
+    n = 64
+    d = t - 1 - offset
+    a_w = b_w = a_c = d // 4
+    b_c = d - 3 * (d // 4)
+
+    def near(indices, extreme, inward):
+        # The extreme at index 0, within 3 units of it elsewhere.
+        return {k: Fraction(extreme + inward * (k and rng.randint(0, 3)), scale) for k in indices}
+
+    def wild(indices):
+        top = 10**20 if huge else 30
+        return {k: Fraction(rng.randint(-top, top), scale) for k in indices}
+
+    low = range(60)
+    return _one_node_terms(
+        n,
+        (
+            (0, _column(n, near(low, -a_w, 1)), _row(n, near(low, -b_w, 1))),
+            (
+                Fraction(-1, scale),
+                _column(n, near(low, a_c, -1)),
+                _row(n, near(range(n), b_c, -1)),
+            ),
+            (-10**6, _column(n, wild((0, 1, 2, 3, 60, 61, 62, 63))), _row(n, wild(range(n)))),
+        ),
+    )
+
+
+@pytest.mark.parametrize("big_t", [False, True], ids=["t=2n^2", "t=10^18"])
+@pytest.mark.parametrize("offset", [-8, -2, -1, 0, 1])
+def test_array_merge_around_the_largest_lead(big_t, offset):
+    # The array merge lets class c take a cell that class w holds where
+    # c's entry leads w's by more than t * (s_w - s_c).  With the largest
+    # lead just above, at and just below that gap, at both ends of the
+    # exponent range, with int64 and mixed int64 / object classes and with
+    # scale 1 and 3 (Fraction results), the result is the term sum, values
+    # and types, and the list accumulator agrees.
+    for scale in (1, 3):
+        for huge in (False, True):
+            t = 10**18 if big_t else 2 * 64 * 64
+            x = _merge_edge_expansion(t, offset, scale, huge)
+            dtypes = [f[2].dtype for _, f in x._prepared[2]]
+            assert dtypes == [np.int64, np.int64, object if huge else np.int64]
+            assert x._prepared[1][0] == (object if huge else np.int64)
+            got = x.evaluate(t)
+            assert _typed(got) == _typed(_term_sum(x, t))
+            assert (scale == 3) == any(type(v) is Fraction for v in got.entries.values())
+            merged = _accumulators_agree(x, t)
+            alone = [CsrExpansion(n=64, terms=(term,)) for term in x.terms[:2]]
+            w, c = (_term_sum(y, t).entries for y in alone)
+            wins = {k for k, (cls, _) in merged.items() if cls == 1 and k in w}
+            ties = {k for k in w if c.get(k) == w[k]}
+            assert bool(wins) == (offset < -1)
+            assert bool(ties) == (offset in (-8, -2, -1))
+            # Class c fills the columns w leaves at the bottom (outside z's
+            # rows), and z the rows that both leave there.
+            assert all(merged[(i, j)][0] == 1 for i in range(4, 60) for j in range(60, 64))
+            assert all(merged[(i, j)][0] == 2 for i in range(60, 64) for j in range(64))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_array_merge_at_the_gap_cap(wide, offset):
+    # The merge caps the gap t * (s_w - s_c) at -bottom of its arrays:
+    # 2^61 on int64, 4 * the largest class bound on object arrays (here
+    # class z's 2^61).  Class c leads w by 2^59 on every cell w holds (w's
+    # entries at -2^57, c's at 2^57), far below the cap.  With the gap
+    # just below, at and just above the cap, at t = 2n^2 (rate gap
+    # cap / 2n^2 + offset) and at t = cap + offset (rate gap 1), w keeps
+    # every cell it holds, c fills rows 60-63, which w leaves at the
+    # bottom, and the result is the term sum.
+    n = 64
+    top = 1 << 57
+
+    def build(k):
+        factors = [
+            (0, _column(n, dict.fromkeys(range(60), -top)), _row(n, dict.fromkeys(range(n), -top))),
+            (-k, _column(n, dict.fromkeys(range(n), top)), _row(n, dict.fromkeys(range(n), top))),
+        ]
+        if wide:
+            factors.append((-k - 1, _column(n, {0: 1 << 60}), _row(n, {0: 1 << 60})))
+        return _one_node_terms(n, factors)
+
+    cap = -build(1)._prepared[1][1]
+    assert cap == (1 << 63 if wide else 1 << 61)
+    for t, k in ((2 * n * n, cap // (2 * n * n) + offset), (cap + offset, 1)):
+        x = build(k)
+        assert x._prepared[1][0] == (object if wide else np.int64)
+        assert _typed(x.evaluate(t)) == _typed(_term_sum(x, t))
+        merged = _accumulators_agree(x, t)
+        assert {key: w for key, (w, _) in merged.items()} == {
+            (i, j): int(i >= 60) for i in range(n) for j in range(n)
+        }
+
+
+@pytest.mark.parametrize(
+    "w_low, c_top, c_dtype",
+    [(10**20, 30, np.int64), (10**21, 1 << 59, object)],
+    ids=["object-then-int64", "object-then-smaller-object"],
+)
+def test_array_merge_ignores_a_later_class_bottom(w_low, c_top, c_dtype):
+    # Each class's product keeps its own bottom: -2^61 on int64 arrays and
+    # -4 * its bound on object arrays.  Class w (rate 0, an object class)
+    # holds every cell, rows 0-47 near -w_low, far below class c's bottom;
+    # class c (rate -1; int64, or object with a bound over 4 times smaller
+    # than w's) is bottom on rows 32-47 and 56-63.  There w's value stands:
+    # c's bottom never competes as a finite value.  On rows 0-31 c wins,
+    # and on rows 48-55, where both are near the gap t, each wins some
+    # cells near the threshold.
+    rng = random.Random(w_low)
+    n = 64
+
+    def small(indices, base=0):
+        return {k: base + rng.randint(-30, 30) for k in indices}
+
+    w_col = small(range(48), -w_low) | small(range(48, n))
+    c_col = small([*range(32), *range(48, 56)], 2 * n * n)
+    c_col[0] = c_top
+    x = _one_node_terms(
+        n,
+        (
+            (0, _column(n, w_col), _row(n, small(range(n)))),
+            (-1, _column(n, c_col), _row(n, small(range(n)))),
+        ),
+    )
+    (_, w_factors), (_, c_factors) = x._prepared[2]
+    assert [w_factors[2].dtype, c_factors[2].dtype] == [object, c_dtype]
+    assert max(w_col[i] for i in range(32, 48)) + 60 < c_factors[1] - 10**19
+    for t in (x.threshold, x.threshold + 1, 10**18 + 1):
+        assert _typed(x.evaluate(t)) == _typed(_term_sum(x, t))
+        merged = _accumulators_agree(x, t)
+        held = [[merged[(i, j)][0] for j in range(n)] for i in range(n)]
+        assert all(held[i] == [1] * n for i in range(32))
+        assert all(held[i] == [0] * n for i in range(32, 48))
+        assert all(held[i] == [0] * n for i in range(56, n))
+        if t < 10**18:
+            assert {w for i in range(48, 56) for w in held[i]} == {0, 1}
+
+
+def _array_path_instance(family, rng):
+    n = rng.randint(64, 80)
+    if family == "dense":
+        return random_matrix(rng, n, 1.0)
+    if family == "wide":
+        return random_irreducible_matrix(rng, n, 0.05, -10**6, 10**6)
+    if family == "tie":
+        return random_matrix(rng, n, 0.3, -1, 0)
+    if family == "rational":
+        entries = {
+            (i, j): Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6)))
+            for i in range(n)
+            for j in range(n)
+            if rng.random() < 0.3
+        }
+        return TropicalMatrix(n, n, entries)
+    a = random_matrix(rng, n, 0.3)
+    huge = {key: v * 10**17 + rng.randint(0, 9) for key, v in a.entries.items()}
+    return TropicalMatrix(n, n, huge)
+
+
+@pytest.mark.parametrize(
+    "family, seed", [("dense", 1), ("wide", 2), ("tie", 3), ("rational", 4), ("huge", 5)]
+)
+def test_array_merge_on_seeded_families(family, seed):
+    # n = 64-80, so evaluate merges its rate classes on arrays: plain and
+    # reduced expansions give the term sum (values and types) near the
+    # threshold and far above it, the list accumulator agrees on the same
+    # stacked classes, and the powers match A^t over [2 n^2, 2 n^2 + 3].
+    a = _array_path_instance(family, random.Random(seed))
+    for reduce in (False, True):
+        x = expand(a, reduce_by_cyclicity=reduce)
+        assert x._prepared[1] is not None
+        for t in (x.threshold, x.threshold + 1, 10**12 + 3, 10**18 + 1):
+            assert _typed(x.evaluate(t)) == _typed(_term_sum(x, t))
+            _accumulators_agree(x, t)
+        report = brute_power_check(a, x, range(x.threshold, x.threshold + 4))
+        assert report.match, report.counterexample
+
+
+def test_acyclic_expansion_on_the_array_path():
+    # No terms at n >= 64: nothing to merge, and powers from n on are bottom.
+    a = TropicalMatrix(64, 64, {(0, 1): 3, (1, 2): Fraction(1, 2)})
+    x = expand(a)
+    assert x.terms == () and x._prepared[2] == []
+    assert x.evaluate(2) == TropicalMatrix(64, 64, {(0, 2): Fraction(7, 2)})
+    assert x.evaluate(x.threshold) == TropicalMatrix.epsilon(64)
 
 
 def _typed(m):
@@ -694,7 +945,7 @@ def test_power_check_at_real_sizes(family, seed):
     # irreducible sparse at n = 60 and p/q entries at n = 30.
     a = _power_check_instance(family, random.Random(seed))
     x = expand(a)
-    assert x._prepared[1] == (family == "dense")
+    assert (x._prepared[1] is not None) == (family == "dense")
     report = brute_power_check(a, x, range(x.threshold, x.threshold + 21))
     assert report.match, report.counterexample
 
@@ -732,13 +983,14 @@ def test_evaluate_does_no_t_independent_work(monkeypatch, n, density):
 
 @pytest.mark.parametrize("n, density", [(10, None), (64, 0.25)])
 def test_evaluate_adopts_its_normalized_entries(monkeypatch, n, density):
-    # The result's values come out of ``unscaled`` already normalized, so
-    # building the matrix must not normalize them again.
+    # The result's values come out of ``unscaled`` (lists) or
+    # ``_kernel_result`` (arrays) already normalized, so building the
+    # matrix must not normalize them again.
     import maxplus.tropical as tropical
 
     a = demo_matrix() if density is None else random_matrix(random.Random(6464), n, density)
     x = expand(a)
-    assert x._prepared[1] == (n >= 64)  # the Python path, then the numpy path
+    assert (x._prepared[1] is not None) == (n >= 64)  # the list path, then the arrays
     t = x.threshold + 1
     want = _term_sum(x, t)
     calls = []

@@ -240,6 +240,44 @@ def test_unscaled_inverts_scaled_int():
             assert type(back) is type(as_value(v))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("scale", [1, 12, 3 << 59])
+@pytest.mark.parametrize("shifts", [None, (0, 5, -7, 12 * 10**6), (10**30 + 7, -(10**30), 1, 0)])
+def test_kernel_result_matches_unscaled(dtype, scale, shifts):
+    # The array exit gives, cell by cell, what ``unscaled`` gives: the same
+    # value with the same type, in row-major order.  Cells hold negative
+    # and positive values, multiples of the scale and not, and the bottom;
+    # a shift, when given, is added to a cell before it leaves the domain.
+    rng = random.Random(f"{dtype}/{scale}/{shifts}")
+    top = (1 << 70) if dtype is object else (1 << 58)
+    bottom = -4 * (top if dtype is object else tropical._INT64_BOUND)
+    picks = (
+        lambda: bottom,
+        lambda: rng.randint(-30, 30),
+        lambda: 12 * rng.randint(-30, 30),
+        lambda: rng.randint(-top, top),
+        lambda: -top,
+    )
+    cells = [[rng.choice(picks)() for _ in range(7)] for _ in range(6)]
+    out = np.array(cells, dtype=dtype)
+    which = None
+    if shifts is not None:
+        which = np.array([[rng.randrange(len(shifts)) for _ in range(7)] for _ in range(6)])
+    got = tropical._kernel_result(out, bottom, scale, shifts, which)
+    want = {
+        (i, j): unscaled(v + (0 if shifts is None else shifts[which[i, j]]), scale)
+        for i, row in enumerate(cells)
+        for j, v in enumerate(row)
+        if v != bottom
+    }
+    assert (got.rows, got.cols) == (6, 7)
+    assert [(key, type(v), v) for key, v in got.entries.items()] == [
+        (key, type(v), v) for key, v in want.items()
+    ]
+    if scale == 12:
+        assert 0 < sum(type(v) is int for v in want.values()) < len(want)
+
+
 def _assert_same_matrix(got, want):
     # Same shape, keys and values, and the type as_value gives each value.
     assert (got.rows, got.cols) == (want.rows, want.cols)
@@ -455,3 +493,19 @@ def test_closure_guard_edge(closure_dtypes, top, dtype):
     assert closure_dtypes == [np.dtype(dtype)]
     _assert_same_matrix(got, naive_kleene_star(a))
     assert got.get(0, 3) == -3 * top and got.get(0, 0) == 0
+
+
+def test_package_exports_the_api_only():
+    # ``__all__`` lists the public names of ``maxplus`` itself, each once,
+    # and none of its submodules.
+    import types
+
+    import maxplus
+
+    public = {
+        name
+        for name in dir(maxplus)
+        if not name.startswith("_") and not isinstance(getattr(maxplus, name), types.ModuleType)
+    }
+    assert len(maxplus.__all__) == len(set(maxplus.__all__)) == 34
+    assert set(maxplus.__all__) == public
