@@ -10,14 +10,20 @@ Breakpoints of chi are the finite roots; the maximal multi-circuit sequence
 whole interval.
 
 Roots are found by supporting-line intersection on the convex function,
-which costs a small number of assignment evaluations per breakpoint.  The
-assignment runs on lexicographic weights (exact rational weight first, then
-the count of t-realized diagonal picks) so the shortest and longest
-attaining multi-circuits come out exactly, with no perturbation constants.
+which costs about two evaluations per breakpoint.  The assignment runs on
+lexicographic weights (exact rational weight first, then the count of
+t-realized diagonal picks) so the shortest and longest attaining
+multi-circuits come out exactly, with no perturbation constants.
+``chi_eval`` solves both from scratch.  The search solves the long one
+from scratch, starts the short one from the long one's duals (the costs
+differ by at most 1 per cell, so few rows need a new phase), and skips it
+where the long one alone settles the point: one cold assignment and at
+most one warm one per evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,23 +132,35 @@ class Mmcs:
         return tuple(lengths[k + 1] - lengths[k] for k in range(self.p))
 
 
-def _scaled_entries(a, lam, n):
-    """``lam`` and the entries of ``a`` in one scaled-integer domain.
+def _scaled_entries(a):
+    """The entries of ``a`` in its own scaled-integer domain, once per matrix.
 
-    Returns ``(scale, lam_s, off, diag)``: ``off[i]`` lists the
-    off-diagonal cells of row i as ``(j, scaled value * (n + 1))``, ready
-    for the primary place of the lexicographic costs, and ``diag[i]`` is
-    the scaled a_ii or None.
+    Returns ``(scale, off, diag)``: ``off[i]`` lists the off-diagonal cells
+    of row i as ``(j, scaled value * (n + 1))``, ready for the primary
+    place of the lexicographic costs, and ``diag[i]`` is the scaled a_ii or
+    None.
     """
-    scale = common_scale((lam,), a.entries.values())
-    k = n + 1
+    n = a.rows
+    scale = common_scale(a.entries.values())
     off = [[] for _ in range(n)]
     diag = [None] * n
     for (i, j), v in a.entries.items():
         if i == j:
             diag[i] = scaled_int(v, scale)
         else:
-            off[i].append((j, scaled_int(v, scale) * k))
+            off[i].append((j, scaled_int(v, scale) * (n + 1)))
+    return scale, off, diag
+
+
+def _at(entries, lam):
+    """``(scale, lam_s, off, diag)``: ``_scaled_entries`` and ``lam`` in one domain."""
+    scale, off, diag = entries
+    den = common_scale((lam,))
+    factor = den // math.gcd(scale, den)
+    if factor > 1:
+        scale *= factor
+        off = [[(j, c * factor) for j, c in row] for row in off]
+        diag = [None if d is None else d * factor for d in diag]
     return scale, scaled_int(lam, scale), off, diag
 
 
@@ -190,26 +208,37 @@ def _witness_from_perm(a, perm, is_loop):
     return MultiCircuit(tuple(circuits))
 
 
+def _run(off, diag, lam_s, want_max_length, start=None):
+    """One lexicographic assignment: ``(scaled value, count, perm, is_loop, v)``.
+
+    The certified total decodes to the scaled value and the secondary
+    count: the multi-circuit's length (long run) or its number of ``lam``
+    picks (short run).  ``start`` and ``v`` are ``max_assignment``'s.
+    """
+    rows, is_loop = _lexicographic_costs(off, diag, lam_s, want_max_length)
+    total, perm, v = max_assignment(rows, start=start)
+    return *divmod(total, len(diag) + 1), perm, is_loop, v
+
+
 def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
     """Evaluate chi at ``lam`` and report the extreme attaining multi-circuits.
 
     Solved as two lexicographic assignments on the lifted matrix (diagonal
-    raised to max(a_ii, lam)): one maximizing and one minimizing the number
-    of diagonal picks realized by ``lam``.  A tie a_ii == lam counts as a
-    lam pick for the short witness and as a self-loop circuit for the long
-    one, which is exactly what happens at a breakpoint.
+    raised to max(a_ii, lam)), both from scratch: one maximizing and one
+    minimizing the number of diagonal picks realized by ``lam``.  A tie
+    a_ii == lam counts as a lam pick for the short witness and as a
+    self-loop circuit for the long one, which is exactly what happens at a
+    breakpoint.
     """
     if not a.is_square:
         raise DimensionMismatchError("chi is defined for square matrices")
     lam = as_value(lam)
     n = a.rows
-    scale, lam_s, off, diag = _scaled_entries(a, lam, n)
+    scale, lam_s, off, diag = _at(_scaled_entries(a), lam)
     runs = []
     for want_max_length in (False, True):
-        rows, is_loop = _lexicographic_costs(off, diag, lam_s, want_max_length)
-        total, perm = max_assignment(rows)
-        # The certified total decodes to (scaled value, secondary count).
-        runs.append((_witness_from_perm(a, perm, is_loop), *divmod(total, n + 1)))
+        value_s, count, perm, is_loop, _ = _run(off, diag, lam_s, want_max_length)
+        runs.append((_witness_from_perm(a, perm, is_loop), value_s, count))
     (witness_min, short_s, lam_picks), (witness_max, long_s, max_length) = runs
     if short_s != long_s:
         raise AssertionError("lexicographic runs disagree on the primary optimum")
@@ -224,40 +253,95 @@ def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
     )
 
 
-def _search_breakpoints(a, n, lo, e_lo, hi, e_hi):
+def _line(value, lam, slope):
+    """The line of the given slope through (lam, value): ``(slope, intercept)``."""
+    return slope, as_value(value - lam * slope)
+
+
+def _evaluate(entries, lam, lines=None):
+    """chi at ``lam`` for the search: ``(value, min_length, max_length, perm, is_loop)``.
+
+    One cold long (max-length) run gives the value, the max length and the
+    permutation that ``chi_eval``'s ``witness_max`` comes from.  The short
+    run, which gives the min length, starts from the long run's duals at
+    the same scale: the two cost matrices differ by at most 1 per cell.
+    ``lines`` are the supporting lines ``(slope, intercept)`` of chi right
+    of the bracket below ``lam`` and left of the one above, which meet at
+    ``lam``.  If chi(lam) lies on them, chi is their maximum between the
+    brackets, so lam is the only breakpoint there, its min length is n
+    minus the upper slope, and the short run is skipped.
+    """
+    scale, lam_s, off, diag = _at(entries, lam)
+    n = len(diag)
+    value_s, max_length, perm, is_loop, v = _run(off, diag, lam_s, True)
+    value = unscaled(value_s, scale)
+    if lines is not None:
+        (s_lo, b_lo), (s_hi, _) = lines
+        if value == b_lo + lam * s_lo:
+            if max_length != n - s_lo:
+                raise AssertionError("a terminal intersection disagrees with its left line")
+            return value, n - s_hi, max_length, perm, is_loop
+    short_s, lam_picks, *_ = _run(off, diag, lam_s, False, start=(perm, v))
+    if short_s != value_s:
+        raise AssertionError("lexicographic runs disagree on the primary optimum")
+    return value, n - lam_picks, max_length, perm, is_loop
+
+
+def _search_breakpoints(entries, lo, lo_line, hi, hi_line):
     """Supporting-line intersection over the convex evaluation.
 
-    Works through an explicit stack of open intervals (lo, e_lo, hi, e_hi),
-    left halves first, so the depth of the search never reaches Python's
-    call stack.  Returns the breakpoints found, each with its evaluation.
+    Works through an explicit stack of open intervals, each with the
+    supporting line of chi right of its lower end and left of its upper
+    end, left halves first, so the depth of the search never reaches
+    Python's call stack.  Returns each breakpoint found with its
+    ``_evaluate`` result.
     """
+    n = len(entries[2])
     found = {}
-    stack = [(lo, e_lo, hi, e_hi)]
+    stack = [(lo, lo_line, hi, hi_line)]
     while stack:
-        lo, e_lo, hi, e_hi = stack.pop()
-        s_lo = n - e_lo.min_length
-        b_lo = e_lo.witness_min.total_weight
-        s_hi = n - e_hi.max_length
-        b_hi = e_hi.witness_max.total_weight
+        lo, left, hi, right = stack.pop()
+        (s_lo, b_lo), (s_hi, b_hi) = left, right
         if s_lo == s_hi:
             if b_lo != b_hi:
                 raise AssertionError("parallel distinct supporting lines")
             continue
-        lam_star = as_value(Fraction(b_lo - b_hi, s_hi - s_lo))
-        if not (lo < lam_star < hi):
+        lam = as_value(Fraction(b_lo - b_hi, s_hi - s_lo))
+        if not (lo < lam < hi):
             raise AssertionError("line intersection escaped the search interval")
-        e_star = chi_eval(a, lam_star)
-        if e_star.min_length < e_star.max_length:
-            found[lam_star] = e_star
-        if e_star.value == b_lo + lam_star * s_lo:
+        evaluation = _evaluate(entries, lam, (left, right))
+        value, min_length, max_length = evaluation[:3]
+        if min_length < max_length:
+            found[lam] = evaluation
+        if value == b_lo + lam * s_lo:
             continue
-        right_line = (n - e_star.min_length, e_star.witness_min.total_weight)
-        if right_line != (s_hi, b_hi):
-            stack.append((lam_star, e_star, hi, e_hi))
-        left_line = (n - e_star.max_length, e_star.witness_max.total_weight)
-        if left_line != (s_lo, b_lo):
-            stack.append((lo, e_lo, lam_star, e_star))
+        right_line = _line(value, lam, n - min_length)
+        if right_line != right:
+            stack.append((lam, right_line, hi, right))
+        left_line = _line(value, lam, n - max_length)
+        if left_line != left:
+            stack.append((lo, left, lam, left_line))
     return found
+
+
+def _brackets(a):
+    """Points strictly below and above every finite root of chi (see ``characteristic_roots``)."""
+    n = a.rows
+    values = list(a.entries.values())
+    lo = as_value(min(0, n * min(values)) - max(0, n * max(values)) - 1)
+    return lo, as_value(max(values) + 1)
+
+
+def _mmcs(n, found):
+    """The ``Mmcs`` of the breakpoints ``found``, each with its min length and long witness."""
+    roots = tuple(sorted(found, reverse=True))
+    multicircuits = [MultiCircuit.empty()]
+    for lam in roots:
+        min_length, witness = found[lam]
+        if min_length != multicircuits[-1].total_length:
+            raise AssertionError("adjacent root intervals disagree on lengths")
+        multicircuits.append(witness)
+    return Mmcs(roots, n - multicircuits[-1].total_length, tuple(multicircuits))
 
 
 def characteristic_roots(a: TropicalMatrix) -> Mmcs:
@@ -272,30 +356,33 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
     bracket of entry values alone would not be safe.)  A matrix with no
     finite entries has no finite roots, and the MMCS degenerates to the
     empty multi-circuit.
+
+    Each evaluation runs one cold assignment, ``chi_eval``'s long run, so
+    each root's witness is ``chi_eval``'s ``witness_max``.  Its short run
+    starts from the long run's duals, and is skipped at a terminal
+    intersection.  With p roots that is at most 2p + 1 cold runs and at
+    most p + 1 warm ones, where ``chi_eval`` at every point would run 4p
+    cold.  The entries are scaled once per matrix, and witnesses are
+    decoded, and checked against the value they attain, at the roots only.
     """
     if not a.is_square:
         raise DimensionMismatchError("roots are defined for square matrices")
     n = a.rows
     if not a.entries:
         return Mmcs((), n, (MultiCircuit.empty(),))
-    values = list(a.entries.values())
-    lo = as_value(min(0, n * min(values)) - max(0, n * max(values)) - 1)
-    hi = as_value(max(values) + 1)
-    e_lo = chi_eval(a, lo)
-    if e_lo.min_length != e_lo.max_length:
+    lo, hi = _brackets(a)
+    entries = _scaled_entries(a)
+    value, min_length, max_length, _, _ = _evaluate(entries, lo)
+    if min_length != max_length:
         raise AssertionError("bracketing points must not be breakpoints")
     # Above every entry each circuit loses to lam picks: chi(hi) = n * hi,
-    # attained only by the empty multi-circuit.
-    empty = MultiCircuit.empty()
-    e_hi = ChiEvaluation(n, hi, as_value(n * hi), 0, 0, empty, empty)
-    found = _search_breakpoints(a, n, lo, e_lo, hi, e_hi)
-    roots = tuple(sorted(found, reverse=True))
-    multicircuits = [MultiCircuit.empty()]
-    for lam in roots:
-        ev = found[lam]
-        if ev.min_length != multicircuits[-1].total_length:
-            raise AssertionError("adjacent root intervals disagree on lengths")
-        multicircuits.append(ev.witness_max)
-    eps_mult = n - multicircuits[-1].total_length
-    return Mmcs(roots, eps_mult, tuple(multicircuits))
-
+    # attained only by the empty multi-circuit, whose line is (n, 0).
+    found = _search_breakpoints(entries, lo, _line(value, lo, n - min_length), hi, (n, 0))
+    roots = {}
+    for lam, (value, min_length, max_length, perm, is_loop) in found.items():
+        witness = _witness_from_perm(a, perm, is_loop)
+        attained = witness.total_weight + lam * (n - witness.total_length)
+        if (attained, witness.total_length) != (value, max_length):
+            raise AssertionError("witness does not attain the evaluated value")
+        roots[lam] = (min_length, witness)
+    return _mmcs(n, roots)

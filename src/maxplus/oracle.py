@@ -3,7 +3,9 @@
 Everything here is deliberately naive: permanents by permutation sweep,
 multi-circuits by exhaustive enumeration of node-disjoint circuit families,
 power checks by repeated multiplication, products by a dict loop over the
-raw rationals, assignments by the dense shortest-augmenting-path loop.
+raw rationals, assignments by the dense shortest-augmenting-path loop, the
+root search by a full ``chi_eval``, both assignments from scratch, at
+every point.
 These paths exist to validate the fast implementations, so they refuse
 inputs large enough to take forever instead of silently running.
 """
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpoly import MultiCircuit
+from .charpoly import ChiEvaluation, Mmcs, MultiCircuit, _brackets, _mmcs, chi_eval
 from .digraph import CircuitRecord
 from .tropical import (
     DimensionMismatchError,
@@ -264,6 +266,49 @@ def brute_mmc(a: TropicalMatrix) -> BruteMmcDescription:
         epsilon_multiplicity=n - hull[-1][0],
         mmcs_lengths=mmcs_lengths,
     )
+
+
+def roots_by_chi_eval(a: TropicalMatrix) -> Mmcs:
+    """``characteristic_roots`` with every evaluation a cold ``chi_eval``.
+
+    The same brackets, supporting-line search and MMCS assembly, but each
+    point runs both lexicographic assignments from scratch and reads its
+    lines from the two witnesses: the twin of the search's warm-started
+    and skipped short runs.
+    """
+    if not a.is_square:
+        raise DimensionMismatchError("roots are defined for square matrices")
+    n = a.rows
+    if not a.entries:
+        return Mmcs((), n, (MultiCircuit.empty(),))
+    lo, hi = _brackets(a)
+    e_lo = chi_eval(a, lo)
+    if e_lo.min_length != e_lo.max_length:
+        raise AssertionError("bracketing points must not be breakpoints")
+    empty = MultiCircuit.empty()
+    found = {}
+    stack = [(lo, e_lo, hi, ChiEvaluation(n, hi, as_value(n * hi), 0, 0, empty, empty))]
+    while stack:
+        lo, e_lo, hi, e_hi = stack.pop()
+        s_lo, b_lo = n - e_lo.min_length, e_lo.witness_min.total_weight
+        s_hi, b_hi = n - e_hi.max_length, e_hi.witness_max.total_weight
+        if s_lo == s_hi:
+            if b_lo != b_hi:
+                raise AssertionError("parallel distinct supporting lines")
+            continue
+        lam_star = as_value(Fraction(b_lo - b_hi, s_hi - s_lo))
+        if not (lo < lam_star < hi):
+            raise AssertionError("line intersection escaped the search interval")
+        e_star = chi_eval(a, lam_star)
+        if e_star.min_length < e_star.max_length:
+            found[lam_star] = (e_star.min_length, e_star.witness_max)
+        if e_star.value == b_lo + lam_star * s_lo:
+            continue
+        if (n - e_star.min_length, e_star.witness_min.total_weight) != (s_hi, b_hi):
+            stack.append((lam_star, e_star, hi, e_hi))
+        if (n - e_star.max_length, e_star.witness_max.total_weight) != (s_lo, b_lo):
+            stack.append((lo, e_lo, lam_star, e_star))
+    return _mmcs(n, found)
 
 
 def naive_matrix_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:

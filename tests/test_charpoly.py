@@ -11,7 +11,15 @@ from maxplus import (
     chi_eval,
     karp_max_cycle_mean,
 )
-from maxplus.oracle import brute_chi, brute_mmc, random_matrix
+import maxplus.assignment as assignment
+import maxplus.charpoly as charpoly
+from maxplus.oracle import (
+    brute_chi,
+    brute_mmc,
+    random_irreducible_matrix,
+    random_matrix,
+    roots_by_chi_eval,
+)
 from fixtures import (
     DEMO_EPS_MULTIPLICITY,
     DEMO_MMCS_CIRCUITS,
@@ -175,6 +183,82 @@ class TestCharacteristicRoots:
             for k, lam in enumerate(mm.roots):
                 for circuit in mm.multicircuits[k + 1].circuits:
                     assert Fraction(circuit.weight, circuit.length) >= lam
+
+
+def _twin_family(rng, kind, n):
+    """One seeded matrix of a root-search family: see ``test_matches_the_cold_chi_eval_twin``."""
+    if kind == "ties":
+        return random_matrix(rng, n, rng.choice([0.2, 0.5, 1.0]), -1, 0)
+    if kind == "wide":
+        return random_irreducible_matrix(rng, n, rng.choice([0.05, 0.1, 0.3]), -10**6, 10**6)
+    if kind == "p/q":
+        m = random_matrix(rng, n, rng.choice([0.3, 0.7, 1.0]), -20, 20)
+        return TropicalMatrix(n, n, {k: Fraction(v, rng.choice((1, 2, 3, 4, 6))) for k, v in m.entries.items()})
+    if kind == "blocks":
+        size = rng.randint(2, 6)
+        entries = {}
+        for i in range(n):
+            for j in range(n):
+                same, forward = i // size == j // size, i // size < j // size
+                if (same and rng.random() < 0.8) or (forward and rng.random() < 0.05):
+                    entries[(i, j)] = rng.randint(-10**6, 10**6)
+        return TropicalMatrix(n, n, entries)
+    m = random_irreducible_matrix(rng, n, rng.choice([0.1, 0.3, 1.0]), -50, 50)
+    return TropicalMatrix(n, n, {k: 10**17 + v for k, v in m.entries.items()})
+
+
+def test_matches_the_cold_chi_eval_twin():
+    # The search runs chi_eval's long run cold, starts the short one from
+    # its duals and skips it at terminal points; the twin runs a full cold
+    # chi_eval everywhere.  Roots, multiplicities and every witness agree.
+    rng = random.Random(71)
+    for kind in ("ties", "wide", "p/q", "blocks", "near 1e17"):
+        for _ in range(24):
+            a = _twin_family(rng, kind, rng.randint(2, 40))
+            assert characteristic_roots(a) == roots_by_chi_eval(a), kind
+
+
+def test_matches_the_twin_on_the_int64_backend(monkeypatch):
+    # Fully dense rows at n = 150 take the int64 solve for every cold run.
+    solves = []
+    real = assignment._solve_min_numpy
+
+    def recorded(*args):
+        solves.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(assignment, "_solve_min_numpy", recorded)
+    rng = random.Random(73)
+    n = 150
+    a = TropicalMatrix(n, n, {(i, j): rng.randint(-5, 5) for i in range(n) for j in range(n)})
+    mmcs = characteristic_roots(a)
+    assert solves
+    assert mmcs == roots_by_chi_eval(a)
+
+
+def test_one_cold_assignment_per_evaluation(monkeypatch):
+    # With p roots: at most 2p + 1 cold long runs and at most p + 1 warm
+    # short ones, where a cold chi_eval at every point would make 4p.
+    calls = []
+    real = charpoly.max_assignment
+
+    def recorded(rows, start=None):
+        calls.append(start is not None)
+        return real(rows, start=start)
+
+    monkeypatch.setattr(charpoly, "max_assignment", recorded)
+    rng = random.Random(79)
+    for kind in ("ties", "wide", "p/q", "blocks"):
+        for _ in range(6):
+            a = _twin_family(rng, kind, rng.randint(2, 30))
+            calls.clear()
+            p = characteristic_roots(a).p
+            assert calls.count(False) <= 2 * p + 1
+            assert calls.count(True) <= p + 1
+    n = 40
+    calls.clear()
+    assert characteristic_roots(TropicalMatrix(n, n, {(i, i): i for i in range(n)})).p == n
+    assert calls.count(False) <= 2 * n and calls.count(True) <= n + 1
 
 
 def _recursion_depth():
