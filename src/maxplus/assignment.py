@@ -20,10 +20,6 @@ dense scan's first minimum, so both pick the same augmenting paths.
 ``maxplus.oracle.dense_min_assignment`` is the dense loop in plain ints,
 kept as their independent reference.
 
-A solve can start from an earlier one over the same cells (its column
-potentials and permutation): the heap backend then keeps every old match
-that is still tight and runs phases for the other rows only.
-
 Every solve is certified: the final potentials form a feasible dual over
 the allowed cells, tight on the matched ones, which proves optimality by
 LP duality.  The certificate is checked in unbounded Python ints, so a
@@ -51,33 +47,14 @@ def _sentinel_for(n, max_abs):
     return (max_abs + 1) * (16 * n + 32)
 
 
-def _solve_min_python(rows, start=None):
-    """Heap backend on sparse rows; returns ``(perm, u, v)`` in plain ints.
-
-    Cold, it runs one phase per row from zero potentials.  ``start = (perm,
-    v)`` comes from an earlier solve over the same cells: each row
-    potential becomes ``min_j (c_ij - v_j)``, which makes every reduced
-    cost nonnegative, each old match whose cell is tight stays, and only
-    the other rows run a phase.
-    """
+def _solve_min_python(rows):
+    """Heap backend on sparse rows; returns ``(perm, u, v)`` in plain ints."""
     n = len(rows)
+    u = [0] * n
+    v = [0] * n
     match = [-1] * (n + 1)  # column n is the root of each phase's tree
-    if start is None:
-        u = [0] * n
-        v = [0] * n
-        free = range(n)
-    else:
-        old, v = start
-        v = list(v)
-        u = [min((c - v[j] for j, c in row), default=0) for row in rows]
-        free = []
-        for i, row in enumerate(rows):
-            if any(j == old[i] and c - v[j] == u[i] for j, c in row):
-                match[old[i]] = i
-            else:
-                free.append(i)
     way = [0] * n
-    for i in free:
+    for i in range(n):
         match[n] = i
         best = {}  # column -> smallest key pushed this phase
         used = set()
@@ -189,17 +166,13 @@ def _certify(rows, perm, u, v):
     return True
 
 
-def max_assignment(weights, start=None):
+def max_assignment(weights):
     """Maximum-weight perfect assignment over the finite cells of a square matrix.
 
     ``weights[i]`` lists the finite cells of row i as ``(j, w)`` pairs with
     int ``w``; every other cell is forbidden, and a perfect matching over
-    the finite cells must exist.  Returns ``(total, perm, v)`` where
-    ``perm[i]`` is the column matched to row i and ``v`` holds the column
-    potentials of the certified minimization of the negated weights.
-    ``start = (perm, v)`` from an earlier solve over the same cells, with
-    weights that may differ, starts the heap backend from that solve
-    instead of from scratch; the result is certified all the same.
+    the finite cells must exist.  Returns ``(total, perm)`` where
+    ``perm[i]`` is the column matched to row i.
     """
     n = len(weights)
     max_abs = 0
@@ -214,19 +187,15 @@ def max_assignment(weights, start=None):
     # Minimize the negated weights.
     cost = [[(j, -x) for j, x in row] for row in weights]
     sentinel = _sentinel_for(n, max_abs)
-    use_numpy = (
-        start is None
-        and cells >= _NUMPY_MIN_CELLS_PER_ROW * n
-        and sentinel * 4 < _INT64_LIMIT
-    )
+    use_numpy = cells >= _NUMPY_MIN_CELLS_PER_ROW * n and sentinel * 4 < _INT64_LIMIT
     if use_numpy:
         perm, u, v = _solve_min_numpy(cost, sentinel)
     if not use_numpy or not _certify(cost, perm, u, v):
         # A failed int64 certificate means an overflow slipped past the guard
         # or the guard itself is wrong; redo the work exactly.
-        perm, u, v = _solve_min_python(cost, start)
+        perm, u, v = _solve_min_python(cost)
         if not _certify(cost, perm, u, v):
             raise AssertionError("assignment result failed its optimality certificate")
     # The certificate is tight on the matched cells, so the matched cost is
     # the dual objective.
-    return -(sum(u) + sum(v)), perm, v
+    return -(sum(u) + sum(v)), perm

@@ -14,11 +14,9 @@ which costs about two evaluations per breakpoint.  The assignment runs on
 lexicographic weights (exact rational weight first, then the count of
 t-realized diagonal picks) so the shortest and longest attaining
 multi-circuits come out exactly, with no perturbation constants.
-``chi_eval`` solves both from scratch.  The search solves the long one
-from scratch, starts the short one from the long one's duals (the costs
-differ by at most 1 per cell, so few rows need a new phase), and skips it
-where the long one alone settles the point: one cold assignment and at
-most one warm one per evaluation.
+``chi_eval`` solves both.  The search solves only the long one: its left
+tangent is the one line an evaluation needs, and a root's right slope is
+the next supporting line found above it.
 """
 
 from __future__ import annotations
@@ -208,16 +206,16 @@ def _witness_from_perm(a, perm, is_loop):
     return MultiCircuit(tuple(circuits))
 
 
-def _run(off, diag, lam_s, want_max_length, start=None):
-    """One lexicographic assignment: ``(scaled value, count, perm, is_loop, v)``.
+def _run(off, diag, lam_s, want_max_length):
+    """One lexicographic assignment: ``(scaled value, count, perm, is_loop)``.
 
     The certified total decodes to the scaled value and the secondary
     count: the multi-circuit's length (long run) or its number of ``lam``
-    picks (short run).  ``start`` and ``v`` are ``max_assignment``'s.
+    picks (short run).
     """
     rows, is_loop = _lexicographic_costs(off, diag, lam_s, want_max_length)
-    total, perm, v = max_assignment(rows, start=start)
-    return *divmod(total, len(diag) + 1), perm, is_loop, v
+    total, perm = max_assignment(rows)
+    return *divmod(total, len(diag) + 1), perm, is_loop
 
 
 def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
@@ -237,7 +235,7 @@ def chi_eval(a: TropicalMatrix, lam) -> ChiEvaluation:
     scale, lam_s, off, diag = _at(_scaled_entries(a), lam)
     runs = []
     for want_max_length in (False, True):
-        value_s, count, perm, is_loop, _ = _run(off, diag, lam_s, want_max_length)
+        value_s, count, perm, is_loop = _run(off, diag, lam_s, want_max_length)
         runs.append((_witness_from_perm(a, perm, is_loop), value_s, count))
     (witness_min, short_s, lam_picks), (witness_max, long_s, max_length) = runs
     if short_s != long_s:
@@ -258,45 +256,25 @@ def _line(value, lam, slope):
     return slope, as_value(value - lam * slope)
 
 
-def _evaluate(entries, lam, lines=None):
-    """chi at ``lam`` for the search: ``(value, min_length, max_length, perm, is_loop)``.
-
-    One cold long (max-length) run gives the value, the max length and the
-    permutation that ``chi_eval``'s ``witness_max`` comes from.  The short
-    run, which gives the min length, starts from the long run's duals at
-    the same scale: the two cost matrices differ by at most 1 per cell.
-    ``lines`` are the supporting lines ``(slope, intercept)`` of chi right
-    of the bracket below ``lam`` and left of the one above, which meet at
-    ``lam``.  If chi(lam) lies on them, chi is their maximum between the
-    brackets, so lam is the only breakpoint there, its min length is n
-    minus the upper slope, and the short run is skipped.
-    """
+def _evaluate(entries, lam):
+    """chi at ``lam`` from ``chi_eval``'s long run: ``(value, max_length, perm, is_loop)``."""
     scale, lam_s, off, diag = _at(entries, lam)
-    n = len(diag)
-    value_s, max_length, perm, is_loop, v = _run(off, diag, lam_s, True)
-    value = unscaled(value_s, scale)
-    if lines is not None:
-        (s_lo, b_lo), (s_hi, _) = lines
-        if value == b_lo + lam * s_lo:
-            if max_length != n - s_lo:
-                raise AssertionError("a terminal intersection disagrees with its left line")
-            return value, n - s_hi, max_length, perm, is_loop
-    short_s, lam_picks, *_ = _run(off, diag, lam_s, False, start=(perm, v))
-    if short_s != value_s:
-        raise AssertionError("lexicographic runs disagree on the primary optimum")
-    return value, n - lam_picks, max_length, perm, is_loop
+    value_s, max_length, perm, is_loop = _run(off, diag, lam_s, True)
+    return unscaled(value_s, scale), max_length, perm, is_loop
 
 
 def _search_breakpoints(entries, lo, lo_line, hi, hi_line):
     """Supporting-line intersection over the convex evaluation.
 
-    Works through an explicit stack of open intervals, each with the
-    supporting line of chi right of its lower end and left of its upper
-    end, left halves first, so the depth of the search never reaches
-    Python's call stack.  Returns each breakpoint found with its
+    Works through an explicit stack of open intervals, left halves first,
+    so the depth of the search never reaches Python's call stack.  Each
+    interval carries a supporting line of chi at its lower end and the
+    piece of chi left of its upper end; an evaluation splits it at its
+    left tangent.  Returns each breakpoint found with its min length and
     ``_evaluate`` result.
     """
     n = len(entries[2])
+    evaluations = {}
     found = {}
     stack = [(lo, lo_line, hi, hi_line)]
     while stack:
@@ -307,20 +285,26 @@ def _search_breakpoints(entries, lo, lo_line, hi, hi_line):
                 raise AssertionError("parallel distinct supporting lines")
             continue
         lam = as_value(Fraction(b_lo - b_hi, s_hi - s_lo))
+        if lam == lo:
+            # chi follows the upper line from lo on, so lo is a breakpoint.
+            if lo not in evaluations:
+                raise AssertionError("bracketing points must not be breakpoints")
+            found[lo] = (n - s_hi, evaluations[lo])
+            continue
         if not (lo < lam < hi):
             raise AssertionError("line intersection escaped the search interval")
-        evaluation = _evaluate(entries, lam, (left, right))
-        value, min_length, max_length = evaluation[:3]
-        if min_length < max_length:
-            found[lam] = evaluation
+        evaluation = _evaluate(entries, lam)
+        value, max_length = evaluation[:2]
         if value == b_lo + lam * s_lo:
+            # chi is the lines' maximum between the ends: lam is the one breakpoint.
+            if max_length != n - s_lo:
+                raise AssertionError("a terminal intersection disagrees with its left line")
+            found[lam] = (n - s_hi, evaluation)
             continue
-        right_line = _line(value, lam, n - min_length)
-        if right_line != right:
-            stack.append((lam, right_line, hi, right))
-        left_line = _line(value, lam, n - max_length)
-        if left_line != left:
-            stack.append((lo, left, lam, left_line))
+        evaluations[lam] = evaluation
+        tangent = _line(value, lam, n - max_length)
+        stack.append((lam, tangent, hi, right))
+        stack.append((lo, left, lam, tangent))
     return found
 
 
@@ -357,13 +341,13 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
     finite entries has no finite roots, and the MMCS degenerates to the
     empty multi-circuit.
 
-    Each evaluation runs one cold assignment, ``chi_eval``'s long run, so
-    each root's witness is ``chi_eval``'s ``witness_max``.  Its short run
-    starts from the long run's duals, and is skipped at a terminal
-    intersection.  With p roots that is at most 2p + 1 cold runs and at
-    most p + 1 warm ones, where ``chi_eval`` at every point would run 4p
-    cold.  The entries are scaled once per matrix, and witnesses are
-    decoded, and checked against the value they attain, at the roots only.
+    Each evaluation runs one cold assignment, ``chi_eval``'s long run, at
+    every root too, so each root's witness is ``chi_eval``'s
+    ``witness_max``.  Past ``lo``, an evaluation finds a new piece of chi
+    (at most p besides the top one) or a root: at most 2p + 1 assignments,
+    where ``chi_eval`` at every point would make 4p.  The entries are
+    scaled once per matrix, and witnesses are decoded, and checked against
+    the value they attain, at the roots only.
     """
     if not a.is_square:
         raise DimensionMismatchError("roots are defined for square matrices")
@@ -372,14 +356,12 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
         return Mmcs((), n, (MultiCircuit.empty(),))
     lo, hi = _brackets(a)
     entries = _scaled_entries(a)
-    value, min_length, max_length, _, _ = _evaluate(entries, lo)
-    if min_length != max_length:
-        raise AssertionError("bracketing points must not be breakpoints")
+    value, max_length, _, _ = _evaluate(entries, lo)
     # Above every entry each circuit loses to lam picks: chi(hi) = n * hi,
     # attained only by the empty multi-circuit, whose line is (n, 0).
-    found = _search_breakpoints(entries, lo, _line(value, lo, n - min_length), hi, (n, 0))
+    found = _search_breakpoints(entries, lo, _line(value, lo, n - max_length), hi, (n, 0))
     roots = {}
-    for lam, (value, min_length, max_length, perm, is_loop) in found.items():
+    for lam, (min_length, (value, max_length, perm, is_loop)) in found.items():
         witness = _witness_from_perm(a, perm, is_loop)
         attained = witness.total_weight + lam * (n - witness.total_length)
         if (attained, witness.total_length) != (value, max_length):

@@ -301,6 +301,8 @@ class CsrExpansion:
     _prepared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("the matrix order must be positive")
         for before, after in zip(self.terms, self.terms[1:]):
             if before.rate < after.rate:
                 raise ValueError("term rates must be weakly decreasing")

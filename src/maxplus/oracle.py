@@ -272,9 +272,9 @@ def roots_by_chi_eval(a: TropicalMatrix) -> Mmcs:
     """``characteristic_roots`` with every evaluation a cold ``chi_eval``.
 
     The same brackets, supporting-line search and MMCS assembly, but each
-    point runs both lexicographic assignments from scratch and reads its
-    lines from the two witnesses: the twin of the search's warm-started
-    and skipped short runs.
+    point runs both lexicographic assignments and reads both its lines
+    from the two witnesses: the twin of a search that runs only the long
+    one and takes a root's right piece from the next line found above it.
     """
     if not a.is_square:
         raise DimensionMismatchError("roots are defined for square matrices")

@@ -2,6 +2,8 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
+
 from maxplus import (
     MultiCircuit,
     TropicalMatrix,
@@ -208,9 +210,9 @@ def _twin_family(rng, kind, n):
 
 
 def test_matches_the_cold_chi_eval_twin():
-    # The search runs chi_eval's long run cold, starts the short one from
-    # its duals and skips it at terminal points; the twin runs a full cold
-    # chi_eval everywhere.  Roots, multiplicities and every witness agree.
+    # The search runs only chi_eval's long run and reads a root's right
+    # slope from the next line it finds; the twin runs a full chi_eval
+    # everywhere.  Roots, multiplicities and every witness agree.
     rng = random.Random(71)
     for kind in ("ties", "wide", "p/q", "blocks", "near 1e17"):
         for _ in range(24):
@@ -237,14 +239,14 @@ def test_matches_the_twin_on_the_int64_backend(monkeypatch):
 
 
 def test_one_cold_assignment_per_evaluation(monkeypatch):
-    # With p roots: at most 2p + 1 cold long runs and at most p + 1 warm
-    # short ones, where a cold chi_eval at every point would make 4p.
+    # With p roots: at most 2p + 1 cold long runs, where a cold chi_eval at
+    # every point would make 4p.
     calls = []
     real = charpoly.max_assignment
 
-    def recorded(rows, start=None):
-        calls.append(start is not None)
-        return real(rows, start=start)
+    def recorded(rows):
+        calls.append(len(rows))
+        return real(rows)
 
     monkeypatch.setattr(charpoly, "max_assignment", recorded)
     rng = random.Random(79)
@@ -253,12 +255,54 @@ def test_one_cold_assignment_per_evaluation(monkeypatch):
             a = _twin_family(rng, kind, rng.randint(2, 30))
             calls.clear()
             p = characteristic_roots(a).p
-            assert calls.count(False) <= 2 * p + 1
-            assert calls.count(True) <= p + 1
+            assert len(calls) <= 2 * p + 1
     n = 40
     calls.clear()
     assert characteristic_roots(TropicalMatrix(n, n, {(i, i): i for i in range(n)})).p == n
-    assert calls.count(False) <= 2 * n and calls.count(True) <= n + 1
+    assert len(calls) <= 2 * n + 1
+
+
+def test_a_root_found_as_the_lower_end_of_its_interval(monkeypatch):
+    # An evaluation strictly above both lines may land on a root; its right
+    # piece turns up later as the upper line of an interval whose lines
+    # meet at the root.  The search takes a tangent only at points it
+    # evaluates that way, so a root among them was found at a lower end.
+    tangents = []
+    real = charpoly._line
+
+    def recorded(value, lam, slope):
+        tangents.append(lam)
+        return real(value, lam, slope)
+
+    monkeypatch.setattr(charpoly, "_line", recorded)
+    rng = random.Random(83)
+    fired = 0
+    for family in ("ties", "small", "irreducible"):
+        for _ in range(20):
+            n = rng.randint(2, 30)
+            if family == "ties":
+                a = random_matrix(rng, n, 0.6, -1, 0)
+            elif family == "small":
+                a = random_matrix(rng, n, 0.5, -3, 3)
+            else:
+                a = random_irreducible_matrix(rng, n, rng.choice([0.1, 0.3, 0.6]), -5, 5)
+            tangents.clear()
+            mmcs = characteristic_roots(a)
+            fired += bool(set(mmcs.roots) & set(tangents))
+            assert mmcs == roots_by_chi_eval(a), family
+    assert fired >= 10, fired
+
+
+def test_a_bracket_at_a_root_raises():
+    for a in (demo_matrix(), tm([[0, E], [E, -2]])):
+        n = a.rows
+        entries = charpoly._scaled_entries(a)
+        _, hi = charpoly._brackets(a)
+        for lo in characteristic_roots(a).roots:
+            value, max_length, _, _ = charpoly._evaluate(entries, lo)
+            lo_line = charpoly._line(value, lo, n - max_length)
+            with pytest.raises(AssertionError, match="bracketing points must not be breakpoints"):
+                charpoly._search_breakpoints(entries, lo, lo_line, hi, (n, 0))
 
 
 def _recursion_depth():

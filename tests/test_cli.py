@@ -187,6 +187,7 @@ class TestExpansionDocument:
             (("terms", 1, "circuit", "nodes", 0), 1),
             (("terms", 2, "group"), 2),
             (("terms", 2, "classes", 0), [1]),
+            ((), {"n": 0, "threshold": 0, "terms": []}),
         ],
     )
     def test_document_grammar_is_strict(self, field, value):
@@ -195,15 +196,18 @@ class TestExpansionDocument:
         # reduced is a JSON boolean.  A term agrees with itself: one finite
         # scaling value per node, one class per factor index, distinct
         # nodes holding the circuit's and the classes' members, a group
-        # from 1 on, and groups increase from term to term.  Anything else
-        # is a format error.
+        # from 1 on, and groups increase from term to term.  The order is
+        # 1 or more.  Anything else is a format error.  An empty field
+        # replaces top-level fields of the document.
         doc = dump_expansion(expand(demo_matrix(), reduce_by_cyclicity=True))
         load_expansion(json.loads(json.dumps(doc)))  # the untouched document loads
-        *path, last = field
         target = doc
-        for key in path:
+        for key in field[:-1]:
             target = target[key]
-        target[last] = value
+        if field:
+            target[field[-1]] = value
+        else:
+            doc.update(value)
         with pytest.raises(MatrixFormatError):
             load_expansion(doc)
 
