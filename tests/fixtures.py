@@ -8,14 +8,18 @@ walk weights with length divisible by 2 in the visualized matrix and are
 re-derivable by hand or from the closure oracle; those factors ship in
 both a "printed" and a "verified" variant, see test_acceptance for the
 entry-by-entry analysis.  ``workload_module`` loads the benchmark's
-seeded instance generators.
+seeded instance generators, and ``seeded_matrix`` draws a named seeded
+matrix of one of the test families.
 """
 
 import importlib.util
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from maxplus import TropicalMatrix
+from maxplus.oracle import random_irreducible_matrix, random_matrix
 
 E = None
 
@@ -181,3 +185,25 @@ def workload_module():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def seeded_matrix(name) -> TropicalMatrix:
+    """The seeded matrix called ``name``, "family/n/density", drawn from a generator seeded by it.
+
+    Families: small ([-5, 5]), ties ({-1, 0}), pq (p/q, |p| <= 20),
+    wide (irreducible, +-10^6) and big (10^17 * [-5, 5] plus noise).
+    """
+    family, n, density = name.split("/")
+    n, density = int(n), float(density)
+    rng = random.Random(name)
+    if family == "small":
+        return random_matrix(rng, n, density)
+    if family == "ties":
+        return random_matrix(rng, n, density, -1, 0)
+    if family == "pq":
+        m = random_matrix(rng, n, density, -20, 20)
+        return TropicalMatrix(n, n, {k: Fraction(v, rng.choice((1, 2, 3, 4, 6))) for k, v in m.entries.items()})
+    if family == "wide":
+        return random_irreducible_matrix(rng, n, density, -(10**6), 10**6)
+    m = random_matrix(rng, n, density)
+    return TropicalMatrix(n, n, {k: 10**17 * v + rng.randint(-9, 9) for k, v in m.entries.items()})

@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from maxplus import (
@@ -18,7 +20,9 @@ from maxplus.oracle import (
     random_matrix,
     submatrix,
 )
-from maxplus.visualize import _layered_max_weights
+from maxplus import visualize
+from maxplus.tropical import _kernel_arrays, common_scale, scaled_int
+from maxplus.visualize import _labels_to_last, _layered_max_weights, _sweep_arrays, _sweep_heap
 from fixtures import (
     DEMO_A1_ROWS,
     DEMO_A2_ROWS,
@@ -27,6 +31,7 @@ from fixtures import (
     DEMO_D2,
     DEMO_D3,
     demo_matrix,
+    seeded_matrix,
     tm,
 )
 
@@ -74,8 +79,12 @@ class TestDijkstraSingleSink:
 
     def test_positive_arc_elsewhere_rejected(self):
         g = TropicalMatrix(3, 3, {(0, 1): 1, (1, 2): -1})
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(InvariantViolationError) as heap:
             _max_weight_to_sink(g, 2)
+        # The array sweep's label kernel, on the same block, sink last.
+        bottom, c = _kernel_arrays(1, 1, g)
+        with pytest.raises(InvariantViolationError, match=re.escape(str(heap.value))):
+            _labels_to_last(c, bottom, np.arange(3))
 
 
 class TestDemoVisualization:
@@ -196,5 +205,89 @@ def test_wrong_growth_rate_raises(rows, rate):
     nodes = tuple(range(a.rows))
     circuit = CircuitRecord.from_nodes(a.get, nodes)
     part = NodePartition(a.rows, (nodes,), (rate,), (circuit,))
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError) as heap:
         visualize_all(a, part)
+    # The array sweep, called past its gate, raises the same error.
+    with pytest.raises(InvariantViolationError, match=re.escape(str(heap.value))):
+        _sweep_arrays(a.rows, dict(a.entries), part, [rate], 1)
+
+
+def _sweep_inputs(a):
+    """The arguments both private sweeps take, from a matrix and its partition."""
+    part = partition_nodes(characteristic_roots(a), a.rows)
+    scale = common_scale(a.entries.values(), part.growth_rates)
+    srates = [scaled_int(rate, scale) for rate in part.growth_rates]
+    scaled = {key: scaled_int(x, scale) for key, x in a.entries.items()}
+    return a.rows, scaled, part, srates, scale
+
+
+def _typed(groups):
+    """Every group's nodes, entries and scaling, each value with its type."""
+    return [
+        (
+            gv.group,
+            gv.nodes,
+            gv.matrix.rows,
+            sorted((key, v, type(v)) for key, v in gv.matrix.entries.items()),
+            [(v, type(v)) for v in gv.scaling],
+        )
+        for gv in groups
+    ]
+
+
+# Entries c * [-5, 5] of the seeded n = 64 matrix below: the largest c at
+# which the array sweep's int64 check holds at every insertion.
+_LAST_INSIDE_THE_BOUND = 446868800235212
+
+
+def _bound_instance(c):
+    base = random_matrix(random.Random("bound/64"), 64, 1.0)
+    return TropicalMatrix(64, 64, {k: c * v for k, v in base.entries.items()})
+
+
+@pytest.mark.parametrize("family", ["small", "ties", "pq", "wide", "big"])
+def test_array_sweep_matches_the_heap_sweep(family):
+    # Labels are maximum path weights, so the two sweeps find the same d
+    # and the same groups, values and their types included.  Entries of
+    # size 10^17 (big) leave the int64 bound and fall back to the heap sweep.
+    # The root search dominates the time of the wide-valued families.
+    sizes = (40, 80, 120) if family in ("small", "ties") else (40, 72)
+    for n in sizes:
+        a = seeded_matrix(f"{family}/{n}/{0.8 if family == 'wide' else 1.0}")
+        args = _sweep_inputs(a)
+        arrays = _sweep_arrays(*args)
+        if family == "big":
+            assert arrays is None
+            continue
+        heap = _sweep_heap(*args)
+        assert _typed(arrays) == _typed(heap)
+        assert _typed(visualize_all(a, args[2]).groups) == _typed(heap)
+        part = args[2]
+        for gv in arrays:
+            rate = part.growth_rates[gv.group - 1]
+            sub = submatrix(a, gv.nodes)
+            assert diag_conjugate(sub, gv.scaling, -rate) == gv.matrix
+            reference, _ = bellman_ford_visualization(sub, rate)
+            pos = {v: k for k, v in enumerate(gv.nodes)}
+            for u, v in part.quasi_critical[gv.group - 1].arc_pairs():
+                assert reference.get(pos[u], pos[v]) == 0 == gv.matrix.get(pos[u], pos[v])
+
+
+def test_array_sweep_at_the_int64_bound():
+    inside = _sweep_inputs(_bound_instance(_LAST_INSIDE_THE_BOUND))
+    assert _typed(_sweep_arrays(*inside)) == _typed(_sweep_heap(*inside))
+    assert _sweep_arrays(*_sweep_inputs(_bound_instance(_LAST_INSIDE_THE_BOUND + 1))) is None
+
+
+def test_the_gate_sends_small_and_sparse_matrices_to_the_heap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(visualize, "_sweep_arrays", lambda *args: calls.append(args[0]))
+    rng = random.Random(7)
+    for a in (
+        random_matrix(rng, 63, 1.0),
+        random_matrix(rng, 80, 0.4),
+        random_matrix(rng, 64, 1.0),
+        random_matrix(rng, 80, 0.6),
+    ):
+        visualize_all(a, partition_nodes(characteristic_roots(a), a.rows))
+    assert calls == [64, 80]
