@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .assignment import max_assignment
-from .digraph import CircuitRecord
+from .digraph import CircuitRecord, _permutation_cycles
 from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
@@ -188,22 +188,14 @@ def _lexicographic_costs(off, diag, lam_s, want_max_length):
 
 def _witness_from_perm(a, perm, is_loop):
     """Cycles of the permutation; a fixed point is a self-loop or a lam pick per ``is_loop``."""
-    n = len(perm)
-    seen = [False] * n
-    circuits = []
     weight_of = lambda u, v: a.entries.get((u, v))
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cycle.append(v)
-            v = perm[v]
-        if len(cycle) > 1 or is_loop[start]:
-            circuits.append(CircuitRecord.from_nodes(weight_of, tuple(cycle)))
-    return MultiCircuit(tuple(circuits))
+    return MultiCircuit(
+        tuple(
+            CircuitRecord.from_nodes(weight_of, cycle)
+            for cycle in _permutation_cycles(perm)
+            if len(cycle) > 1 or is_loop[cycle[0]]
+        )
+    )
 
 
 def _run(off, diag, lam_s, want_max_length):

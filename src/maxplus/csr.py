@@ -43,7 +43,7 @@ from itertools import groupby
 import numpy as np
 
 from .charpoly import characteristic_roots
-from .digraph import CircuitRecord, critical_graph, cyclicity_classes
+from .digraph import CircuitRecord, _permutation_cycles, critical_graph, cyclicity_classes
 from .partition import NodePartition, partition_nodes
 from .tropical import (
     DimensionMismatchError,
@@ -128,7 +128,10 @@ def _factor_pair(nodes, n, scale, d, labels):
             if into[j] is not None:
                 c_entries[(orig, fid)] = unscaled(d[j] + into[j], scale)
         count += 1
-    return TropicalMatrix(n, count, c_entries), TropicalMatrix(count, n, r_entries)
+    # The values come from ``unscaled``, every key is in range and every
+    # readout has at least one factor, so the matrices adopt their dicts.
+    trusted = TropicalMatrix._trusted
+    return trusted(n, count, c_entries), trusted(count, n, r_entries)
 
 
 def _sweep_labels(a_vis, scale, layers, orbits):
@@ -221,19 +224,10 @@ def _successor_of(s: TropicalMatrix):
 
 def _perm_power(succ, t: int):
     out = [0] * len(succ)
-    seen = [False] * len(succ)
-    for start in range(len(succ)):
-        if seen[start]:
-            continue
-        cycle = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cycle.append(v)
-            v = succ[v]
+    for cycle in _permutation_cycles(succ):
         shift = t % len(cycle)
-        for idx, v in enumerate(cycle):
-            out[v] = cycle[(idx + shift) % len(cycle)]
+        for v, w in zip(cycle, cycle[shift:] + cycle[:shift]):
+            out[v] = w
     return out
 
 
@@ -310,6 +304,11 @@ class CsrExpansion:
                 raise ValueError("term groups must be strictly increasing")
         if len(self.terms) > self.n:
             raise ValueError("more terms than matrix order")
+        for term in self.terms:
+            if term.C.rows != self.n or term.R.cols != self.n:
+                raise DimensionMismatchError("term factors must have the expansion's order")
+            if not all(0 <= v < self.n for v in term.nodes):
+                raise ValueError("term nodes must be node ids below the order")
         object.__setattr__(self, "_prepared", self._prepare())
 
     @property

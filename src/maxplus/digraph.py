@@ -3,8 +3,9 @@
 A square matrix and a weighted digraph are one object: there is an arc
 (i, j) of weight a_ij exactly when the entry is finite, so the algorithms
 here read ``TropicalMatrix.entries`` as the arc list.  This module holds
-the graph-side machinery: circuits and their means, Karp's maximum cycle
-mean, the critical graph, cyclicity classes, and principal eigenvectors.
+the graph-side machinery: circuits and their means, the cycles of a
+permutation, Karp's maximum cycle mean, the critical graph, cyclicity
+classes, and principal eigenvectors.
 The critical graph needs no closure: it is the tight arcs of a potential
 inside their strongly connected components.
 """
@@ -21,8 +22,9 @@ from .tropical import (
     PositiveCircuitError,
     TropicalMatrix,
     TropicalScalar,
+    _kernel_arrays,
     _kernel_result,
-    _star_array,
+    _max_plus_closure,
     as_value,
     common_scale,
     kleene_star,  # noqa: F401 -- perfbench/tracing.py wraps digraph.kleene_star
@@ -95,6 +97,20 @@ def tarjan_scc(n, successors):
     return components
 
 
+def _permutation_cycles(perm):
+    """The cycles of a permutation given as its list of images, each from its smallest node."""
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        cycle = []
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            cycle.append(v)
+            v = perm[v]
+        if cycle:
+            yield cycle
+
+
 @dataclass(frozen=True, slots=True)
 class CircuitRecord:
     """An elementary circuit: distinct nodes in cyclic order plus its weight.
@@ -140,12 +156,11 @@ class CircuitRecord:
 
 
 def _karp_component(out, comp):
-    """Maximum cycle mean inside one strongly connected component.
+    """Maximum cycle mean inside one strongly connected component, as (weight, length).
 
-    ``out[u]`` lists the (head, weight) arcs leaving u.  The table runs on
-    the arc weights scaled to ints; the means (top - base) / (nc - k) are
-    compared by cross-multiplication, and only the best one becomes a
-    rational again.
+    ``out[u]`` lists the (head, scaled weight) arcs leaving u.  The means
+    (top - base) / (nc - k) are compared by cross-multiplication; None
+    when the component has no arc.
     """
     pos = {v: k for k, v in enumerate(comp)}
     nc = len(comp)
@@ -157,8 +172,6 @@ def _karp_component(out, comp):
     ]
     if not arcs:
         return None
-    scale = common_scale(w for _, _, w in arcs)
-    arcs = [(u, v, scaled_int(w, scale)) for u, v, w in arcs]
     # level[k][v] = best weight of a length-k walk from the component root to v
     level = [[None] * nc for _ in range(nc + 1)]
     level[0][0] = 0
@@ -187,24 +200,27 @@ def _karp_component(out, comp):
                 worst = (num, den)
         if worst is not None and (best is None or worst[0] * best[1] > best[0] * worst[1]):
             best = worst
-    return None if best is None else as_value(Fraction(best[0], best[1] * scale))
+    return best
 
 
 def karp_max_cycle_mean(a: TropicalMatrix) -> TropicalScalar:
     """Maximum mean weight over all elementary circuits; bottom if acyclic.
 
     Runs Karp's dynamic program independently on every strongly connected
-    component and takes the best, so reducible matrices are handled.
+    component and takes the best, so reducible matrices are handled.  The
+    arcs are scaled to ints once, the components' means compared by
+    cross-multiplication, and only the best one becomes a rational again.
     """
+    scale = common_scale(a.entries.values())
     out = [[] for _ in range(build_graph(a).rows)]
     for (u, v), w in a.entries.items():
-        out[u].append((v, w))
+        out[u].append((v, scaled_int(w, scale)))
     best = None
     for comp in tarjan_scc(a.rows, lambda u: (v for v, _ in out[u])):
-        lam = _karp_component(out, comp)
-        if lam is not None and (best is None or lam > best):
-            best = lam
-    return EPSILON if best is None else TropicalScalar(best)
+        mean = _karp_component(out, comp)
+        if mean is not None and (best is None or mean[0] * best[1] > best[0] * mean[1]):
+            best = mean
+    return EPSILON if best is None else TropicalScalar(Fraction(best[0], best[1] * scale))
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,8 +351,12 @@ def _principal_eigen(a: TropicalMatrix):
         raise ValueError("matrix has no finite eigenvalue (acyclic graph)")
     rate = lam.value
     critical = critical_graph(a, rate)
-    shifted = {key: v - rate for key, v in a.entries.items()}
-    star, bottom, scale = _star_array(TropicalMatrix(a.rows, a.rows, shifted))
+    # The rate is a cycle mean, so |a_ij - rate| <= 2 max |a_ij|: a bound of
+    # 2n arcs of A covers the shifted matrix's paths of at most n arcs.
+    scale = common_scale(a.entries.values(), (rate,))
+    bottom, star = _kernel_arrays(scale, 2 * a.rows, a)
+    star[star != bottom] -= scaled_int(rate, scale)
+    _max_plus_closure(star, bottom)
     vectors = [
         (node, _kernel_result(star[:, [node]], bottom, scale)) for node in sorted(critical.nodes)
     ]

@@ -11,9 +11,11 @@ vectorized pass), entered once per call.  There the kernel works on dense
 numpy arrays: one max-plus product (``_max_plus_product``, behind
 ``matrix_mul``, ``matrix_power`` and the evaluation of ``maxplus.csr``
 expansions) and one Floyd-Warshall closure (``_max_plus_closure``, behind
-``kleene_star`` and the dense C/R factors of ``maxplus.csr``).  A bound on
-the results picks int64 or, above 2^59, Python ints in object arrays, on
-one code path; callers read the choice from the arrays' dtype.
+``kleene_star``, the dense C/R factors of ``maxplus.csr`` and the star of
+the principal eigenvectors in ``maxplus.digraph``).  Every array enters
+through ``_kernel_arrays``, whose bound on the results picks int64 or,
+above 2^59, Python ints in object arrays, on one code path; callers read
+the choice from the arrays' dtype.
 
 A square matrix is also its weighted digraph (``maxplus.digraph`` reads
 ``entries`` as arcs), and a diagonal scaling is a plain tuple of values.
@@ -22,6 +24,7 @@ A square matrix is also its weighted digraph (``maxplus.digraph`` reads
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +84,7 @@ def as_value(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+@dataclass(frozen=True, slots=True)
 class TropicalScalar:
     """One max-plus value: an exact rational, or the bottom element.
 
@@ -89,33 +93,15 @@ class TropicalScalar:
     the arithmetic works on raw values and matrices.
     """
 
-    __slots__ = ("_v",)
+    value: object = None  # the finite rational, or None for the bottom element
 
-    def __init__(self, value=None):
-        self._v = None if value is None else as_value(value)
+    def __post_init__(self):
+        if self.value is not None:
+            object.__setattr__(self, "value", as_value(self.value))
 
     @property
     def is_epsilon(self) -> bool:
-        return self._v is None
-
-    @property
-    def value(self):
-        """The finite rational, or None for the bottom element."""
-        return self._v
-
-    def __eq__(self, other):
-        if not isinstance(other, TropicalScalar):
-            return NotImplemented
-        return self._v == other._v
-
-    def __hash__(self):
-        return hash(self._v)
-
-    def __repr__(self):
-        return "TropicalScalar(eps)" if self._v is None else f"TropicalScalar({self._v!r})"
-
-    def __str__(self):
-        return "-inf" if self._v is None else str(self._v)
+        return self.value is None
 
 
 EPSILON = TropicalScalar(None)
@@ -222,10 +208,11 @@ def _kernel_arrays(scale, t, *matrices):
     Every finite result to come is the weight of a path of at most t arcs
     of one matrix (its powers up to t, or its closure with t = n), or the
     product of two (t = 1), so it lies within +-bound, t times the sum of
-    the matrices' largest |scaled entry|.  Below ``_INT64_BOUND`` the
-    arrays are int64 with the bottom at -2^61; above it they hold Python
-    ints (dtype object) with the bottom at -4 * bound.  Either way a sum
-    with a bottom operand lands below bottom // 2 and a finite one above.
+    the matrices' largest |scaled entry|; a caller that shifts the entries
+    first counts the shift in t.  Below ``_INT64_BOUND`` the arrays are
+    int64 with the bottom at -2^61; above it they hold Python ints (dtype
+    object) with the bottom at -4 * bound.  Either way a sum with a bottom
+    operand lands below bottom // 2 and a finite one above.
     """
     scaled = [[scaled_int(v, scale) for v in m.entries.values()] for m in matrices]
     bound = t * sum(max(map(abs, values), default=0) for values in scaled)
@@ -368,17 +355,7 @@ def kleene_star(a: TropicalMatrix) -> TropicalMatrix:
     """
     if not a.is_square:
         raise DimensionMismatchError("Kleene star needs a square matrix")
-    return _kernel_result(*_star_array(a))
-
-
-def _star_array(a: TropicalMatrix):
-    """The Kleene star of a square matrix as (kernel array, bottom, scale).
-
-    ``_kernel_result`` of the triple, or of any block of its array, leaves
-    the scaled-integer domain.
-    """
     scale = common_scale(a.entries.values())
     bottom, x = _kernel_arrays(scale, a.rows, a)
     _max_plus_closure(x, bottom)
-    return x, bottom, scale
-
+    return _kernel_result(x, bottom, scale)

@@ -25,7 +25,8 @@ to the next group's rate, thus updates every arc at once.
 Two sweeps give the same result, behind a size and density gate: the heap
 sweep (``_sweep_heap``), which keeps the entries among the inserted nodes
 as adjacency lists, and on dense matrices the array sweep
-(``_sweep_arrays``), which keeps them as one int64 array, reads each
+(``_sweep_arrays``), which keeps them as one int64 array of the
+``maxplus.tropical`` kernel (``_kernel_arrays``), reads each
 conjugated block as one array expression and settles a whole label level
 per step.  Labels are maximum path weights, so both find the same ones,
 and the same d.
@@ -42,6 +43,7 @@ from .partition import NodePartition
 from .tropical import (
     _INT64_BOUND,
     TropicalMatrix,
+    _kernel_arrays,
     _kernel_result,
     common_scale,
     scaled_int,
@@ -143,10 +145,12 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
     processed in descending index order; the d vectors depend on that order
     (they are not unique), so it is fixed.
 
-    Matrices of order at least ``_ARRAY_MIN_ORDER`` with at least half
-    their cells finite take the array sweep, others the heap sweep; the
-    array sweep hands over to the heap sweep, from the start, where its
-    int64 bound fails (see ``_sweep_arrays``).  Both give the same groups.
+    Both sweeps read ``a`` and the growth rates scaled by the lcm of every
+    denominator.  Matrices of order at least ``_ARRAY_MIN_ORDER`` with at
+    least half their cells finite take the array sweep, others the heap
+    sweep; the array sweep hands over to the heap sweep, from the start,
+    where the kernel picks object arrays or its own int64 bound fails (see
+    ``_sweep_arrays``).  Both give the same groups.
     """
     if a.rows != a.cols or a.rows != part.n:
         raise ValueError("matrix and partition sizes disagree")
@@ -155,12 +159,11 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
     n = a.rows
     scale = common_scale(a.entries.values(), part.growth_rates)
     srates = [scaled_int(rate, scale) for rate in part.growth_rates]
-    scaled = {key: scaled_int(x, scale) for key, x in a.entries.items()}
     groups = None
-    if n >= _ARRAY_MIN_ORDER and 2 * len(scaled) >= n * n:
-        groups = _sweep_arrays(n, scaled, part, srates, scale)
+    if n >= _ARRAY_MIN_ORDER and 2 * a.finite_count >= n * n:
+        groups = _sweep_arrays(a, part, srates, scale)
     if groups is None:
-        groups = _sweep_heap(n, scaled, part, srates, scale)
+        groups = _sweep_heap(a, part, srates, scale)
     return VisualizationResult(groups)
 
 
@@ -175,18 +178,20 @@ def _group(part, s, nodes, matrix, scaling) -> GroupVisualization:
     return GroupVisualization(s, nodes, matrix, scaling)
 
 
-def _sweep_heap(n, scaled, part, srates, scale) -> tuple:
+def _sweep_heap(a, part, srates, scale) -> tuple:
     """The groups of ``visualize_all`` by one heap sweep per inserted node.
 
-    ``scaled`` maps (u, v) to the scaled entry and ``srates`` holds the
-    scaled growth rates.  The sweep keeps the arcs among the inserted
-    nodes as adjacency lists and reads them through
+    ``srates`` holds the growth rates scaled by ``scale``, which clears
+    every entry of ``a``.  The sweep keeps the scaled arcs among the
+    inserted nodes as adjacency lists and reads them through
     ``_layered_max_weights``; the crossing maximum is a loop over the
     reachable nodes' out-arcs.  Values are Python ints of any size.
     """
+    n = a.rows
     row_arcs = [[] for _ in range(n)]
     col_arcs = [[] for _ in range(n)]
-    for (u, v), w in scaled.items():
+    for (u, v), x in a.entries.items():
+        w = scaled_int(x, scale)
         row_arcs[u].append((v, w))
         if u != v:
             col_arcs[v].append((u, w))
@@ -246,20 +251,23 @@ def _sweep_heap(n, scaled, part, srates, scale) -> tuple:
     return tuple(results)
 
 
-def _sweep_arrays(n, scaled, part, srates, scale):
+def _sweep_arrays(a, part, srates, scale):
     """The groups of ``visualize_all`` on int64 arrays, or None past the int64 bound.
 
-    The nodes take array positions in insertion order, so the inserted set
-    is always a leading block.  Per inserted node, one array expression
-    gives the conjugated block c[u, v] = a_uv - rate - d[u] + d[v] (bottom
-    where a_uv is), and a backward label-setting sweep from the new node
-    runs on it: each step settles every open node whose label is the
-    largest open one, checks that no open node has a positive arc into
-    them, and relaxes their columns with one ``max(axis=1)``.  All arcs
-    but the new node's are nonpositive, so a settled label is final, and
-    it is the maximum weight of a path to the new node: the heap sweep's
-    label.  The "stayed positive" check and the crossing maximum are then
-    masked maxima over the rows of the reachable nodes.
+    It takes ``_sweep_heap``'s arguments, and the scaled entries and their
+    bottom from ``_kernel_arrays(scale, 1, a)``; where that picks object
+    arrays the sweep returns None at once.  The nodes take array positions
+    in insertion order, so the inserted set is always a leading block.  Per
+    inserted node, one array expression gives the conjugated block
+    c[u, v] = a_uv - rate - d[u] + d[v] (bottom where a_uv is), and a
+    backward label-setting sweep from the new node runs on it: each step
+    settles every open node whose label is the largest open one, checks
+    that no open node has a positive arc into them, and relaxes their
+    columns with one ``max(axis=1)``.  All arcs but the new node's are
+    nonpositive, so a settled label is final, and it is the maximum weight
+    of a path to the new node: the heap sweep's label.  The "stayed
+    positive" check and the crossing maximum are then masked maxima over
+    the rows of the reachable nodes.
 
     The int64 bound: let B be the group's largest |scaled entry - rate|
     and D the largest |d| before a node is inserted into a block of k.  A
@@ -275,16 +283,14 @@ def _sweep_arrays(n, scaled, part, srates, scale):
     and nothing overflows.  Where the check fails the sweep returns None,
     and the caller runs the heap sweep in Python ints.
     """
-    if max(map(abs, scaled.values())) >= _INT64_BOUND:
+    bottom, w = _kernel_arrays(scale, 1, a)
+    if w.dtype == object:
         return None
     order = [i for s in range(part.r, 0, -1) for i in sorted(part.groups[s - 1], reverse=True)]
     ids = np.array(order)
-    bottom = -4 * _INT64_BOUND
     low = bottom // 2
-    w = np.full((n, n), bottom, dtype=np.int64)
-    w[tuple(zip(*scaled))] = list(scaled.values())
     w = w[np.ix_(ids, ids)]
-    d = np.zeros(n, dtype=np.int64)
+    d = np.zeros(a.rows, dtype=np.int64)
     results = []
     k = 0
     for s in range(part.r, 0, -1):

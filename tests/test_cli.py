@@ -81,6 +81,10 @@ class TestMatrixFiles:
             "2 1\n\u0661 1 5\n",  # ... as an index
             "1\n1/\u00b2\n",  # a superscript denominator
             "2 1\n1 1_0 5\n",  # int() would take the underscore
+            "2 2\n1 1 5\n",  # fewer entry lines than the header's m
+            "2 1\n1 1 5\n2 2 6\n",  # more entry lines than the header's m
+            "0\n",  # a dense matrix of dimension 0
+            "0 0\n",  # a sparse one
         ],
     )
     def test_malformed_rejected(self, text):
@@ -188,6 +192,7 @@ class TestExpansionDocument:
             (("terms", 2, "group"), 2),
             (("terms", 2, "classes", 0), [1]),
             ((), {"n": 0, "threshold": 0, "terms": []}),
+            (("terms", 0, "C", "entries", 0), [1, 1]),
         ],
     )
     def test_document_grammar_is_strict(self, field, value):
@@ -415,6 +420,12 @@ class TestCommands:
         f.write_text("2\n. 1\n. .\n")
         assert run_command(["expand", str(f)]) == 0
         assert "acyclic" in capsys.readouterr().out
+
+    def test_acyclic_visualize_has_no_groups(self, tmp_path, capsys):
+        f = tmp_path / "acyclic.mpx"
+        f.write_text("2\n. 1\n. .\n")
+        assert run_command(["visualize", str(f)]) == 0
+        assert capsys.readouterr().out == "acyclic matrix: nothing to visualize\n"
 
 
 def test_console_entry_point_runs():

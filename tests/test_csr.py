@@ -10,6 +10,7 @@ from maxplus import (
     CircuitRecord,
     CsrExpansion,
     CsrTerm,
+    DimensionMismatchError,
     TropicalMatrix,
     build_s,
     characteristic_roots,
@@ -442,6 +443,16 @@ def test_term_rates_weakly_decreasing_enforced():
     x = expand(demo_matrix())
     with pytest.raises(ValueError, match="rates"):
         CsrExpansion(n=10, terms=(x.terms[2], x.terms[0]))
+
+
+def test_terms_must_fit_the_order():
+    # A term of another order would evaluate to entries outside the result.
+    term = expand(demo_matrix()).terms[0]
+    with pytest.raises(DimensionMismatchError, match="order"):
+        CsrExpansion(n=2, terms=(term,))
+    stray = dataclasses.replace(term, nodes=term.nodes + (10,), scaling=term.scaling + (0,))
+    with pytest.raises(ValueError, match="node ids"):
+        CsrExpansion(n=10, terms=(stray,))
 
 
 def test_evaluate_rejects_negative_and_bool_exponents():

@@ -25,6 +25,7 @@ from maxplus.cli import parse_matrix
 from maxplus.oracle import (
     critical_arcs_by_star,
     elementary_circuits,
+    naive_kleene_star,
     random_irreducible_matrix,
     random_matrix,
 )
@@ -70,8 +71,32 @@ class TestKarp:
                 assert type(got.value) is type(want)
 
 
+def _block_diagonal(rng, sizes, denominators, forward=0.0):
+    """Irreducible blocks on the diagonal, block k's entries over denominators[k].
+
+    With ``forward`` > 0, each cell from a block into a later one is an
+    integer arc with that probability.
+    """
+    entries = {}
+    start = 0
+    for size, den in zip(sizes, denominators):
+        block = random_irreducible_matrix(rng, size, 0.6, -20, 20)
+        for (i, j), v in block.entries.items():
+            entries[(start + i, start + j)] = Fraction(v, den)
+        for i in range(start, start + size):
+            for j in range(start + size, sum(sizes)):
+                if rng.random() < forward:
+                    entries[(i, j)] = rng.randint(-20, 20)
+        start += size
+    return TropicalMatrix(start, start, entries)
+
+
 def _karp_instances():
-    """Small integer matrices, then four seeded families with n up to 7."""
+    """Small integer matrices, four seeded families with n up to 7, then block-diagonal ones.
+
+    The blocks of the last family have denominators 2, 3 and 7 in a seeded
+    order, so the components' cycle means live in different scales.
+    """
     rng = random.Random(13)
     for _ in range(40):
         n = rng.randint(2, 7)
@@ -92,6 +117,11 @@ def _karp_instances():
             yield TropicalMatrix(n, n, entries)
         else:  # {0, -1} ties many circuits
             yield random_matrix(rng, n, rng.choice([0.3, 0.6, 1.0]), -1, 0)
+    rng = random.Random(19)
+    for _ in range(60):
+        denominators = [2, 3, 7]
+        rng.shuffle(denominators)
+        yield _block_diagonal(rng, [rng.randint(1, 3) for _ in range(3)], denominators)
 
 
 class TestCriticalGraph:
@@ -384,6 +414,42 @@ class TestPrincipalEigenvectors:
                     n, 1, {key: v + lam for key, v in col.entries.items()}
                 )
                 assert product == shifted
+
+    @pytest.mark.parametrize("family", ["pq", "wide", "big", "blocks"])
+    def test_columns_match_the_star_oracle(self, family):
+        # Each column is that column of the rate-shifted matrix's star, by
+        # the dict-loop oracle, values with their types: rational rates
+        # (pq), entries within +-10^6 (wide), 10^17 * [-5, 5] (big, on
+        # object arrays) and block-reducible matrices with one denominator
+        # per block (blocks).
+        rng = random.Random(f"eigen/{family}")
+        for n in (2, 3, 5, 8, 13, 20, 30):
+            if family == "blocks":
+                sizes = [s for s in (n // 3, n // 3, n - 2 * (n // 3)) if s]
+                a = _block_diagonal(rng, sizes, [2, 3, 7], forward=0.2)
+            else:
+                low, high = {"pq": (-20, 20), "wide": (-(10**6), 10**6), "big": (-5, 5)}[family]
+                a = random_irreducible_matrix(rng, n, 0.5, low, high)
+            if family == "pq":
+                dens = (1, 2, 3, 4, 6)
+                entries = {k: Fraction(v, rng.choice(dens)) for k, v in a.entries.items()}
+                a = TropicalMatrix(n, n, entries)
+            elif family == "big":
+                entries = {k: 10**17 * v + rng.randint(-9, 9) for k, v in a.entries.items()}
+                a = TropicalMatrix(n, n, entries)
+            lam = karp_max_cycle_mean(a).value
+            shifted = TropicalMatrix(n, n, {k: v - lam for k, v in a.entries.items()})
+            star = naive_kleene_star(shifted)
+            vecs = principal_eigenvectors(a)
+            assert [node for node, _ in vecs] == sorted(critical_graph(a, lam).nodes)
+            for node, col in vecs:
+                assert (col.rows, col.cols) == (n, 1)
+                want = {(i, 0): v for (i, j), v in star.entries.items() if j == node}
+                assert _typed(col.entries) == _typed(want)
+
+
+def _typed(entries):
+    return sorted((key, v, type(v)) for key, v in entries.items())
 
 
 def test_circuit_record_canonical_rotation():

@@ -209,7 +209,7 @@ def test_wrong_growth_rate_raises(rows, rate):
         visualize_all(a, part)
     # The array sweep, called past its gate, raises the same error.
     with pytest.raises(InvariantViolationError, match=re.escape(str(heap.value))):
-        _sweep_arrays(a.rows, dict(a.entries), part, [rate], 1)
+        _sweep_arrays(a, part, [rate], 1)
 
 
 def _sweep_inputs(a):
@@ -217,8 +217,7 @@ def _sweep_inputs(a):
     part = partition_nodes(characteristic_roots(a), a.rows)
     scale = common_scale(a.entries.values(), part.growth_rates)
     srates = [scaled_int(rate, scale) for rate in part.growth_rates]
-    scaled = {key: scaled_int(x, scale) for key, x in a.entries.items()}
-    return a.rows, scaled, part, srates, scale
+    return a, part, srates, scale
 
 
 def _typed(groups):
@@ -261,8 +260,8 @@ def test_array_sweep_matches_the_heap_sweep(family):
             continue
         heap = _sweep_heap(*args)
         assert _typed(arrays) == _typed(heap)
-        assert _typed(visualize_all(a, args[2]).groups) == _typed(heap)
-        part = args[2]
+        assert _typed(visualize_all(a, args[1]).groups) == _typed(heap)
+        part = args[1]
         for gv in arrays:
             rate = part.growth_rates[gv.group - 1]
             sub = submatrix(a, gv.nodes)
@@ -281,7 +280,7 @@ def test_array_sweep_at_the_int64_bound():
 
 def test_the_gate_sends_small_and_sparse_matrices_to_the_heap(monkeypatch):
     calls = []
-    monkeypatch.setattr(visualize, "_sweep_arrays", lambda *args: calls.append(args[0]))
+    monkeypatch.setattr(visualize, "_sweep_arrays", lambda *args: calls.append(args[0].rows))
     rng = random.Random(7)
     for a in (
         random_matrix(rng, 63, 1.0),
