@@ -6,19 +6,27 @@ sparse rows, ``rows[i] = [(j, cost), ...]`` over the allowed cells only.
 Two backends share the algorithm and return the same permutation and
 potentials:
 
-- the default one runs each Dijkstra phase on the sparse rows with a heap
-  keyed by ``(reduced cost + D, column)``, where D is the running sum of
-  the phase's deltas, and settles the potentials of the phase's columns
-  lazily at its end: O(m + n log n) per phase, in plain Python ints;
+- the default one keeps the keys of a Dijkstra phase in a heap over the
+  sparse rows: O(m + n log n) per phase, in plain Python ints;
 - a dense numpy int64 one, for rows dense enough that its vector scans win
-  and costs small enough to rule out overflow.  It fills the forbidden
-  cells with a large integer sentinel chosen well above any reachable path
-  cost.
+  and costs small enough to rule out overflow, keeps them in an array of n
+  keys, with the forbidden cells at a large integer sentinel chosen well
+  above any reachable path cost.
 
-The heap pops the smallest key, then the smallest column, which is the
-dense scan's first minimum, so both pick the same augmenting paths.
-``maxplus.oracle.dense_min_assignment`` is the dense loop in plain ints,
-kept as their independent reference.
+Both keep the phase's books lazily.  A column's key is absolute, reduced
+cost + D, with D the key of the column whose row is scanned and the
+potentials as they were when the phase began.  A settled column never
+wins again and keeps the predecessor it was settled with: the heap skips
+it, and the array raises its key and its column offset far above every
+other key.  The potentials of the phase's columns are settled from the
+``(column, D)`` list when the phase ends.
+
+The eager loop that updates every potential and key at each step holds
+each unsettled key minus D, so it compares the same numbers shifted by one
+amount.  The heap pops the smallest key, then the smallest column, which
+is the array's first minimum and the eager scan's, so all three pick the
+same augmenting paths.  ``maxplus.oracle.dense_min_assignment`` is the
+eager loop in plain ints, kept as their independent reference.
 
 Every solve is certified: the final potentials form a feasible dual over
 the allowed cells, tight on the matched ones, which proves optimality by
@@ -36,8 +44,10 @@ import numpy as np
 
 _INT64_LIMIT = 1 << 62
 # The dense int64 backend runs only on rows with at least this many allowed
-# cells on average, about where it ties with the heap on dense chi costs.
-_NUMPY_MIN_CELLS_PER_ROW = 145
+# cells on average.  On the lexicographic chi rows of dense and half-dense
+# [-5, 5] matrices the two tie at 20-26 cells per row, and the int64
+# backend wins from 28 on, at every n measured up to 1,500.
+_NUMPY_MIN_CELLS_PER_ROW = 28
 
 
 def _sentinel_for(n, max_abs):
@@ -100,51 +110,87 @@ def _solve_min_python(rows):
 
 
 def _solve_min_numpy(rows, sentinel):
-    """int64 backend; bounds are guarded by the caller, results certified after."""
+    """int64 backend on the dense cost matrix; returns ``(perm, u, v)`` in plain ints.
+
+    Forbidden cells cost S = ``sentinel``.  A settled column's key and its
+    column offset ``v`` both rise by P = ``_INT64_LIMIT`` = 2^62 until the
+    phase ends.  With M the largest |cost|, the caller's guard 4S < 2^62
+    gives S < 2^60 and M < S / 48, and every number stays inside int64:
+
+    - When a phase begins, u + v <= c holds on every cell of the rows
+      matched so far, S included, tight on their matched cells, and a free
+      column has v = 0.  So those rows have -M <= u <= S, and their
+      columns 0 <= -v <= S + M.
+    - A scan of row ``i0`` adds ``d - u[i0]`` in [-S - M, S/2 + M] to
+      ``c - v`` in [-M, 2S + M + P]: d, the key of the row's column (0 for
+      the phase's own row), lies in [-M, S/2), since a phase settles no
+      column at S/2 or more.  Every key lies in (-2^61, 3S + P), inside
+      (-2^63, 2^63).
+    - Unsettled keys stay at most 2.5S + 2M < P - M and settled ones at
+      least P - M, so ``argmin`` never returns a settled column.  A matched
+      row scanned later has reduced cost >= 0 and a d no smaller than the
+      settled key, so its value there is at least that key + P: strict
+      ``<`` never updates the key or its predecessor in ``way``.
+    - A feasible instance never raises: with Q a perfect matching of
+      allowed cells, the phase's row starts a path that alternates cells
+      of Q with matched cells and ends at a free column.  Its reduced
+      length is c summed over its Q cells minus c summed over its matched
+      ones, at most (2n - 1)M < S/2, and Dijkstra's D is no longer.  An
+      infeasible instance that does not raise matches a forbidden cell,
+      fails the certificate, and the heap backend redoing it raises.
+    """
     n = len(rows)
     infeasible = sentinel // 2
-    big = np.iinfo(np.int64).max
     c = np.full(n * n, sentinel, dtype=np.int64)
     c[[i * n + j for i, row in enumerate(rows) for j, _ in row]] = [
         x for row in rows for _, x in row
     ]
-    c = c.reshape(n, n)
-    u = np.zeros(n, dtype=np.int64)
-    v = np.zeros(n + 1, dtype=np.int64)
-    match = np.full(n + 1, -1, dtype=np.int64)
+    c = list(c.reshape(n, n))
+    u = [0] * n
+    v = np.zeros(n, dtype=np.int64)
+    match = [-1] * (n + 1)  # column n is the root of each phase's tree
     way = np.zeros(n, dtype=np.int64)
+    keys = np.empty(n, dtype=np.int64)
+    cur = np.empty(n, dtype=np.int64)
+    better = np.empty(n, dtype=bool)
+    # 0-d operands: numpy converts a Python int on every call.
+    base = np.empty((), dtype=np.int64)
+    column = [np.array(j, dtype=np.int64) for j in range(n + 1)]
     for i in range(n):
         match[n] = i
+        keys.fill(sentinel)
+        settled = []  # (column, D when it was settled)
+        d = 0
         j0 = n
-        minv = np.full(n, sentinel, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
         while True:
-            used[j0] = True
-            i0 = int(match[j0])
-            free = ~used[:n]
-            cur = c[i0] - u[i0] - v[:n]
-            better = free & (cur < minv)
-            minv[better] = cur[better]
-            way[better] = j0
-            masked = np.where(free, minv, big)
-            j1 = int(np.argmin(masked))
-            delta = int(masked[j1])
-            if delta >= infeasible:
+            i0 = match[j0]
+            base[()] = d - u[i0]
+            np.subtract(c[i0], v, cur)
+            np.add(cur, base, cur)
+            np.less(cur, keys, better)
+            np.copyto(keys, cur, where=better)
+            np.copyto(way, column[j0], where=better)
+            j0 = int(keys.argmin())
+            d = keys.item(j0)
+            if d >= infeasible:
                 raise ValueError("no feasible assignment")
-            u[match[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if match[j0] < 0:
+            if match[j0] == -1:
                 break
+            keys[j0] = d + _INT64_LIMIT
+            v[j0] -= _INT64_LIMIT
+            settled.append((j0, d))
+        u[i] += d
+        for j, dj in settled:
+            u[match[j]] += d - dj
+            v[j] += _INT64_LIMIT - (d - dj)
         while j0 != n:
             j1 = int(way[j0])
             match[j0] = match[j1]
             j0 = j1
     perm = [-1] * n
     for j in range(n):
-        perm[int(match[j])] = j
-    return perm, [int(x) for x in u], [int(x) for x in v[:n]]
+        perm[match[j]] = j
+    return perm, u, v.tolist()
 
 
 def _certify(rows, perm, u, v):

@@ -72,9 +72,11 @@ def dense_min_assignment(cost, sentinel):
 
     ``cost`` is a dense list of lists with ``sentinel`` on the forbidden
     cells.  Each Dijkstra phase scans every column and takes the first
-    minimal one, with the potentials updated eagerly.  Returns
-    ``(perm, u, v)``, the reference for both ``maxplus.assignment``
-    backends.
+    minimal one, with the potentials and the keys updated eagerly at every
+    step.  Both ``maxplus.assignment`` backends keep those books lazily
+    (absolute keys, potentials settled when the phase ends), so this loop
+    stays their independent twin: it returns the ``(perm, u, v)`` that
+    each of them must return.
     """
     n = len(cost)
     infeasible = sentinel // 2

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from maxplus.assignment import (
+    _NUMPY_MIN_CELLS_PER_ROW,
     _certify,
     _sentinel_for,
     _solve_min_numpy,
@@ -13,8 +14,9 @@ from maxplus.assignment import (
 )
 from maxplus.charpoly import _at, _lexicographic_costs, _scaled_entries, characteristic_roots
 from maxplus.cli import parse_matrix
+from maxplus.digraph import karp_max_cycle_mean
 from maxplus.oracle import dense_min_assignment
-from fixtures import workload_module
+from fixtures import seeded_matrix, workload_module
 
 
 def _brute_max(weights):
@@ -132,8 +134,9 @@ def test_numpy_result_is_certified_once(monkeypatch):
     _record(monkeypatch, "_solve_min_python", log)
     rng = random.Random(17)
     for _ in range(5):
-        # at least 145 finite cells per row on average: int64 first
-        weights = _random_instance(rng, rng.randint(155, 165), 0.95)
+        # at least _NUMPY_MIN_CELLS_PER_ROW finite cells per row on average: int64 first
+        n = rng.randint(_NUMPY_MIN_CELLS_PER_ROW + 10, _NUMPY_MIN_CELLS_PER_ROW + 20)
+        weights = _random_instance(rng, n, 0.95)
         log.clear()
         max_assignment(_rows(weights))
         assert [(name, result) for name, _, result in log] == [("_certify", True)]
@@ -152,7 +155,7 @@ def test_failed_numpy_certificate_is_redone_and_certified(monkeypatch):
     log = []
     _record(monkeypatch, "_certify", log)
     _record(monkeypatch, "_solve_min_python", log)
-    weights = _random_instance(random.Random(19), 160, 0.95)
+    weights = _random_instance(random.Random(19), _NUMPY_MIN_CELLS_PER_ROW + 15, 0.95)
     total, perm = max_assignment(_rows(weights))  # dense rows, small weights: int64 first
     names = [name for name, _, _ in log]
     assert names == ["_certify", "_solve_min_python", "_certify"]
@@ -163,12 +166,13 @@ def test_failed_numpy_certificate_is_redone_and_certified(monkeypatch):
     assert total == _solve_with(_solve_min_python, weights)[0]
 
 
-# The largest max |weight| for which n = 145 passes the int64 guard
-# (sentinel * 4 < 2^62); one more sends the solve to big ints.  Fully
-# finite rows at n = 145 hold exactly the 145 cells per row that the
-# int64 backend needs.
-_GUARD_N = 145
-_GUARD_MAX_ABS = 490_187_714_543_726
+# The largest max |weight| for which n = _GUARD_N passes the int64 guard
+# (sentinel * 4 < 2^62, and the sentinel is (max_abs + 1) times
+# _sentinel_for(n, 0)); one more sends the solve to big ints.  Fully finite
+# rows at n = _GUARD_N hold exactly the _NUMPY_MIN_CELLS_PER_ROW cells per
+# row that the int64 backend needs.
+_GUARD_N = _NUMPY_MIN_CELLS_PER_ROW
+_GUARD_MAX_ABS = ((1 << 60) - 1) // _sentinel_for(_GUARD_N, 0) - 1
 
 
 @pytest.mark.parametrize(
@@ -197,8 +201,8 @@ def test_sparse_rows_below_the_guard_take_the_heap_backend(monkeypatch):
     log = []
     _record(monkeypatch, "_solve_min_numpy", log)
     _record(monkeypatch, "_solve_min_python", log)
-    weights = _random_instance(random.Random(29), 120, 0.3)
-    total, perm = max_assignment(_rows(weights))  # about 36 cells per row, small weights
+    weights = _random_instance(random.Random(29), 120, 0.15)
+    total, perm = max_assignment(_rows(weights))  # about 19 cells per row, small weights
     assert [name for name, _, _ in log] == ["_solve_min_python"]
     assert total == sum(weights[i][perm[i]] for i in range(120))
     assert total == _solve_with(_solve_min_numpy, weights)[0]
@@ -211,6 +215,71 @@ def test_heap_backend_raises_when_its_heap_empties():
         _solve_min_python(rows)
     with pytest.raises(ValueError, match="no feasible assignment"):
         max_assignment(rows)
+
+
+def test_int64_backend_raises_on_an_empty_column(monkeypatch):
+    # No row allows column 2, or column n - 1 below.
+    with pytest.raises(ValueError, match="no feasible assignment"):
+        _solve_min_numpy(*_min_cost([[(0, 1), (1, 2)], [(1, 0), (0, 3)], [(0, 4), (1, 1)]]))
+    import maxplus.assignment as assignment
+
+    monkeypatch.setattr(assignment, "_solve_min_python", lambda rows: pytest.fail("the heap backend ran"))
+    rng = random.Random(37)
+    n = _NUMPY_MIN_CELLS_PER_ROW + 1  # n - 1 cells per row: int64 first
+    rows = [[(j, rng.randint(-5, 5)) for j in range(n - 1)] for _ in range(n)]
+    with pytest.raises(ValueError, match="no feasible assignment"):
+        max_assignment(rows)
+
+
+def _chi_rows(a):
+    """Both lexicographic cost rows of chi at the largest root of ``a``, its maximum cycle mean."""
+    _, lam_s, off, diag = _at(_scaled_entries(a), karp_max_cycle_mean(a).value)
+    return [_lexicographic_costs(off, diag, lam_s, want_max_length)[0] for want_max_length in (False, True)]
+
+
+def _dense(cost, sentinel):
+    """The dense list of lists of sparse cost rows, with ``sentinel`` on the forbidden cells."""
+    dense = [[sentinel] * len(cost) for _ in cost]
+    for i, row in enumerate(cost):
+        for j, c in row:
+            dense[i][j] = c
+    return dense
+
+
+@pytest.mark.parametrize("n", [_NUMPY_MIN_CELLS_PER_ROW - 1, _NUMPY_MIN_CELLS_PER_ROW, 80])
+@pytest.mark.parametrize("family", ["small", "ties", "wide"])
+def test_routing_and_parity_on_both_sides_of_the_gate(monkeypatch, family, n):
+    # Fully finite rows: n cells per row, so the int64 backend runs from the gate on.
+    log = []
+    _record(monkeypatch, "_solve_min_numpy", log)
+    _record(monkeypatch, "_solve_min_python", log)
+    solver = "_solve_min_numpy" if n >= _NUMPY_MIN_CELLS_PER_ROW else "_solve_min_python"
+    for rows in _chi_rows(seeded_matrix(f"{family}/{n}/1.0")):
+        cost, sentinel = _min_cost(rows)
+        expected = dense_min_assignment(_dense(cost, sentinel), sentinel)
+        assert _solve_min_python(cost) == expected
+        assert _solve_min_numpy(cost, sentinel) == expected
+        log.clear()
+        max_assignment(rows)
+        assert [(name, result) for name, _, result in log] == [(solver, expected)]
+
+
+def test_workload_rows_route_by_density(monkeypatch):
+    # Only the dense main instance (n = 80) has rows dense enough for the
+    # int64 backend; the check instances (n <= 25) and the sparse rows stay
+    # on the heap.
+    log = []
+    _record(monkeypatch, "_solve_min_numpy", log)
+    _record(monkeypatch, "_solve_min_python", log)
+    workloads = workload_module()
+    for w in workloads.WORKLOADS.values():
+        main, check = workloads.inputs(w, 1)
+        for inst in dict.fromkeys((main, check)):
+            solver = "_solve_min_numpy" if w.name == "dense" and inst is main else "_solve_min_python"
+            log.clear()
+            for rows in _chi_rows(parse_matrix(inst.text)):
+                max_assignment(rows)
+            assert [name for name, _, _ in log] == [solver, solver], (w.name, inst is main)
 
 
 def _lexicographic_instances():
@@ -249,13 +318,8 @@ def _parity_instances():
 def test_heap_numpy_and_dense_reference_agree_exactly():
     count = 0
     for rows in _parity_instances():
-        n = len(rows)
         cost, sentinel = _min_cost(rows)
-        dense = [[sentinel] * n for _ in range(n)]
-        for i, row in enumerate(cost):
-            for j, c in row:
-                dense[i][j] = c
-        expected = dense_min_assignment(dense, sentinel)
+        expected = dense_min_assignment(_dense(cost, sentinel), sentinel)
         assert _solve_min_python(cost) == expected
         assert _solve_min_numpy(cost, sentinel) == expected
         assert _certify(cost, *expected)
