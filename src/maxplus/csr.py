@@ -9,19 +9,16 @@ every t >= 2 n^2, no matter how large t is.  A reduced term (``reduce_term``)
 indexes C and R by the cyclicity classes of the group's critical graph
 instead, and S is the class permutation.
 
-The weight queries "best path with length k mod ell" have two answers,
-one readout (``_read_factors``) picking between them by a cost estimate.
-On sparse groups they run on an extended graph with ell layered copies of
-the node set, where every arc advances the layer by one: one Dijkstra
-sweep from the circuit's anchor node (and one on the reversed graph)
-yields a whole factor.  The sweep is
-``maxplus.visualize._layered_max_weights``, the label-setting kernel the
-visualization runs with one layer.  On dense groups the factors are rows
-and columns of the Kleene star of the visualized group's ell-th power at
-the circuit nodes (Sergeev and Schneider), computed on one array of the
-``maxplus.tropical`` kernel: ``_max_plus_power``, then
-``_max_plus_closure``.  Which of the two is cheaper also depends on the
-kernel's dtype, which ``maxplus.tropical`` alone decides.
+The weight queries "best path with length k mod ell" are labels of the
+paper's layered graph: ell copies of the group's node set, where every arc
+advances the layer by one.  One sweep from the circuit's anchor node (and
+one on the reversed graph) yields a whole factor.  One readout
+(``_read_factors``) runs it on one of two backends, by the group's size
+and density: on sparse groups the label-setting heap sweep
+``maxplus.visualize._layered_max_weights``, the kernel the visualization
+runs with one layer; on dense ones a layered Bellman-Ford sweep on one
+int64 array of the ``maxplus.tropical`` kernel, one vector-matrix max per
+layer step, until a step changes nothing (``_array_labels``).
 
 Evaluation stacks the terms of each rate class into one factor pair, so
 that C S^t R summed over the class is one max-plus product.  On n >= 64 it
@@ -48,10 +45,9 @@ from .partition import NodePartition, partition_nodes
 from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
+    _INT64_BOUND,
     _kernel_arrays,
     _kernel_result,
-    _max_plus_closure,
-    _max_plus_power,
     _max_plus_product,
     common_scale,
     matrix_power,
@@ -66,20 +62,20 @@ from .visualize import (
 )
 
 
-# The star readout pays off when the two layered sweeps (ell * m arc
-# relaxations each) cost more than the star: 1 + log2(ell) rounds, for the
-# power's squarings and the closure, of V array passes over V^2 cells.
-# Fitted to both readouts' times on 488 plain and reduced groups of seeded
-# and benchmark matrices (2-core host): an arc of the two sweeps costs as
-# much as 50 array cells, and each array pass a fixed 800 cells on top of
-# its V^2.  A cell of an object array (Python ints, past the kernel's int64
-# bound) counts as _OBJECT_CELL_COST int64 cells: on 43 dense groups (V
-# 8-80) of [-5, 5] matrices times 10^17, the object star took 1-17 times
-# the int64 star's time, more as V grows, and wherever the int64 estimate
-# picked the star, the sweeps were faster or within a few percent.
-_STAR_CELLS_PER_ARC = 50
-_STAR_CELLS_PER_PASS = 800
-_OBJECT_CELL_COST = 8
+# Both readouts were timed inside whole expansions, alternating, on the
+# 276 groups with a third of their cells finite of 24 seeded matrices (n
+# 12-40: small integers, {-1, 0}, +-10^6, p/q) and the benchmark matrices
+# (2-core host).  From 600 layered arcs (ell * m) the arrays lose on 6 of
+# them, by up to 1.33x, and the heap sweeps on 6 below it, by up to 1.16x;
+# timed alone, the 1,188 groups of n 6-80 gave 0.05-0.37 of the heap's time
+# on dense [-5, 5] groups with ell >= 7.  Sparser, the heap sweeps stay:
+# the arrays took 0.8-5.5x their time on the benchmark's sparse groups of
+# 17 nodes or more, density <= 0.3.  On object arrays the arrays took
+# 0.65-3.7x the heap's time, median 1.6x, on 208 dense groups of [-5, 5] *
+# 10^17 matrices, so those go to the heap, as in the visualization.
+_ARRAY_MIN_ARCS = 600
+
+_NOT_VISUALIZED = "submatrix is not visualized (positive entry)"
 
 
 def _read_factors(a_vis: TropicalMatrix, scaling: tuple, nodes, n, layers, orbits):
@@ -93,22 +89,27 @@ def _read_factors(a_vis: TropicalMatrix, scaling: tuple, nodes, n, layers, orbit
     with length k mod ``layers``, which are those from positions[k] with
     length divisible by ``layers``, and the C column of the mirror image,
     pushed back through the scaling.  Nodes outside the group stay at the
-    bottom element.
+    bottom element.  A positive entry of ``a_vis`` raises
+    ``InvariantViolationError`` on either backend.
 
-    Two readouts give the same factors: layered sweeps (``_sweep_labels``)
-    on sparse groups and the star of the ``layers``-th power
-    (``_star_labels``) on dense ones, by the cost estimate above, with the
-    star's cells weighed by the dtype of its kernel array.
+    Both backends read the labels of the paper's layered graph, ``layers``
+    copies of the group in which every arc steps the layer by one: the
+    heap sweeps of ``_sweep_labels``, or, on groups with a third of their
+    cells finite and at least ``_ARRAY_MIN_ARCS`` layered arcs whose
+    kernel array is int64, the layered Bellman-Ford sweep of
+    ``_array_labels``.  That sweep stops at the first layer step that
+    changes nothing, which comes within V * ``layers`` steps, and every
+    value it forms is the weight of a walk of at most V * ``layers`` arcs,
+    the bound the kernel array is built with (derived there).  Labels are
+    maximum path weights, so both backends give the same factors.
     """
     scale = common_scale(a_vis.entries.values(), scaling)
     d = [scaled_int(v, scale) for v in scaling]
-    nv = len(nodes)
-    sweep_cells = _STAR_CELLS_PER_ARC * layers * a_vis.finite_count
-    star_cells = nv * layers.bit_length() * (nv * nv + _STAR_CELLS_PER_PASS)
-    if sweep_cells >= star_cells:
+    nv, arcs = len(nodes), a_vis.finite_count
+    if 3 * arcs >= nv * nv and layers * arcs >= _ARRAY_MIN_ARCS:
         bottom, x = _kernel_arrays(scale, nv * layers, a_vis)
-        if x.dtype != object or sweep_cells >= _OBJECT_CELL_COST * star_cells:
-            return _factor_pair(nodes, n, scale, d, _star_labels(x, bottom, layers, orbits))
+        if x.dtype != object:
+            return _array_factors(x, bottom, d, nodes, n, scale, layers, orbits)
     return _factor_pair(nodes, n, scale, d, _sweep_labels(a_vis, scale, layers, orbits))
 
 
@@ -145,6 +146,8 @@ def _sweep_labels(a_vis, scale, layers, orbits):
     in_adj = [[] for _ in range(nv)]
     for (i, j), w in a_vis.entries.items():
         sw = scaled_int(w, scale)
+        if sw > 0:
+            raise InvariantViolationError(_NOT_VISUALIZED)
         out_adj[i].append((j, sw))
         in_adj[j].append((i, sw))
     for positions, ids in orbits:
@@ -155,21 +158,78 @@ def _sweep_labels(a_vis, scale, layers, orbits):
             yield fid, forward[k::layers], backward[k::layers]
 
 
-def _star_labels(x, bottom, layers, orbits):
-    """``_read_factors``' labels from rows and columns of (A_vis^layers)^*.
+def _array_labels(x, bottom, layers, roots):
+    """Layered Bellman-Ford labels from each root, on a stack of kernel arrays.
 
-    ``x`` is A_vis as a kernel array whose bound covers V * ``layers`` arcs:
-    every finite value of the power's closure is a simple path of at most V
-    arcs of the power.  The array then holds the power and its closure; the
-    k-th factor is row and column positions[k] of the star.
+    ``x`` has shape (S, V, V): S visualized groups as kernel arrays (every
+    entry <= 0 or bottom).  The result lab has shape (layers, S, len(roots),
+    V): lab[k, s, o, v] is the maximum weight of a walk roots[o] -> v of
+    x[s] whose length is k mod ``layers``, or bottom.  Layer 0 starts with
+    0 at the roots; step i relaxes layer i - 1 into layer i (mod
+    ``layers``) by one vector-matrix max for every array and root at once,
+    and the sweep stops at the first step that changes nothing.
+
+    A step changes only the layer it relaxes into, so that layer is the
+    only one not relaxed since its last change: the stop is a fixed point,
+    every layer dominating the relaxation of the one before it.  By
+    induction on i, after step i every walk of at most i arcs is dominated
+    at its layer, and every label is the weight of a walk of at most i
+    arcs.  The arcs are <= 0, so a best walk to a layered node can be taken
+    without repeating a layered node: at most V * layers - 1 arcs.  The
+    labels are final after step V * layers - 1 and the next step changes
+    nothing, so the sweep ends within V * layers steps, and a sweep that
+    does not raises ``InvariantViolationError``.  Every finite label and
+    candidate is the weight of a walk of at most V * layers arcs: the
+    bound of ``_kernel_arrays(scale, V * layers, a_vis)``.  A sum with a
+    bottom operand is at most bottom (entries and labels are <= 0), so
+    the maximum with the old label resets it.
     """
-    star = _max_plus_power(x, layers, bottom)
-    _max_plus_closure(star, bottom)
-    rows = [[None if v == bottom else v for v in row] for row in star.tolist()]
-    cols = list(zip(*rows))
-    for positions, ids in orbits:
-        for c, fid in zip(positions, ids):
-            yield fid, rows[c], cols[c]
+    nv = x.shape[-1]
+    lab = np.full((layers, len(x), len(roots), nv), bottom, dtype=x.dtype)
+    lab[0, :, range(len(roots)), roots] = 0
+    x = x[:, None]
+    k = 0
+    for _ in range(nv * layers):
+        k1 = (k + 1) % layers
+        cand = (lab[k][..., None] + x).max(axis=2)
+        if not (cand > lab[k1]).any():
+            return lab
+        np.maximum(lab[k1], cand, out=lab[k1])
+        k = k1
+    raise InvariantViolationError("layered labels did not settle within V * layers steps")
+
+
+def _array_factors(x, bottom, d, nodes, n, scale, layers, orbits):
+    """``_read_factors``' (C, R) by ``_array_labels`` on ``x``, the kernel array of the group.
+
+    One sweep runs on the array and on its transpose: the forward labels
+    are the R rows, and the transpose's layer k is layer -k of the mirror
+    image, the C columns.  The labels minus (plus) the scaled ``d`` go
+    into n-space arrays that leave the domain through ``_kernel_result``.
+    Finite labels lie above bottom // 2, so shifted by at most D = max |d|
+    they stay above bottom - D, the arrays' bottom; they are int64 while
+    D < 2^59, which keeps every value within 2^60 and the bottom above
+    -2^62.
+    """
+    if (x > 0).any():
+        raise InvariantViolationError(_NOT_VISUALIZED)
+    roots = [positions[0] for positions, _ in orbits]
+    lab = _array_labels(np.stack((x, x.T)), bottom, layers, roots)
+    out, into = lab[:, 0], lab[:, 1]
+    reach = max(map(abs, d))
+    wide = out.dtype == object or reach >= _INT64_BOUND
+    shift = np.array(d, dtype=object if wide else np.int64)
+    low = bottom - reach
+    count = sum(len(ids) for _, ids in orbits)
+    r = np.full((count, n), low, dtype=shift.dtype)
+    c = np.full((n, count), low, dtype=shift.dtype)
+    cols = np.array(nodes)
+    for o, (_, ids) in enumerate(orbits):
+        k = np.arange(len(ids))
+        rows, cells = out[k, o], into[-k % layers, o]
+        r[np.ix_(ids, cols)] = np.where(rows != bottom, rows - shift, low)
+        c[np.ix_(cols, ids)] = np.where(cells != bottom, cells + shift, low).T
+    return _kernel_result(c, low, scale), _kernel_result(r, low, scale)
 
 
 def compute_cr_pair(
@@ -187,9 +247,6 @@ def compute_cr_pair(
     the circuit's k-th node is k zero steps from its first.
     """
     pos = {v: k for k, v in enumerate(nodes)}
-    for v in a_vis.entries.values():
-        if v > 0:
-            raise InvariantViolationError("submatrix is not visualized (positive entry)")
     for u, v in circuit.arc_pairs():
         if a_vis.entries.get((pos[u], pos[v])) != 0:
             raise InvariantViolationError(

@@ -11,11 +11,12 @@ vectorized pass), entered once per call.  There the kernel works on dense
 numpy arrays: one max-plus product (``_max_plus_product``, behind
 ``matrix_mul``, ``matrix_power`` and the evaluation of ``maxplus.csr``
 expansions) and one Floyd-Warshall closure (``_max_plus_closure``, behind
-``kleene_star``, the dense C/R factors of ``maxplus.csr`` and the star of
-the principal eigenvectors in ``maxplus.digraph``).  Every array enters
-through ``_kernel_arrays``, whose bound on the results picks int64 or,
-above 2^59, Python ints in object arrays, on one code path; callers read
-the choice from the arrays' dtype.
+``kleene_star`` and the star of the principal eigenvectors in
+``maxplus.digraph``); the layered C/R sweep of ``maxplus.csr`` and the
+visualization sweep run on the same arrays.  Every array enters through
+``_kernel_arrays``, whose bound on the results picks int64 or, above
+2^59, Python ints in object arrays, on one code path; callers read the
+choice from the arrays' dtype.
 
 A square matrix is also its weighted digraph (``maxplus.digraph`` reads
 ``entries`` as arcs), and a diagonal scaling is a plain tuple of values.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -213,9 +215,18 @@ def _kernel_arrays(scale, t, *matrices):
     int64 with the bottom at -2^61; above it they hold Python ints (dtype
     object) with the bottom at -4 * bound.  Either way a sum with a bottom
     operand lands below bottom // 2 and a finite one above.
+
+    With scale 1 a matrix of int entries goes in as it is; every other
+    entry goes through ``scaled_int``, which checks that the scale clears
+    its denominator.
     """
-    scaled = [[scaled_int(v, scale) for v in m.entries.values()] for m in matrices]
-    bound = t * sum(max(map(abs, values), default=0) for values in scaled)
+    scaled = []
+    for m in matrices:
+        values = list(m.entries.values())
+        if scale != 1 or set(map(type, values)) - {int}:
+            values = [scaled_int(v, scale) for v in values]
+        scaled.append(values)
+    bound = t * sum(max(max(values), -min(values)) for values in scaled if values)
     if bound < _INT64_BOUND:
         dtype, bottom = np.int64, -4 * _INT64_BOUND
     else:
@@ -224,8 +235,8 @@ def _kernel_arrays(scale, t, *matrices):
     for m, values in zip(matrices, scaled):
         out = np.full((m.rows, m.cols), bottom, dtype=dtype)
         if values:
-            ii, jj = zip(*m.entries)
-            out[list(ii), list(jj)] = values
+            cells = np.fromiter(chain.from_iterable(m.entries), np.intp, 2 * len(values))
+            out[cells[0::2], cells[1::2]] = values
         arrays.append(out)
     return bottom, *arrays
 

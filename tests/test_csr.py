@@ -22,7 +22,10 @@ from maxplus import (
     visualize_all,
 )
 from maxplus import csr
-from maxplus.csr import _perm_power
+from maxplus.cli import parse_matrix
+from maxplus.csr import _perm_power, compute_cr_pair
+from maxplus.tropical import _kernel_arrays, common_scale, scaled_int
+from maxplus.visualize import InvariantViolationError
 from maxplus.oracle import (
     brute_power_check,
     mod_length_closure,
@@ -42,6 +45,7 @@ from fixtures import (
     DEMO_S3_ROWS,
     demo_matrix,
     tm,
+    workload_module,
 )
 
 
@@ -275,9 +279,8 @@ def test_reduced_term_sweeps_once_per_cycle_of_s(monkeypatch):
 def test_reduced_expand_runs_no_closure(monkeypatch):
     # Each visualized group's critical graph comes from its tight arcs and
     # their strongly connected components, so it needs no Floyd-Warshall
-    # closure; and the groups here are small enough for the gate to keep
-    # their C/R factors on the layered sweeps.  Every module binding of the
-    # kernel is counted.
+    # closure, and neither C/R readout runs one.  Every module binding of
+    # the kernel is counted.
     import maxplus.digraph as digraph
     import maxplus.tropical as tropical
 
@@ -818,7 +821,7 @@ def _typed(m):
 
 
 def _readout_instances():
-    """Seeded matrices whose groups fall on both sides of the star readout's gate.
+    """Seeded matrices whose groups fall on both sides of the readout's gate.
 
     Small-integer, +-10^6 sparse irreducible, p/q and {0, -1} instances of
     n 2-14, dense [-5, 5] ones of n 16-40, two of n 64-70, and two whose
@@ -856,83 +859,133 @@ def _recorded(log, entry, real):
     return lambda *args: log.append(entry(args)) or real(*args)
 
 
-def _forced(readout, args):
-    """``_read_factors(*args)`` with its gate forced to "star" or "sweep"."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(csr, "_STAR_CELLS_PER_ARC", 1 << 200 if readout == "star" else 0)
-        return csr._read_factors(*args)
+def _forced(backend, args):
+    """``_read_factors(*args)`` on the "arrays" or the "heap" backend, whatever the gate picks.
+
+    The arrays run on the dtype the kernel picks, object arrays included.
+    """
+    a_vis, scaling, nodes, n, layers, orbits = args
+    scale = common_scale(a_vis.entries.values(), scaling)
+    d = [scaled_int(v, scale) for v in scaling]
+    if backend == "arrays":
+        bottom, x = _kernel_arrays(scale, len(nodes) * layers, a_vis)
+        return csr._array_factors(x, bottom, d, nodes, n, scale, layers, orbits)
+    return csr._factor_pair(nodes, n, scale, d, csr._sweep_labels(a_vis, scale, layers, orbits))
 
 
-def test_star_readout_matches_layered_sweeps(monkeypatch):
+def test_array_readout_matches_heap_sweeps(monkeypatch):
     # Every (C, R) that a plain or a reduced expansion reads, once more by
-    # each readout: the same matrices, values with their types.
+    # each backend: the same matrices, values with their types, as the
+    # gate's own pick.
     calls, picked, dtypes = [], [], []
     monkeypatch.setattr(csr, "_read_factors", _recorded(calls, tuple, csr._read_factors))
-    for name in ("_star_labels", "_sweep_labels"):
+    for name in ("_array_labels", "_sweep_labels"):
         readout = _recorded(picked, lambda _, name=name: name, getattr(csr, name))
         monkeypatch.setattr(csr, name, readout)
     for a in _readout_instances():
         expand(a)
         expand(a, reduce_by_cyclicity=True)
     monkeypatch.undo()
-    closure = _recorded(dtypes, lambda args: args[0].dtype, csr._max_plus_closure)
-    monkeypatch.setattr(csr, "_max_plus_closure", closure)
+    sweep = _recorded(dtypes, lambda args: args[0].dtype, csr._array_labels)
+    monkeypatch.setattr(csr, "_array_labels", sweep)
     reduced = large = 0
     for args in calls:
-        by_star = _forced("star", args)
-        by_sweep = _forced("sweep", args)
-        assert [_typed(m) for m in by_star] == [_typed(m) for m in by_sweep]
+        by_arrays = [_typed(m) for m in _forced("arrays", args)]
+        assert by_arrays == [_typed(m) for m in _forced("heap", args)]
+        assert by_arrays == [_typed(m) for m in csr._read_factors(*args)]
         reduced += not isinstance(args[5][0][1], range)  # plain orbits are range(ell)
         large += len(args[2]) >= 64
     assert len(calls) >= 500 and 200 <= reduced <= len(calls) - 200 and large >= 2
     # The gate sent groups both ways during the expansions.
-    assert picked.count("_star_labels") >= 20 and picked.count("_sweep_labels") >= 400
+    assert picked.count("_array_labels") >= 20 and picked.count("_sweep_labels") >= 400
     assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
 
 
 @pytest.mark.parametrize(
-    "top, dtype", [((1 << 55) - 1, np.int64), (1 << 55, object)], ids=["at-edge", "above"]
+    "top, far, dtype",
+    [((1 << 55) - 1, 1, np.int64), (1 << 55, 1, object), (1, 1 << 61, np.int64)],
+    ids=["at-edge", "above", "far-scaling"],
 )
-def test_star_readout_guard_edge(monkeypatch, top, dtype):
-    # A zero 4-circuit with chords of weight -top: the star readout's bound
-    # V * ell * M = 16 * top is 2^59 - 16, then 2^59.
+def test_array_readout_guard_edge(monkeypatch, top, far, dtype):
+    # A zero 4-circuit with chords of weight -top: the array readout's
+    # bound V * ell * M = 16 * top is 2^59 - 16, then 2^59.  With a
+    # scaling beyond 2^59 the labels stay int64 and the factors leave the
+    # domain through object arrays.
     dtypes = []
-    real = csr._max_plus_closure
-
-    def spied(x, bottom):
-        dtypes.append(x.dtype)
-        return real(x, bottom)
-
-    monkeypatch.setattr(csr, "_max_plus_closure", spied)
+    sweep = _recorded(dtypes, lambda args: args[0].dtype, csr._array_labels)
+    monkeypatch.setattr(csr, "_array_labels", sweep)
     entries = {(k, (k + 1) % 4): 0 for k in range(4)}
     entries.update({(0, 2): -top, (3, 1): -top, (2, 2): -top})
     orbits = [([0, 1, 2, 3], range(4))]
-    args = (TropicalMatrix(4, 4, entries), (0, 1, -1, 0), (0, 1, 2, 3), 4, 4, orbits)
-    by_star = _forced("star", args)
+    args = (TropicalMatrix(4, 4, entries), (0, far, -far, 0), (0, 1, 2, 3), 4, 4, orbits)
+    by_arrays = _forced("arrays", args)
     assert dtypes == [np.dtype(dtype)]
-    assert [_typed(m) for m in by_star] == [_typed(m) for m in _forced("sweep", args)]
+    assert [_typed(m) for m in by_arrays] == [_typed(m) for m in _forced("heap", args)]
 
 
-@pytest.mark.parametrize("n, seed, ell", [(40, 5, 29), (80, 204, 39)])
-def test_star_readout_gate_weighs_object_cells(monkeypatch, n, seed, ell):
-    # Group 1 of a dense [-5, 5] matrix goes to the int64 star; the same
-    # group times 10^17 (the same ell, V * ell * M past 2^59) would put the
-    # star on object arrays, several times slower than the sweeps there.
-    a = random_matrix(random.Random(seed), n, 1.0)
-    part = partition_nodes(characteristic_roots(a), n)
-    group = visualize_all(a, part).group(1)
-    circuit = part.quasi_critical[0]
-    assert circuit.length == ell and len(group.nodes) == n
-    pos = {v: k for k, v in enumerate(group.nodes)}
-    orbits = [([pos[v] for v in circuit.nodes], range(ell))]
+def test_array_labels_stop_at_the_step_cap():
+    # A positive loop (which the readout's own check rejects first) keeps
+    # raising the label: the sweep gives up after V * layers steps.
+    for layers in (1, 3):
+        x = np.array([[[1]], [[1]]], dtype=np.int64)
+        with pytest.raises(InvariantViolationError, match="did not settle"):
+            csr._array_labels(x, -(1 << 61), layers, [0])
+
+
+def test_readout_routing_on_workload_groups(monkeypatch):
+    # Group 1 of the dense main instance (V = 80, ell = 60) takes the
+    # arrays; every group of the sparse-wide and blocks instances (density
+    # <= 0.3), plain and reduced, takes the heap sweeps.
     picked = []
-    for name in ("_star_labels", "_sweep_labels"):
+    for name in ("_array_labels", "_sweep_labels"):
         monkeypatch.setattr(csr, name, _recorded(picked, lambda _, name=name: name, getattr(csr, name)))
-    for factor in (1, 10**17):
-        a_vis = TropicalMatrix(n, n, {key: v * factor for key, v in group.matrix.entries.items()})
-        scaling = tuple(v * factor for v in group.scaling)
-        csr._read_factors(a_vis, scaling, group.nodes, n, ell, orbits)
-    assert picked == ["_star_labels", "_sweep_labels"]
+    workloads = workload_module()
+    main, _ = workloads.inputs(workloads.WORKLOADS["dense"], 1)
+    a = parse_matrix(main.text)
+    part = partition_nodes(characteristic_roots(a), a.rows)
+    group, circuit = visualize_all(a, part).group(1), part.quasi_critical[0]
+    assert (len(group.nodes), circuit.length) == (80, 60)
+    compute_cr_pair(group.matrix, group.scaling, circuit, group.nodes, a.rows)
+    assert picked == ["_array_labels"]
+    for name in ("sparse-wide", "blocks"):
+        for inst in workloads.inputs(workloads.WORKLOADS[name], 1):
+            for reduce in (False, True):
+                picked.clear()
+                expand(parse_matrix(inst.text), reduce_by_cyclicity=reduce)
+                assert picked and set(picked) == {"_sweep_labels"}, (name, inst.n, reduce)
+
+
+def _positive_arc_group():
+    """A 3-node group, visualized, then with one arc raised to +1.
+
+    The zero 2-circuit 0 <-> 1 is its critical graph; node 2 hangs off
+    node 0 by arcs of weight -5 and -1, and the raised arc 2 -> 0 leaves
+    every circuit through it at weight -4.
+    """
+    a = TropicalMatrix(3, 3, {(0, 1): 0, (1, 0): 0, (0, 2): -5, (2, 0): -1})
+    part = partition_nodes(characteristic_roots(a), 3)
+    gv = visualize_all(a, part).group(1)
+    assert gv.nodes == (0, 1, 2) and gv.matrix.get(2, 0) is not None
+    entries = dict(gv.matrix.entries)
+    entries[(2, 0)] = 1
+    return part, dataclasses.replace(gv, matrix=TropicalMatrix(3, 3, entries))
+
+
+@pytest.mark.parametrize("backend", ["arrays", "heap"])
+def test_positive_entry_raises_on_both_entry_points(monkeypatch, backend):
+    # The check on the visualized group runs in ``_read_factors``, on the
+    # backend the gate picks, for plain and reduced terms alike.
+    monkeypatch.setattr(csr, "_ARRAY_MIN_ARCS", 0 if backend == "arrays" else math.inf)
+    picked = []
+    for name in ("_array_factors", "_sweep_labels"):
+        monkeypatch.setattr(csr, name, _recorded(picked, lambda _, name=name: name, getattr(csr, name)))
+    part, gv = _positive_arc_group()
+    with pytest.raises(InvariantViolationError, match="not visualized"):
+        compute_cr_pair(gv.matrix, gv.scaling, part.quasi_critical[0], gv.nodes, 3)
+    with pytest.raises(InvariantViolationError, match="not visualized"):
+        reduce_term(part, gv)
+    want = "_array_factors" if backend == "arrays" else "_sweep_labels"
+    assert picked == [want, want]
 
 
 def _power_check_instance(family, rng):

@@ -240,6 +240,38 @@ def test_unscaled_inverts_scaled_int():
             assert type(back) is type(as_value(v))
 
 
+@pytest.mark.parametrize(
+    "values, scale, t, dtype",
+    [
+        ((-5, 5), 1, 1, np.int64),
+        ((-5, 5), 12, 7, np.int64),
+        ((Fraction(-7, 2), Fraction(1, 3), 4), 6, 3, np.int64),
+        ((-(10**17), 10**17), 1, 6, object),
+        ((-(10**30), 1), 1, 1, object),
+        ((-3, Fraction(5, 4)), 4 << 59, 1, object),
+    ],
+    ids=["ints", "ints-scaled", "fractions", "past-int64", "past-int64-entries", "huge-scale"],
+)
+def test_kernel_arrays_enter_every_value_as_scaled_int(values, scale, t, dtype):
+    # Whether the values go in as they are (scale 1, int entries) or
+    # through ``scaled_int``, every cell holds the scaled entry as an exact
+    # int, or the bottom; the dtype and the bottom follow the bound t * M.
+    rng = random.Random(f"{values}/{scale}")
+    a = TropicalMatrix(9, 7, {(i, j): rng.choice(values) for i in range(9) for j in range(7) if rng.random() < 0.6})
+    b = TropicalMatrix(3, 3, {})
+    bottom, x, y = tropical._kernel_arrays(scale, t, a, b)
+    bound = t * max(abs(scaled_int(v, scale)) for v in a.entries.values())
+    assert x.dtype == y.dtype == np.dtype(dtype)
+    assert bottom == (-(1 << 61) if dtype is np.int64 else -4 * bound)
+    want = [[bottom] * 7 for _ in range(9)]
+    for (i, j), v in a.entries.items():
+        want[i][j] = scaled_int(v, scale)
+    assert x.tolist() == want and {type(v) for row in x.tolist() for v in row} == {int}
+    assert y.tolist() == [[bottom] * 3] * 3
+    with pytest.raises(ValueError, match="does not clear"):
+        tropical._kernel_arrays(1, 1, TropicalMatrix(1, 2, {(0, 0): 3, (0, 1): Fraction(1, 2)}))
+
+
 @pytest.mark.parametrize("dtype", [np.int64, object])
 @pytest.mark.parametrize("scale", [1, 12, 3 << 59])
 @pytest.mark.parametrize("shifts", [None, (0, 5, -7, 12 * 10**6), (10**30 + 7, -(10**30), 1, 0)])
