@@ -932,6 +932,28 @@ def test_array_labels_stop_at_the_step_cap():
             csr._array_labels(x, -(1 << 61), layers, [0])
 
 
+@pytest.mark.parametrize("n, seed, ell", [(40, 5, 29), (80, 204, 39)])
+def test_star_readout_gate_weighs_object_cells(monkeypatch, n, seed, ell):
+    # Group 1 of a dense [-5, 5] matrix goes to the int64 array readout;
+    # the same group times 10^17 (the same ell, V * ell * M past 2^59)
+    # would put the kernel on object arrays, so it goes to the heap sweeps.
+    a = random_matrix(random.Random(seed), n, 1.0)
+    part = partition_nodes(characteristic_roots(a), n)
+    group = visualize_all(a, part).group(1)
+    circuit = part.quasi_critical[0]
+    assert circuit.length == ell and len(group.nodes) == n
+    pos = {v: k for k, v in enumerate(group.nodes)}
+    orbits = [([pos[v] for v in circuit.nodes], range(ell))]
+    picked = []
+    for name in ("_array_labels", "_sweep_labels"):
+        monkeypatch.setattr(csr, name, _recorded(picked, lambda _, name=name: name, getattr(csr, name)))
+    for factor in (1, 10**17):
+        a_vis = TropicalMatrix(n, n, {key: v * factor for key, v in group.matrix.entries.items()})
+        scaling = tuple(v * factor for v in group.scaling)
+        csr._read_factors(a_vis, scaling, group.nodes, n, ell, orbits)
+    assert picked == ["_array_labels", "_sweep_labels"]
+
+
 def test_readout_routing_on_workload_groups(monkeypatch):
     # Group 1 of the dense main instance (V = 80, ell = 60) takes the
     # arrays; every group of the sparse-wide and blocks instances (density
