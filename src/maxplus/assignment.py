@@ -9,9 +9,10 @@ potentials:
 - the default one keeps the keys of a Dijkstra phase in a heap over the
   sparse rows: O(m + n log n) per phase, in plain Python ints;
 - a dense numpy int64 one, for rows dense enough that its vector scans win
-  and costs small enough to rule out overflow, keeps them in an array of n
-  keys, with the forbidden cells at a large integer sentinel chosen well
-  above any reachable path cost.
+  and its n x n cost array stays within a few times the rows, and costs
+  small enough to rule out overflow, keeps them in an array of n keys,
+  with the forbidden cells at a large integer sentinel chosen well above
+  any reachable path cost.
 
 Both keep the phase's books lazily.  A column's key is absolute, reduced
 cost + D, with D the key of the column whose row is scanned and the
@@ -48,6 +49,15 @@ _INT64_LIMIT = 1 << 62
 # [-5, 5] matrices the two tie at 20-26 cells per row, and the int64
 # backend wins from 28 on, at every n measured up to 1,500.
 _NUMPY_MIN_CELLS_PER_ROW = 28
+# It also needs at least one allowed cell in _NUMPY_MAX_CELLS_PER_ALLOWED
+# of the n x n matrix.  Its cost array takes 8 bytes a cell whatever the
+# density, and the rows at least 64 bytes an allowed cell (a 2-tuple and
+# its list slot), so the array stays within 4 times the rows.  On seeded
+# random rows under tracemalloc, n = 1,500 with 30 cells per row peaked
+# 20 MiB above the rows on int64 and 0.6 MiB on the heap, in about the same
+# time; at one cell in 32 (n = 1,500, 47 per row) the heap took 1.24x
+# the int64 solve's time, and at one in 8 (n = 800, 99 per row) 2.4x.
+_NUMPY_MAX_CELLS_PER_ALLOWED = 32
 
 
 def _sentinel_for(n, max_abs):
@@ -233,7 +243,11 @@ def max_assignment(weights):
     # Minimize the negated weights.
     cost = [[(j, -x) for j, x in row] for row in weights]
     sentinel = _sentinel_for(n, max_abs)
-    use_numpy = cells >= _NUMPY_MIN_CELLS_PER_ROW * n and sentinel * 4 < _INT64_LIMIT
+    use_numpy = (
+        cells >= _NUMPY_MIN_CELLS_PER_ROW * n
+        and cells * _NUMPY_MAX_CELLS_PER_ALLOWED >= n * n
+        and sentinel * 4 < _INT64_LIMIT
+    )
     if use_numpy:
         perm, u, v = _solve_min_numpy(cost, sentinel)
     if not use_numpy or not _certify(cost, perm, u, v):

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .tropical import (
     EPSILON,
     DimensionMismatchError,
@@ -203,16 +205,14 @@ def _karp_component(out, comp):
     return best
 
 
-def karp_max_cycle_mean(a: TropicalMatrix) -> TropicalScalar:
-    """Maximum mean weight over all elementary circuits; bottom if acyclic.
+def _karp_components(a: TropicalMatrix, scale):
+    """Maximum cycle mean as (weight, length) in scaled ints, by the per-SCC loop; None if acyclic.
 
-    Runs Karp's dynamic program independently on every strongly connected
-    component and takes the best, so reducible matrices are handled.  The
-    arcs are scaled to ints once, the components' means compared by
-    cross-multiplication, and only the best one becomes a rational again.
+    The arcs are scaled to ints once, Karp's dynamic program runs on every
+    strongly connected component (``_karp_component``) and the components'
+    means are compared by cross-multiplication.
     """
-    scale = common_scale(a.entries.values())
-    out = [[] for _ in range(build_graph(a).rows)]
+    out = [[] for _ in range(a.rows)]
     for (u, v), w in a.entries.items():
         out[u].append((v, scaled_int(w, scale)))
     best = None
@@ -220,6 +220,110 @@ def karp_max_cycle_mean(a: TropicalMatrix) -> TropicalScalar:
         mean = _karp_component(out, comp)
         if mean is not None and (best is None or mean[0] * best[1] > best[0] * mean[1]):
             best = mean
+    return best
+
+
+def _min_fraction(num, den):
+    """The least of num[k] / den[k] along axis 0, compared by cross-multiplication.
+
+    ``den`` is positive.  The first and the last half are compared
+    pairwise until one row is left (with an odd count the halves share the
+    middle row); returns that row's (numerators, denominators).
+    """
+    while len(num) > 1:
+        h = (len(num) + 1) // 2
+        a, b, c, d = num[:h], num[-h:], den[:h], den[-h:]
+        take = b * c < a * d
+        num, den = np.where(take, b, a), np.where(take, d, c)
+    return num[0], den[0]
+
+
+def _karp_array(x, bottom):
+    """Maximum cycle mean of an int64 kernel array as (weight, length); None if acyclic.
+
+    Karp's table with a super-source s, which has an arc of weight 0 to
+    every node, so every node is reachable and no SCC split is needed.
+    D_k(v), the best weight of a walk of exactly k arcs ending at v
+    (starting anywhere), is the best s-v walk of k + 1 arcs: D_0 = 0 and
+    D_k = the max-plus product of D_(k-1) with the array, for k = 1..n.
+    Karp's theorem on the n + 1 nodes with s gives the maximum cycle mean
+
+        lambda = max over v with D_n(v) finite of
+                 min over 0 <= k < n of (D_n(v) - D_k(v)) / (n - k).
+
+    Shifting every arc by -lambda shifts each ratio by -lambda, so take
+    lambda = 0.  An n-arc walk to v repeats a node, and removing its
+    circuits, each of weight <= 0, leaves a k-arc walk to v with k < n: the
+    inner minimum is <= 0 for every v.  Let p(v) be the best weight of an
+    s-v walk, finite since no circuit is positive, and C a circuit of
+    weight 0.  The best s-walk into a node w of C is a path of at most n
+    arcs; continued round C to n + 1 arcs it ends at some v, and weighs
+    p(w) plus C's arcs from w to v, which is p(v) (p(v) plus C's arcs from
+    v back to w is at most p(w)).  So D_n(v) = p(v) >= D_k(v) for every k,
+    and that v's minimum is 0.  If the graph is acyclic, D_n is bottom
+    everywhere.
+
+    With M the largest |entry|, finite D_k lie within +-kM and every
+    other value within [bottom, bottom + kM]: each level's maximum starts
+    at ``bottom``, and a sum with a bottom operand stays below bottom // 2,
+    since nM < 2^59 under the caller's bound.  Where D_n(v) is finite so
+    is every D_k(v), k < n (the last k arcs of its walk), so the columns
+    with D_n finite hold no bottom.  There the differences lie within
+    +-2nM and the denominators in [1, n], and every cross-product of
+    ``_min_fraction``, first over k and then over v, within 2n^2 M: the
+    bound the caller's ``_kernel_arrays(scale, 2 n^2, a)`` keeps below
+    2^59.
+    """
+    n = x.shape[0]
+    table = np.empty((n + 1, n), dtype=np.int64)
+    table[0] = 0
+    level = np.empty_like(x)
+    for k in range(1, n + 1):
+        np.add(x, table[k - 1][:, None], out=level)
+        level.max(axis=0, initial=bottom, out=table[k])
+    finite = table[n] > bottom // 2
+    if not finite.any():
+        return None
+    table = table[:, finite]
+    num = table[n] - table[:n]
+    den = np.broadcast_to(np.arange(n, 0, -1)[:, None], num.shape)
+    num, den = _min_fraction(num, den)
+    weight, length = _min_fraction(-num, den)
+    return -int(weight), int(length)
+
+
+# Karp's table runs on the kernel array when at least a quarter of the
+# cells, and at least _KARP_ARRAY_MIN_CELLS of them, are finite.  Below
+# that the per-SCC loop wins: on seeded irreducible matrices (n 6-40) the
+# two tie at 70-100 finite cells whatever the density (the array's n
+# levels cost a few numpy calls each, the loop's m relaxations about
+# 0.1 us each), and on the block-reducible and sparse check instances of
+# the benchmark (densities 0.22 and 0.07) the array took 1.4x and 1.2x
+# the loop's time, since the loop's table runs per SCC.
+_KARP_ARRAY_MIN_CELLS = 100
+
+
+def karp_max_cycle_mean(a: TropicalMatrix) -> TropicalScalar:
+    """Maximum mean weight over all elementary circuits; bottom if acyclic.
+
+    The entries are scaled to ints once.  Past the density gate (see
+    ``_KARP_ARRAY_MIN_CELLS``) the whole matrix enters the kernel as one
+    array with a bound of 2n^2 arcs and Karp's table runs on it with a
+    super-source (``_karp_array``); below the gate, or when the kernel
+    picks object arrays, the dynamic program runs on every strongly
+    connected component (``_karp_components``).  Means are compared by
+    cross-multiplication, and only the best one becomes a rational again.
+    """
+    n = build_graph(a).rows
+    scale = common_scale(a.entries.values())
+    cells = len(a.entries)
+    x = None
+    if cells >= _KARP_ARRAY_MIN_CELLS and 4 * cells >= n * n:
+        bottom, x = _kernel_arrays(scale, 2 * n * n, a)
+    if x is not None and x.dtype != object:
+        best = _karp_array(x, bottom)
+    else:
+        best = _karp_components(a, scale)
     return EPSILON if best is None else TropicalScalar(Fraction(best[0], best[1] * scale))
 
 

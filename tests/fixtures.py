@@ -191,7 +191,9 @@ def seeded_matrix(name) -> TropicalMatrix:
     """The seeded matrix called ``name``, "family/n/density", drawn from a generator seeded by it.
 
     Families: small ([-5, 5]), ties ({-1, 0}), pq (p/q, |p| <= 20),
-    wide (irreducible, +-10^6) and big (10^17 * [-5, 5] plus noise).
+    wide (irreducible, +-10^6), nodiag ([-1000, 1000] off the diagonal,
+    so no loop sets the maximum cycle mean) and big (10^17 * [-5, 5]
+    plus noise).
     """
     family, n, density = name.split("/")
     n, density = int(n), float(density)
@@ -205,5 +207,8 @@ def seeded_matrix(name) -> TropicalMatrix:
         return TropicalMatrix(n, n, {k: Fraction(v, rng.choice((1, 2, 3, 4, 6))) for k, v in m.entries.items()})
     if family == "wide":
         return random_irreducible_matrix(rng, n, density, -(10**6), 10**6)
+    if family == "nodiag":
+        m = random_matrix(rng, n, density, -1000, 1000)
+        return TropicalMatrix(n, n, {(i, j): v for (i, j), v in m.entries.items() if i != j})
     m = random_matrix(rng, n, density)
     return TropicalMatrix(n, n, {k: 10**17 * v + rng.randint(-9, 9) for k, v in m.entries.items()})

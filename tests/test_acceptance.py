@@ -292,10 +292,25 @@ def test_c10_performance_budget():
     started = time.perf_counter()
     result = x.evaluate(10**18)
     evaluate_time = time.perf_counter() - started
-    ok = expand_time < 60.0 and evaluate_time < 1.0 and result.finite_count > 0
+    started = time.perf_counter()
+    rate = karp_max_cycle_mean(a)
+    karp_time = time.perf_counter() - started
+    started = time.perf_counter()
+    vectors = principal_eigenvectors(a)
+    eigen_time = time.perf_counter() - started
+    ok = (
+        expand_time < 60.0
+        and evaluate_time < 1.0
+        and result.finite_count > 0
+        and karp_time < 1.0
+        and eigen_time < 2.0
+        and rate == TropicalScalar(x.terms[0].rate)
+        and len(vectors) > 0
+    )
     assert _report(
         10,
         ok,
         f"n=300 dense: expand {expand_time:.1f}s (< 60), evaluate(1e18) "
-        f"{evaluate_time:.3f}s (< 1)",
+        f"{evaluate_time:.3f}s (< 1), karp {karp_time:.3f}s (< 1), "
+        f"eigenvectors {eigen_time:.3f}s (< 2)",
     )

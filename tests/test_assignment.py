@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from maxplus.assignment import (
+    _NUMPY_MAX_CELLS_PER_ALLOWED,
     _NUMPY_MIN_CELLS_PER_ROW,
     _certify,
     _sentinel_for,
@@ -206,6 +207,66 @@ def test_sparse_rows_below_the_guard_take_the_heap_backend(monkeypatch):
     assert [name for name, _, _ in log] == ["_solve_min_python"]
     assert total == sum(weights[i][perm[i]] for i in range(120))
     assert total == _solve_with(_solve_min_numpy, weights)[0]
+
+
+def _sparse_feasible_rows(rng, n, cells):
+    """n rows with ``cells`` allowed cells in all, spread evenly, a hidden perfect matching among them."""
+    hidden = list(range(n))
+    rng.shuffle(hidden)
+    rows = []
+    for i in range(n):
+        want = cells // n + (i < cells % n)
+        others = [j for j in rng.sample(range(n), want) if j != hidden[i]][: want - 1]
+        rows.append([(j, rng.randint(-5, 5)) for j in [hidden[i], *others]])
+    assert sum(map(len, rows)) == cells
+    return rows
+
+
+class _Routed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("short, solver", [(0, "_solve_min_numpy"), (1, "_solve_min_python")])
+def test_int64_backend_needs_its_share_of_all_cells(monkeypatch, short, solver):
+    # Past the per-row gate, the int64 backend still needs one allowed cell
+    # in _NUMPY_MAX_CELLS_PER_ALLOWED of the n x n matrix: exactly that
+    # many take it, one cell fewer the heap.  Only the routing is checked;
+    # the chosen solver stops the solve.
+    import maxplus.assignment as assignment
+
+    n = _NUMPY_MAX_CELLS_PER_ALLOWED * (_NUMPY_MIN_CELLS_PER_ROW + 2)
+    rows = _sparse_feasible_rows(random.Random(41), n, n * n // _NUMPY_MAX_CELLS_PER_ALLOWED - short)
+    assert sum(map(len, rows)) >= _NUMPY_MIN_CELLS_PER_ROW * n
+    for name in ("_solve_min_numpy", "_solve_min_python"):
+
+        def stop(*args, _name=name):
+            raise _Routed(_name)
+
+        monkeypatch.setattr(assignment, name, stop)
+    with pytest.raises(_Routed, match=solver):
+        max_assignment(rows)
+
+
+def test_sparse_rows_past_the_row_gate_peak_below_the_dense_array(monkeypatch):
+    # n = 1,000 with 30 cells per row passes the per-row gate but holds
+    # fewer than one cell in 32: the heap solve runs, and the solve peaks
+    # below the 8 MB that the int64 backend's cost array alone would take.
+    import tracemalloc
+
+    log = []
+    _record(monkeypatch, "_solve_min_numpy", log)
+    _record(monkeypatch, "_solve_min_python", log)
+    n = 1000
+    rows = _sparse_feasible_rows(random.Random(43), n, 30 * n)
+    tracemalloc.start()
+    try:
+        total, perm = max_assignment(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [name for name, _, _ in log] == ["_solve_min_python"]
+    assert sorted(perm) == list(range(n))
+    assert peak < 8 * n * n, peak
 
 
 def test_heap_backend_raises_when_its_heap_empties():

@@ -1,11 +1,12 @@
 """Command-line output on seeded dense matrices, pinned by SHA-256.
 
 ``dense_digests.json`` holds, for each instance below, the digests of the
-stdout of ``maxplus expand --json``, ``maxplus expand --reduce --json``
-and ``maxplus visualize``.  The instances are dense (n 64-120), where the
-array paths of the pipeline run, over several value families: small
-integers, tie-heavy {-1, 0}, p/q rationals, +-10^6 and entries of size
-10^17, whose sums leave int64.  Output that changes on purpose is
+stdout of ``maxplus expand --json``, ``maxplus expand --reduce --json``,
+``maxplus visualize`` and ``maxplus eigen``.  The instances are dense
+(n 64-120), where the array paths of the pipeline run, over several value
+families: small integers, tie-heavy {-1, 0}, p/q rationals, +-10^6,
+[-1000, 1000] off the diagonal (no loop sets the maximum cycle mean) and
+entries of size 10^17, whose sums leave int64.  Output that changes on purpose is
 rewritten with
 
     PYTHONPATH=src python tests/test_dense_digests.py
@@ -25,7 +26,7 @@ from maxplus.cli import run_command, serialize_matrix
 from fixtures import seeded_matrix
 
 DIGESTS = Path(__file__).parent / "dense_digests.json"
-COMMANDS = (("expand", "--json"), ("expand", "--reduce", "--json"), ("visualize",))
+COMMANDS = (("expand", "--json"), ("expand", "--reduce", "--json"), ("visualize",), ("eigen",))
 
 
 INSTANCES = (
@@ -37,6 +38,7 @@ INSTANCES = (
     "wide/64/0.9",
     "big/64/1.0",
     "small/80/0.4",
+    "nodiag/72/0.9",
 )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from maxplus import (
+    EPSILON,
     CircuitRecord,
     DimensionMismatchError,
     PositiveCircuitError,
@@ -22,13 +23,16 @@ from maxplus import (
     visualize_all,
 )
 from maxplus.cli import parse_matrix
+from maxplus.digraph import _KARP_ARRAY_MIN_CELLS, _karp_array, _karp_components
 from maxplus.oracle import (
+    brute_mmc,
     critical_arcs_by_star,
     elementary_circuits,
     naive_kleene_star,
     random_irreducible_matrix,
     random_matrix,
 )
+from maxplus.tropical import _INT64_BOUND, _kernel_arrays, common_scale
 from fixtures import E, demo_matrix, tm, workload_module
 
 
@@ -122,6 +126,214 @@ def _karp_instances():
         denominators = [2, 3, 7]
         rng.shuffle(denominators)
         yield _block_diagonal(rng, [rng.randint(1, 3) for _ in range(3)], denominators)
+
+
+def _karp_by_both_paths(a):
+    """Karp's mean of ``a`` by the per-SCC loop and by the array table, as Fractions (None: acyclic).
+
+    The array table runs whenever the kernel array of bound 2n^2 M is
+    int64, whatever the density gate says; past the bound its result is
+    "object".
+    """
+    n = a.rows
+    scale = common_scale(a.entries.values())
+    bottom, x = _kernel_arrays(scale, 2 * n * n, a)
+
+    def mean(best):
+        return None if best is None else Fraction(best[0], best[1] * scale)
+
+    array = "object" if x.dtype == object else mean(_karp_array(x, bottom))
+    return mean(_karp_components(a, scale)), array
+
+
+def _on_the_array(a):
+    """Whether the density gate of ``karp_max_cycle_mean`` sends ``a`` to the array table."""
+    cells = len(a.entries)
+    return cells >= _KARP_ARRAY_MIN_CELLS and 4 * cells >= a.rows**2
+
+
+def _relabeled(rng, a):
+    perm = list(range(a.rows))
+    rng.shuffle(perm)
+    return TropicalMatrix(a.rows, a.rows, {(perm[i], perm[j]): v for (i, j), v in a.entries.items()})
+
+
+def _block_triangular(rng, sizes, density):
+    """Irreducible diagonal blocks, block k's entries raised by 40k, and arcs only into later blocks.
+
+    Each block's cycle means lie within 40k +- 20, so the best circuit is
+    in the last component; the nodes are relabeled at random.
+    """
+    n = sum(sizes)
+    entries = {}
+    start = 0
+    for k, size in enumerate(sizes):
+        block = random_irreducible_matrix(rng, size, density, -20, 20)
+        for (i, j), v in block.entries.items():
+            entries[(start + i, start + j)] = v + 40 * k
+        for i in range(start, start + size):
+            for j in range(start + size, n):
+                if rng.random() < density:
+                    entries[(i, j)] = rng.randint(0, 200)
+        start += size
+    return _relabeled(rng, TropicalMatrix(n, n, entries))
+
+
+def _edge_matrix(rng, n, density, above):
+    """Entries of size M near the int64 edge: 2n^2 M just below 2^59, or at it with ``above``.
+
+    Cells are finite with the given density (a hidden cycle keeps one
+    circuit), so bottoms sit next to entries of size M in every row.
+    """
+    m = (_INT64_BOUND - 1) // (2 * n * n) + above
+    a = random_irreducible_matrix(rng, n, density, -m, m)
+    entries = dict(a.entries)
+    entries[min(entries)] = rng.choice((-m, m))
+    return TropicalMatrix(n, n, entries)
+
+
+def _karp_parity_instances():
+    """(family, matrix) over seeded families on both sides of the density gate and of the int64 bound."""
+    rng = random.Random(4242)
+    densities = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
+    for k in range(420):
+        n = rng.randint(1, 20)
+        density = rng.choice(densities)
+        family = ("small", "wide", "pq", "ties")[k % 4]
+        if family == "small":  # possibly reducible or acyclic
+            yield family, random_matrix(rng, n, density)
+        elif family == "wide":
+            yield family, random_matrix(rng, n, density, -(10**6), 10**6)
+        elif family == "pq":
+            base = random_matrix(rng, n, density, -20, 20)
+            yield family, TropicalMatrix(n, n, {key: Fraction(v, rng.choice((1, 2, 3, 7))) for key, v in base.entries.items()})
+        else:
+            yield family, random_matrix(rng, n, density, -1, 0)
+    for _ in range(60):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+        yield "blocks", _block_triangular(rng, sizes, rng.choice((0.3, 0.6, 1.0)))
+    for _ in range(30):
+        n = rng.randint(10, 20)
+        denominators = [2, 3, 7]
+        rng.shuffle(denominators)
+        yield "pq-blocks", _block_diagonal(rng, [n // 3, n // 3, n - 2 * (n // 3)], denominators, forward=0.5)
+    for k in range(40):
+        n = rng.randint(2, 20)
+        dag = {(i, j): rng.randint(-5, 5) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
+        if k % 2:  # one loop, on a node that arcs enter and leave
+            node = rng.randrange(n)
+            dag[(node, node)] = rng.randint(-5, 5)
+            yield "one-loop", _relabeled(rng, TropicalMatrix(n, n, dag))
+        else:
+            yield "acyclic", _relabeled(rng, TropicalMatrix(n, n, dag))
+    for k in range(60):
+        yield "edge", _edge_matrix(rng, rng.randint(6, 16), rng.choice((0.3, 0.6, 1.0)), above=k % 2)
+
+
+def test_karp_array_table_matches_the_component_loop():
+    # The array table and the per-SCC loop give the same mean on every
+    # instance whose kernel array is int64, and karp_max_cycle_mean gives
+    # it on every instance; at n <= 6 so does the largest root of chi by
+    # exhaustive search.  The instances cover both sides of the density
+    # gate and of the int64 bound.
+    gate = {True: 0, False: 0}
+    dtypes = {"int64": 0, "object": 0}
+    for family, a in _karp_parity_instances():
+        loop, array = _karp_by_both_paths(a)
+        if array == "object":
+            dtypes["object"] += 1
+        else:
+            dtypes["int64"] += 1
+            assert array == loop, family
+        got = karp_max_cycle_mean(a)
+        assert got == (EPSILON if loop is None else TropicalScalar(loop)), family
+        if family == "acyclic":
+            assert loop is None
+        if family == "one-loop":
+            assert loop == next(v for (i, j), v in a.entries.items() if i == j)
+        if a.rows <= 6:
+            roots = brute_mmc(a).roots
+            assert loop == (roots[0] if roots else None), family
+        gate[_on_the_array(a) and array != "object"] += 1
+    assert dtypes["int64"] >= 500 and dtypes["object"] >= 30, dtypes
+    assert gate[True] >= 100 and gate[False] >= 300, gate
+
+
+def test_karp_best_circuit_in_a_later_component():
+    rng = random.Random(61)
+    for _ in range(10):
+        a = _block_triangular(rng, [5, 5, 5, 5], 1.0)
+        assert _on_the_array(a)
+        loop, array = _karp_by_both_paths(a)
+        assert loop == array and loop >= 40 * 3 - 20
+
+
+@pytest.mark.parametrize(
+    "n, cells, path",
+    [
+        (10, 100, "_karp_array"),
+        (10, 99, "_karp_components"),
+        (40, 400, "_karp_array"),
+        (40, 399, "_karp_components"),
+    ],
+)
+def test_karp_density_gate_edges(monkeypatch, n, cells, path):
+    # At least _KARP_ARRAY_MIN_CELLS finite cells, and at least a quarter
+    # of them, send the matrix to the array table.
+    rng = random.Random(f"gate/{n}/{cells}")
+    keys = [(i, j) for i in range(n) for j in range(n)]
+    rng.shuffle(keys)
+    a = TropicalMatrix(n, n, {key: rng.randint(-9, 9) for key in keys[:cells]})
+    calls = _record_karp_paths(monkeypatch)
+    got = karp_max_cycle_mean(a)
+    assert calls == [path]
+    loop, array = _karp_by_both_paths(a)
+    assert got == TropicalScalar(loop) and array == loop
+
+
+@pytest.mark.parametrize("above, path", [(0, "_karp_array"), (1, "_karp_components")])
+def test_karp_int64_bound_edge(monkeypatch, above, path):
+    # 2n^2 M just below 2^59 keeps the table on int64 arrays; one more and
+    # the kernel picks object arrays, which go to the per-SCC loop.
+    rng = random.Random(f"edge/{above}")
+    for density in (0.3, 0.6, 1.0):
+        a = _edge_matrix(rng, 20, density, above)
+        assert _on_the_array(a)
+        calls = _record_karp_paths(monkeypatch)
+        got = karp_max_cycle_mean(a)
+        assert calls == [path]
+        loop, array = _karp_by_both_paths(a)
+        assert got == TropicalScalar(loop)
+        assert array == ("object" if above else loop)
+
+
+def _record_karp_paths(monkeypatch):
+    import maxplus.digraph as digraph
+
+    calls = []
+    for name in ("_karp_array", "_karp_components"):
+        original = getattr(digraph, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(digraph, name, wrapper)
+    return calls
+
+
+def test_karp_routing_on_workload_check_instances(monkeypatch):
+    # The check instances, on which the benchmark's eigen step runs: dense
+    # (n = 24) and p/q (n = 20) take the array table; the block-reducible
+    # (density 0.22) and sparse (0.07) ones stay on the per-SCC loop.
+    workloads = workload_module()
+    want = {"dense": "_karp_array", "verify": "_karp_array", "sparse-wide": "_karp_components", "blocks": "_karp_components"}
+    calls = _record_karp_paths(monkeypatch)
+    for w in workloads.WORKLOADS.values():
+        _, check = workloads.inputs(w, 1)
+        calls.clear()
+        karp_max_cycle_mean(parse_matrix(check.text))
+        assert calls == [want[w.name]], w.name
 
 
 class TestCriticalGraph:

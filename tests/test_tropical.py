@@ -249,8 +249,9 @@ def test_unscaled_inverts_scaled_int():
         ((-(10**17), 10**17), 1, 6, object),
         ((-(10**30), 1), 1, 1, object),
         ((-3, Fraction(5, 4)), 4 << 59, 1, object),
+        ((-(1 << 58) - 1, Fraction(1, 64)), 64, 1, object),
     ],
-    ids=["ints", "ints-scaled", "fractions", "past-int64", "past-int64-entries", "huge-scale"],
+    ids=["ints", "ints-scaled", "fractions", "past-int64", "past-int64-entries", "huge-scale", "scaled-past-int64"],
 )
 def test_kernel_arrays_enter_every_value_as_scaled_int(values, scale, t, dtype):
     # Whether the values go in as they are (scale 1, int entries) or
@@ -270,6 +271,28 @@ def test_kernel_arrays_enter_every_value_as_scaled_int(values, scale, t, dtype):
     assert y.tolist() == [[bottom] * 3] * 3
     with pytest.raises(ValueError, match="does not clear"):
         tropical._kernel_arrays(1, 1, TropicalMatrix(1, 2, {(0, 0): 3, (0, 1): Fraction(1, 2)}))
+
+
+@pytest.mark.parametrize(
+    "values, scale, dtype",
+    [
+        ((3, Fraction(1, 2)), 1, np.int64),
+        ((3, Fraction(1, 3)), 1 << 70, object),
+        ((10**30, Fraction(1, 7)), 2, object),
+    ],
+    ids=["int64", "huge-scale", "huge-numerator"],
+)
+def test_kernel_arrays_check_every_denominator_on_either_dtype(values, scale, dtype):
+    # A scale that leaves a denominator raises scaled_int's ValueError,
+    # whether the arrays would be int64 or hold Python ints; a scale that
+    # clears every denominator gives scaled_int's values, in that dtype.
+    a = TropicalMatrix(1, len(values), {(0, j): v for j, v in enumerate(values)})
+    with pytest.raises(ValueError, match="does not clear"):
+        tropical._kernel_arrays(scale, 1, a)
+    good = scale * common_scale(values)
+    _, x = tropical._kernel_arrays(good, 1, a)
+    assert x.dtype == np.dtype(dtype)
+    assert x.tolist() == [[scaled_int(v, good) for v in values]]
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
