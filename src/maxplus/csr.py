@@ -20,22 +20,21 @@ runs with one layer; on dense ones a layered Bellman-Ford sweep on one
 int64 array of the ``maxplus.tropical`` kernel, one vector-matrix max per
 layer step, until a step changes nothing (``_array_labels``).
 
-Evaluation stacks the terms of each rate class into one factor pair, so
-that C S^t R summed over the class is one max-plus product.  On n >= 64 it
-is the kernel's ``_max_plus_product``, on int64 or object arrays as the
-kernel's bound decides, and the classes merge in two n x n arrays (each
-cell's value in the frame of the class that wins it, and that class's
-index), where a class's finite entry beats the holder's by more than
-their rate gap, capped at -bottom; the result then leaves the
-scaled-integer domain once, through ``_kernel_result`` with one shift
-t * rate per class.  Below n = 64 the classes run as loops over sparse
-lists into one dict.
+Evaluation enters every term into the kernel once, as one stacked factor
+pair with a rate class per column, so that the sum over terms is one
+``_max_plus_product`` at every n, on int64 or object arrays as the
+kernel's bound decides.  Each class's columns are shifted by its rate
+gap to the class before it, capped at 2B + 1 where B bounds every class
+product; a capped gap puts every value of the later classes below every
+value of the earlier ones, so the capped gaps split the classes into runs
+with disjoint value bands.  The result leaves the scaled-integer domain
+once, through ``_kernel_result`` with one correction per run, and
+``np.searchsorted`` over the bands tells each cell's run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -347,7 +346,7 @@ class CsrExpansion:
     n: int
     terms: tuple
     source: TropicalMatrix | None = field(default=None, compare=False)
-    # (scale, merge, rate classes): everything evaluate reads, built once
+    # The stacked factors and everything else evaluate reads, built once
     # per instance; see ``_prepare``.
     _prepared: tuple = field(init=False, repr=False, compare=False)
 
@@ -375,75 +374,67 @@ class CsrExpansion:
     def _prepare(self):
         """The t-independent part of evaluate, in one scaled-integer domain.
 
-        Terms of equal rate share one class (scaled rate, factors), whose
-        factors stack the terms: the C blocks side by side, the R blocks
-        one under the other and one successor permutation, each term's
-        block offset by the orders before it.  Scaled rates strictly
-        decrease from class to class.
+        Every term enters the kernel once, in one stacked pair: the C
+        blocks side by side, the R blocks one under the other, one
+        successor permutation, each term's block offset by the orders
+        before it, and the rate class of each column.  Terms of equal rate
+        form one class; the scaled rates s_0 > s_1 > ... of the L classes
+        strictly decrease.  B is max |C| + max |R| over the scaled arrays,
+        a bound on every finite entry of every class product.
 
-        With n >= 64 the factors are (successor, bottom, C array, R array)
-        from ``_kernel_arrays``, and ``merge`` is the dtype and the bottom
-        of the arrays that evaluate merges the classes into: object if any
-        class is, with the lowest bottom of the classes.
-        Otherwise ``merge`` is None and the factors are (successor, C
-        columns, R rows) as per-index lists of (node, int).  On ``blocks``
-        (n = 50, 28 classes) the arrays took 1.18-1.28 times as long per
-        evaluation as the lists, on ``verify`` (n = 20, 3 classes)
-        0.79-0.82 times.
+        ``_accumulate_numpy`` shifts class c's columns by g_c, and
+        |g_c| <= (L - 1)(2B + 1) (each gap is capped there), so the shifted
+        product's finite entries lie within K = B + (L - 1)(2B + 1) =
+        (2L - 1)B + L - 1, which is L - 1 at B = 0.  The arrays come from
+        one ``_kernel_arrays`` call that counts the shift as 2L - 1 arcs
+        more, bound 2L * B: that covers K once B >= L - 1, and below it
+        K < 2L^2, far inside int64, which the kernel picks there anyway
+        (2L * B < 2L^2).  So the arrays are int64 with K < 2^59, or object
+        with K <= 2L * B and the bottom at -8L * B.
+
+        Returns None without terms, else (scale, scaled rates, class per
+        column, B, successor, bottom, C array, R array).
         """
-        n = self.n
+        if not self.terms:
+            return None
         scale = common_scale(
             (term.rate for term in self.terms),
             *(term.C.entries.values() for term in self.terms),
             *(term.R.entries.values() for term in self.terms),
         )
-        use_numpy = n >= 64
-        classes = []
-        for rate, terms in groupby(self.terms, key=lambda term: term.rate):
-            succ, c_entries, r_entries = [], {}, {}
-            for term in terms:
-                offset = len(succ)
-                succ.extend(offset + k for k in _successor_of(term.S))
-                if not offset:
-                    # The first term's keys are already in place; sharing
-                    # them keeps a large class from doubling its memory.
-                    c_entries.update(term.C.entries)
-                    r_entries.update(term.R.entries)
-                    continue
-                c_entries.update(((i, offset + k), v) for (i, k), v in term.C.entries.items())
-                r_entries.update(((offset + k, j), v) for (k, j), v in term.R.entries.items())
-            order = len(succ)
-            if use_numpy:
-                c = TropicalMatrix._trusted(n, order, c_entries)
-                r = TropicalMatrix._trusted(order, n, r_entries)
-                factors = (succ, *_kernel_arrays(scale, 1, c, r))
-            else:
-                cols = [[] for _ in range(order)]
-                rows = [[] for _ in range(order)]
-                for (i, k), v in c_entries.items():
-                    cols[k].append((i, scaled_int(v, scale)))
-                for (k, j), v in r_entries.items():
-                    rows[k].append((j, scaled_int(v, scale)))
-                factors = (succ, cols, rows)
-            classes.append((scaled_int(rate, scale), factors))
-        merge = None
-        if use_numpy and classes:
-            wide = any(f[2].dtype == object for _, f in classes)
-            merge = (object if wide else np.int64, min(f[1] for _, f in classes))
-        return scale, merge, classes
+        succ, c_entries, r_entries, classes, rates = [], {}, {}, [], []
+        for term in self.terms:
+            offset = len(succ)
+            succ.extend(offset + k for k in _successor_of(term.S))
+            if not rates or term.rate != rates[-1]:
+                rates.append(term.rate)
+            classes.extend([len(rates) - 1] * (len(succ) - offset))
+            if not offset:
+                # The first term's keys are already in place; sharing
+                # them keeps a large term from doubling its memory.
+                c_entries.update(term.C.entries)
+                r_entries.update(term.R.entries)
+                continue
+            c_entries.update({(i, offset + k): v for (i, k), v in term.C.entries.items()})
+            r_entries.update({(offset + k, j): v for (k, j), v in term.R.entries.items()})
+        n, order = self.n, len(succ)
+        c = TropicalMatrix._trusted(n, order, c_entries)
+        r = TropicalMatrix._trusted(order, n, r_entries)
+        bottom, c, r = _kernel_arrays(scale, 2 * len(rates), c, r)
+        big = sum(int(np.abs(x[x != bottom]).max(initial=0)) for x in (c, r))
+        rates = [scaled_int(rate, scale) for rate in rates]
+        return scale, rates, np.array(classes, dtype=np.intp), big, succ, bottom, c, r
 
     def evaluate(self, t: int) -> TropicalMatrix:
         """rate^t C S^t R summed over terms; t may be arbitrarily large.
 
-        S^t is an index rotation and the rate shift is a single scalar, so
-        the cost does not depend on t.  Everything else (the scaled-integer
-        domain, the stacked factors in it, the permutations and the
-        backend) is fixed when the expansion is built.  A call rotates and
-        accumulates each rate class.  On arrays (n >= 64) the classes merge
-        into two n x n arrays, each won cell's value in the frame of its
-        class and that class's index, and the result leaves the domain once,
-        through ``_kernel_result`` with the shifts t * rate per class.  On
-        lists the classes merge into one dict, shifted per entry.
+        S^t is an index rotation and the rate shifts are scalars, so the
+        cost does not depend on t.  Everything else (the scaled-integer
+        domain, the stacked factors in it, the permutation and the kernel
+        dtype) is fixed when the expansion is built.  A call is one kernel
+        product over every rate class (``_accumulate_numpy``), and the
+        result leaves the domain once, through ``_kernel_result`` with one
+        correction per run of classes.
         """
         if isinstance(t, bool) or not isinstance(t, int) or t < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -454,20 +445,11 @@ class CsrExpansion:
             if t < n and self.source is not None:
                 return matrix_power(self.source, t)
             return TropicalMatrix.epsilon(n)
-        scale, merge, classes = self._prepared
-        if merge is not None:
-            dtype, bottom = merge
-            val = np.full((n, n), bottom, dtype=dtype)
-            win = np.full((n, n), -1, dtype=np.intp)
-            for c in range(len(classes)):
-                self._accumulate_numpy(c, t, val, win)
-            return _kernel_result(val, bottom, scale, [t * srate for srate, _ in classes], win)
-        acc = {}
-        for srate, factors in classes:
-            self._accumulate_python(factors, t, t * srate, acc)
-        # unscaled values are normalized and the keys are in range.
-        return TropicalMatrix._trusted(n, n, {key: unscaled(v, scale) for key, v in acc.items()})
+        scale, *_, bottom, _, _ = self._prepared
+        out, corrections, runs = self._accumulate_numpy(t)
+        return _kernel_result(out, bottom, scale, corrections, runs)
 
+    # Unused by evaluate: the tests' list twin, kept as perfbench/tracing.py pins it.
     def _accumulate_python(self, factors, t, shift, acc):
         succ, cols, rows = factors
         power = _perm_power(succ, t)
@@ -484,30 +466,59 @@ class CsrExpansion:
                     if cur is None or cand > cur:
                         acc[key] = cand
 
-    def _accumulate_numpy(self, c, t, val, win):
-        """Merge the product of rate class c at exponent t into ``val`` and ``win``.
+    def _accumulate_numpy(self, t):
+        """The stacked product at exponent t: (out, corrections, runs) for ``_kernel_result``.
 
-        ``win`` holds the index of the class that won each cell, or -1, and
-        ``val`` the cell's product entry in that class (without its shift
-        t * rate), or the merge's bottom.  Class c takes every cell where
-        its entry p is finite and either no class holds the cell or the
-        class w < c that holds it has p > val + t * (s_w - s_c) (s_w > s_c).
-        Each class's bottom is its own, so only finite p compete.  The gap
-        is capped at -bottom of the merge, which changes no outcome: finite
-        entries of classes w and c lie within +-B_w and +-B_c (their
-        ``_kernel_arrays`` bounds), so p - val <= B_w + B_c, and the merge's
-        bottom is below -2 * max(B_w, B_c) (-2^61 on int64, where every
-        bound is below 2^59, and -4 * the largest bound on object arrays).
-        The cap keeps val + gap within int64.
+        Class c's product P_c = C_c S^t R_c enters shifted by g_c, where
+        g_0 = 0 and g_c = g_{c-1} + max(t (s_c - s_{c-1}), -(2B + 1)), so
+        out is the max over c of P_c + g_c: one ``_max_plus_product`` of
+        the shifted C columns and the R rows rotated by S^t.  A gap that is
+        not capped is exact, so along a run of classes joined by exact
+        gaps g_c = t s_c - (t s_f - g_f), f the run's first class, and the
+        run's correction t s_f - g_f turns P_c + g_c into t s_c + P_c, the
+        term sum's entry.
+
+        The split.  Finite entries of P_c lie within +-B, so the shifted
+        values of a run from class f to class l lie in [g_l - B, g_f + B]
+        (g decreases).  At a capped gap from l to the next run's first
+        class f', g_f' = g_l - (2B + 1), so every value of the later run is
+        at most g_l - B - 1: strictly below every value of the earlier run.
+        Unshifted, the later run lies lower still, since t (s_l - s_f')
+        exceeds 2B + 1.  So on every cell the first run with a finite entry
+        holds the maximum, in out and in the term sum alike: no tie spans
+        two runs, and ties inside a run are between exact sums.  The runs'
+        bands are disjoint, so a finite value v lies in the run whose band
+        holds it; ``np.searchsorted`` counts the later runs' upper edges
+        g_f' + B below v, which indexes the corrections listed from the
+        last run first.  With one run, ``runs`` is None and the search is
+        skipped; with every shift 0 (one class, or t = 0) so is the add.
+
+        The bottom.  C's bottom cells are shifted too, to within K - B
+        below the bottom (K the bound of ``_prepare``).  A sum with a bottom
+        operand is then at most bottom + B, below bottom // 2 (bottom is
+        -2^61 with K < 2^59, or -8L * B with K <= 2L * B), and two bottoms
+        sum to no less than 2 * bottom - K, within int64 on int64 arrays.
+        Finite sums lie within +-K, above bottom // 2, so the product's
+        reset leaves exactly the finite entries.
         """
-        _, (_, bottom_m), classes = self._prepared
-        s_c, (succ, bottom, cols, rows) = classes[c]
-        best = _max_plus_product(cols, rows[_perm_power(succ, t)], bottom)
-        # The last gap is read by the cells no class holds yet (win = -1).
-        gaps = [min(t * (s_w - s_c), -bottom_m) for s_w, _ in classes[:c]] + [0]
-        take = (best != bottom) & (best > val + np.array(gaps, dtype=val.dtype)[win])
-        val[take] = best[take]
-        win[take] = c
+        _, rates, classes, big, succ, bottom, c, r = self._prepared
+        cap = -(2 * big + 1)
+        shifts, firsts = [0], [0]
+        for k in range(1, len(rates)):
+            gap = t * (rates[k] - rates[k - 1])
+            if gap < cap:
+                gap = cap
+                firsts.append(k)
+            shifts.append(shifts[-1] + gap)
+        if shifts[-1]:
+            c = c + np.array(shifts, dtype=c.dtype)[classes]
+        out = _max_plus_product(c, r[_perm_power(succ, t)], bottom)
+        corrections = [t * rates[k] - shifts[k] for k in reversed(firsts)]
+        runs = None
+        if len(firsts) > 1:
+            edges = np.array([shifts[k] + big for k in reversed(firsts[1:])], dtype=out.dtype)
+            runs = np.searchsorted(edges, out)
+        return out, corrections, runs
 
 
 def expand(a: TropicalMatrix, reduce_by_cyclicity: bool = False) -> CsrExpansion:

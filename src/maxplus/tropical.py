@@ -48,14 +48,9 @@ def common_scale(*value_groups) -> int:
 
     Every value in every iterable times the result is an int (see
     ``scaled_int``, and ``unscaled`` for the way back); all-integer inputs
-    give 1.
+    give 1.  One lcm runs over the distinct denominators.
     """
-    scale = 1
-    for values in value_groups:
-        for v in values:
-            if not isinstance(v, int):
-                scale = math.lcm(scale, v.denominator)
-    return scale
+    return math.lcm(*{v.denominator for values in value_groups for v in values if type(v) is not int})
 
 
 def scaled_int(v, scale) -> int:
@@ -67,6 +62,30 @@ def scaled_int(v, scale) -> int:
     if r:
         raise ValueError("scale does not clear the denominator")
     return q
+
+
+def _scaled_ints(values, scale) -> list:
+    """``scaled_int`` of each value, with one division per distinct denominator.
+
+    A Fraction's numerator times scale // denominator is its scaled int;
+    the denominator divides the scale exactly when ``scaled_int`` would
+    accept it, since numerator and denominator are coprime.
+    """
+    factors = {}
+    out = []
+    for v in values:
+        if type(v) is int:
+            out.append(v * scale)
+            continue
+        d = v.denominator
+        k = factors.get(d)
+        if k is None:
+            k, r = divmod(scale, d)
+            if r:
+                raise ValueError("scale does not clear the denominator")
+            factors[d] = k
+        out.append(v.numerator * k)
+    return out
 
 
 def unscaled(v: int, scale: int):
@@ -217,14 +236,14 @@ def _kernel_arrays(scale, t, *matrices):
     operand lands below bottom // 2 and a finite one above.
 
     With scale 1 a matrix of int entries goes in as it is; every other
-    entry goes through ``scaled_int``, which checks that the scale clears
+    entry goes through ``_scaled_ints``, which checks that the scale clears
     its denominator.
     """
     scaled = []
     for m in matrices:
         values = list(m.entries.values())
         if scale != 1 or set(map(type, values)) - {int}:
-            values = [scaled_int(v, scale) for v in values]
+            values = _scaled_ints(values, scale)
         scaled.append(values)
     bound = t * sum(max(max(values), -min(values)) for values in scaled if values)
     if bound < _INT64_BOUND:
@@ -297,8 +316,9 @@ def _kernel_result(out, bottom, scale, shifts=None, which=None):
     The cells of ``out`` that are not ``bottom`` are the finite entries,
     in row-major order.  Entry (i, j) is out[i, j] / scale or, given
     ``shifts`` (Python ints of any size) and an index array ``which`` of
-    out's shape, (out[i, j] + shifts[which[i, j]]) / scale: an int where
-    the scale divides it, else a Fraction, as ``unscaled`` gives.
+    out's shape, (out[i, j] + shifts[which[i, j]]) / scale, with
+    shifts[0] on every cell when ``which`` is None: an int where the scale
+    divides it, else a Fraction, as ``unscaled`` gives.
 
     The division runs on arrays, with ``//`` and ``%`` (``np.divmod``
     rejects object arrays).  Each shift splits into scale * high + low
@@ -312,7 +332,7 @@ def _kernel_result(out, bottom, scale, shifts=None, which=None):
     if scale >= _INT64_BOUND:
         q = q.astype(object)
     if shifts is not None:
-        k = which[ii, jj]
+        k = np.zeros_like(ii) if which is None else which[ii, jj]
         high, low = zip(*(divmod(s, scale) for s in shifts))
         q = q + np.array(low, dtype=q.dtype)[k]
     if scale > 1:

@@ -24,7 +24,7 @@ from maxplus import (
 from maxplus import csr
 from maxplus.cli import parse_matrix
 from maxplus.csr import _perm_power, compute_cr_pair
-from maxplus.tropical import _kernel_arrays, common_scale, scaled_int
+from maxplus.tropical import _kernel_arrays, common_scale, scaled_int, unscaled
 from maxplus.visualize import InvariantViolationError
 from maxplus.oracle import (
     brute_power_check,
@@ -162,8 +162,7 @@ def test_random_sweep_matches_naive_powers():
 
 
 def test_wide_matrix_exercises_fast_evaluation_path():
-    # n >= 64 with small entries routes the per-term products through the
-    # int64 array path; the small-n sweeps never reach it.
+    # n >= 64 with small entries: one stacked product on int64 arrays.
     rng = random.Random(6464)
     a = random_matrix(rng, 64, 0.25)
     x = expand(a)
@@ -480,8 +479,8 @@ def _term_sum(x, t):
 
 def _guard_edge_expansion(c_extreme, r_extreme):
     # n = 64, scale 3 (from the rate 7/3): C entries at +-c_extreme/3 and R
-    # entries at +-r_extreme/3 scale to +-c_extreme and +-r_extreme, so the
-    # kernel bound of each rate class is c_extreme + r_extreme.  The other
+    # entries at +-r_extreme/3 scale to +-c_extreme and +-r_extreme, so
+    # B = max |C| + max |R| is c_extreme + r_extreme.  The other
     # entries are small, some of them thirds.  The first two terms share a
     # rate, so their factors stack into one class.
     rng = random.Random(c_extreme + r_extreme)
@@ -517,78 +516,97 @@ def _guard_edge_expansion(c_extreme, r_extreme):
     return CsrExpansion(n=n, terms=tuple(terms))
 
 
-def _backend_forms(x):
-    """Each stacked rate class of ``x._prepared``, at n >= 64, in both accumulators' forms.
+def _list_twin(x, t):
+    """evaluate(t) by ``_accumulate_python``, the list form of the stacked product.
 
-    Yields (scaled rate, array factors, list factors): the kernel arrays
-    of ``_accumulate_numpy`` that ``_prepare`` built, and the same stacked
-    class as the (index, int) lists of ``_accumulate_python``.
+    Each rate class runs on its columns of the stacked pair, read back from
+    the kernel arrays as (index, int) lists, with its own shift t * rate,
+    and the sum leaves the domain through ``unscaled``.
     """
-    _, merge, classes = x._prepared
-    assert merge is not None
-    for srate, arrays in classes:
-        succ, bottom, cols, rows = arrays
-        col_lists = [[(i, v) for i, v in enumerate(c) if v != bottom] for c in cols.T.tolist()]
-        row_lists = [[(j, v) for j, v in enumerate(r) if v != bottom] for r in rows.tolist()]
-        yield srate, arrays, (succ, col_lists, row_lists)
+    scale, rates, classes, _, succ, bottom, c, r = x._prepared
+    rows = [[(j, v) for j, v in enumerate(row) if v != bottom] for row in r.tolist()]
+    cols = [[(i, v) for i, v in enumerate(col) if v != bottom] for col in c.T.tolist()]
+    acc = {}
+    for k, srate in enumerate(rates):
+        own = [col if cls == k else [] for col, cls in zip(cols, classes.tolist())]
+        x._accumulate_python((succ, own, rows), t, t * srate, acc)
+    return TropicalMatrix(x.n, x.n, {key: unscaled(v, scale) for key, v in acc.items()})
 
 
-def _merged(x, t):
-    """Each finite cell's (winning class, scaled value) once every class is merged.
+def _checked_bound(x):
+    """(B, L) from the terms: B = max |C| + max |R| of the scaled entries, L rate classes.
 
-    The merge arrays start as ``evaluate`` starts them; a won cell's value
-    is its entry in the winning class's frame plus that class's shift.
+    Checks the stacked pair's B, and that its arrays are int64 while the
+    kernel's bound 2L * B is below 2^59 and object with the bottom at
+    -4 * 2L * B from there on.
     """
-    _, (dtype, bottom), classes = x._prepared
-    val = np.full((x.n, x.n), bottom, dtype=dtype)
-    win = np.full((x.n, x.n), -1, dtype=np.intp)
-    for c in range(len(classes)):
-        x._accumulate_numpy(c, t, val, win)
-    assert ((val != bottom) == (win >= 0)).all()
-    shifts = [t * srate for srate, _ in classes]
-    return {
-        (i, j): (w, v + shifts[w])
-        for i, (wins, vals) in enumerate(zip(win.tolist(), val.tolist()))
-        for j, (w, v) in enumerate(zip(wins, vals))
-        if w >= 0
-    }
+    scale, _, _, big, _, bottom, c, r = x._prepared
+    want = sum(
+        max(abs(scaled_int(v, scale)) for term in x.terms for v in getattr(term, f).entries.values())
+        for f in "CR"
+    )
+    classes = len({term.rate for term in x.terms})
+    bound = 2 * classes * want
+    assert big == want
+    assert c.dtype == r.dtype == (np.int64 if bound < 1 << 59 else object)
+    assert bottom == (-(1 << 61) if bound < 1 << 59 else -4 * bound)
+    return big, classes
 
 
-def _accumulators_agree(x, t):
-    """The array merge and the list accumulator give the same scaled values at t."""
-    by_python = {}
-    for srate, _, lists in _backend_forms(x):
-        x._accumulate_python(lists, t, t * srate, by_python)
-    merged = _merged(x, t)
-    assert {key: v for key, (_, v) in merged.items()} == by_python
-    return merged
+def _run_count(x, t):
+    """How many runs of rate classes the stacked product at t splits into."""
+    _, corrections, runs = x._accumulate_numpy(t)
+    assert (runs is None) == (len(corrections) == 1)
+    return len(corrections)
+
+
+def _alone(x, t):
+    """Each term's own sum (its entries with the shift t * rate), in term order."""
+    return [_term_sum(CsrExpansion(n=x.n, terms=(term,)), t).entries for term in x.terms]
+
+
+def _agrees(x, t):
+    """evaluate(t) is the term sum, values and types, and the list twin agrees."""
+    got = x.evaluate(t)
+    assert _typed(got) == _typed(_term_sum(x, t))
+    assert _typed(_list_twin(x, t)) == _typed(got)
+    return got.entries
 
 
 @pytest.mark.parametrize(
     "c_extreme, r_extreme, dtype",
-    [(1 << 58, (1 << 58) - 1, np.int64), (1 << 58, 1 << 58, object)],
-    ids=["at-edge", "above"],
+    [
+        (1 << 58, (1 << 58) - 1, object),
+        (1 << 58, 1 << 58, object),
+        (1 << 56, (1 << 56) - 1, np.int64),
+        (1 << 56, 1 << 56, object),
+    ],
+    ids=["at-edge", "above", "kernel-edge", "kernel-above"],
 )
 def test_evaluate_class_bound_edge(monkeypatch, c_extreme, r_extreme, dtype):
-    # At n >= 64 each rate class is one kernel product, on int64 arrays
-    # while the class's bound is below 2^59 and on object arrays from 2^59
-    # on; on both sides the result is exact.
+    # Every term enters one stacked pair, which the kernel bounds by 2L * B
+    # for L rate classes (B = max |C| + max |R|): int64 below 2^59, object
+    # from 2^59 on.  Here L = 2 and B = c_extreme + r_extreme: the first two
+    # cases, B = 2^59 - 1 and 2^59 on either side of one product's int64
+    # bound, are object; the last two put 4B at 2^59 - 4 and 2^59.  On every
+    # side the result is exact, and each evaluate runs one stacked product.
     x = _guard_edge_expansion(c_extreme, r_extreme)
-    assert [(len(f[0]), f[2].dtype) for _, f in x._prepared[2]] == [(5, dtype), (2, dtype)]
-    # The list accumulator agrees on the same stacked classes.
-    for t in (x.threshold, x.threshold + 1, 10**18 + 1):
-        _accumulators_agree(x, t)
+    _, rates, classes, big, _, _, c, r = x._prepared
+    assert (big, len(rates), classes.tolist()) == (c_extreme + r_extreme, 2, [0] * 5 + [1] * 2)
+    assert _checked_bound(x) == (big, 2)
+    assert c.dtype == r.dtype == np.dtype(dtype)
     calls = []
     real = CsrExpansion._accumulate_numpy
 
-    def counted(self, c, *args):
-        calls.append(self._prepared[2][c][1][2].dtype)
-        return real(self, c, *args)
+    def counted(self, t):
+        calls.append(t)
+        return real(self, t)
 
     monkeypatch.setattr(CsrExpansion, "_accumulate_numpy", counted)
-    for t in (x.threshold, x.threshold + 1, 10**18 + 1):
-        assert x.evaluate(t) == _term_sum(x, t)
-    assert calls == [np.dtype(dtype)] * 6  # one product per rate class and call
+    ts = (0, 1, x.threshold, x.threshold + 1, 10**18 + 1)
+    for t in ts:
+        _agrees(x, t)
+    assert calls == list(ts)  # one product per call
 
 
 def _one_node_terms(n, factors):
@@ -619,12 +637,12 @@ def _merge_edge_expansion(t, offset, scale, huge):
     In scaled units s_w = 0 and s_c = -1 (rates 0 and -1/scale), so the
     gap t * (s_w - s_c) is t.  C_w and R_w sit within a few units of their
     lowest value -a_w, -b_w, and C_c, R_c of their highest a_c, b_c, so
-    class c's entry beats w's by up to B_w + B_c = t - 1 - offset (their
-    bounds): at offset -8 c wins some cells, ties some and loses others,
-    at -1 it ties at best, and from 0 on it loses every cell w holds.
-    Rows 60-63 are bottom in C_w and C_c, and columns 60-63 in R_w, which
-    class c fills.  Class z (rate -10^6) holds rows 0-3 and 60-63, with
-    entries near 10^20 (an object class) when ``huge``.
+    class c's entry beats w's by up to a_w + b_w + a_c + b_c = t - 1 - offset: at
+    offset -8 c wins some cells, ties some and loses others, at -1 it ties
+    at best, and from 0 on it loses every cell w holds.  Rows 60-63 are
+    bottom in C_w and C_c, and columns 60-63 in R_w, which class c fills.
+    Class z (rate -10^6) holds rows 0-3 and 60-63, with entries near 10^20
+    when ``huge``.
     """
     rng = random.Random(f"{t}/{offset}/{scale}/{huge}")
     n = 64
@@ -658,48 +676,48 @@ def _merge_edge_expansion(t, offset, scale, huge):
 @pytest.mark.parametrize("big_t", [False, True], ids=["t=2n^2", "t=10^18"])
 @pytest.mark.parametrize("offset", [-8, -2, -1, 0, 1])
 def test_array_merge_around_the_largest_lead(big_t, offset):
-    # The array merge lets class c take a cell that class w holds where
-    # c's entry leads w's by more than t * (s_w - s_c).  With the largest
-    # lead just above, at and just below that gap, at both ends of the
-    # exponent range, with int64 and mixed int64 / object classes and with
-    # scale 1 and 3 (Fraction results), the result is the term sum, values
-    # and types, and the list accumulator agrees.
+    # Class c's entries lead w's by up to t - 1 - offset, against their
+    # rate gap t: just above, at and just below it, at both ends of the
+    # exponent range, with and without a class z of entries near 10^20
+    # and with scale 1 and 3 (Fraction results).  The result is the term
+    # sum, values and types, and the list twin agrees.  The stacked pair
+    # is int64 only at t = 2n^2 without z: at t = 10^18, B is near 5 * 10^17
+    # and the kernel's bound 6B passes 2^59.
     for scale in (1, 3):
         for huge in (False, True):
             t = 10**18 if big_t else 2 * 64 * 64
             x = _merge_edge_expansion(t, offset, scale, huge)
-            dtypes = [f[2].dtype for _, f in x._prepared[2]]
-            assert dtypes == [np.int64, np.int64, object if huge else np.int64]
-            assert x._prepared[1][0] == (object if huge else np.int64)
-            got = x.evaluate(t)
-            assert _typed(got) == _typed(_term_sum(x, t))
-            assert (scale == 3) == any(type(v) is Fraction for v in got.entries.values())
-            merged = _accumulators_agree(x, t)
-            alone = [CsrExpansion(n=64, terms=(term,)) for term in x.terms[:2]]
-            w, c = (_term_sum(y, t).entries for y in alone)
-            wins = {k for k, (cls, _) in merged.items() if cls == 1 and k in w}
+            _checked_bound(x)
+            assert (x._prepared[6].dtype == object) == (huge or big_t)
+            got = _agrees(x, t)
+            assert (scale == 3) == any(type(v) is Fraction for v in got.values())
+            w, c, z = _alone(x, t)
+            wins = {k for k in w if k in c and c[k] > w[k]}
             ties = {k for k in w if c.get(k) == w[k]}
             assert bool(wins) == (offset < -1)
             assert bool(ties) == (offset in (-8, -2, -1))
             # Class c fills the columns w leaves at the bottom (outside z's
             # rows), and z the rows that both leave there.
-            assert all(merged[(i, j)][0] == 1 for i in range(4, 60) for j in range(60, 64))
-            assert all(merged[(i, j)][0] == 2 for i in range(60, 64) for j in range(64))
+            cells = [(i, j) for i in range(4, 60) for j in range(60, 64)]
+            assert all(k not in w and k not in z and got[k] == c[k] for k in cells)
+            cells = [(i, j) for i in range(60, 64) for j in range(64)]
+            assert all(k not in w and k not in c and got[k] == z[k] for k in cells)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_array_merge_at_the_gap_cap(wide, offset):
-    # The merge caps the gap t * (s_w - s_c) at -bottom of its arrays:
-    # 2^61 on int64, 4 * the largest class bound on object arrays (here
-    # class z's 2^61).  Class c leads w by 2^59 on every cell w holds (w's
-    # entries at -2^57, c's at 2^57), far below the cap.  With the gap
-    # just below, at and just above the cap, at t = 2n^2 (rate gap
-    # cap / 2n^2 + offset) and at t = cap + offset (rate gap 1), w keeps
-    # every cell it holds, c fills rows 60-63, which w leaves at the
-    # bottom, and the result is the term sum.
+    # Each gap t * (s_w - s_c) between adjacent rate classes is capped at
+    # 2B + 1, B = max |C| + max |R|: 2^56 on int64 arrays, and 2^61 with a
+    # class z of entries at 2^60, on object arrays.  Class c leads w by
+    # 2^57 on every cell w holds (w's entries at -2^55, c's at 2^55), which
+    # is 2B without z.  With the gap just below, at and just above the
+    # cap, at t = 2n^2 (rate gap cap // 2n^2 + offset) and at t = cap +
+    # offset (rate gap 1), the result is the term sum, a capped gap starts
+    # a new run, c fills rows 60-63, which w leaves at the bottom, and the
+    # two tie exactly where the gap is c's lead.
     n = 64
-    top = 1 << 57
+    top = 1 << 55
 
     def build(k):
         factors = [
@@ -710,16 +728,19 @@ def test_array_merge_at_the_gap_cap(wide, offset):
             factors.append((-k - 1, _column(n, {0: 1 << 60}), _row(n, {0: 1 << 60})))
         return _one_node_terms(n, factors)
 
-    cap = -build(1)._prepared[1][1]
-    assert cap == (1 << 63 if wide else 1 << 61)
+    big = build(1)._prepared[3]
+    assert big == (1 << 61 if wide else 1 << 56)
+    cap = 2 * big + 1
     for t, k in ((2 * n * n, cap // (2 * n * n) + offset), (cap + offset, 1)):
         x = build(k)
-        assert x._prepared[1][0] == (object if wide else np.int64)
-        assert _typed(x.evaluate(t)) == _typed(_term_sum(x, t))
-        merged = _accumulators_agree(x, t)
-        assert {key: w for key, (w, _) in merged.items()} == {
-            (i, j): int(i >= 60) for i in range(n) for j in range(n)
-        }
+        _checked_bound(x)
+        assert x._prepared[6].dtype == (object if wide else np.int64)
+        got = _agrees(x, t)
+        assert _run_count(x, t) == 1 + (t * k > cap) + (wide and t > cap)
+        w, c = _alone(x, t)[:2]
+        assert all(got[(i, j)] == c[(i, j)] for i in range(60, n) for j in range(n))
+        ties = {key for key in w if c[key] == w[key]}
+        assert bool(ties) == (t * k == 4 * top)
 
 
 @pytest.mark.parametrize(
@@ -728,14 +749,13 @@ def test_array_merge_at_the_gap_cap(wide, offset):
     ids=["object-then-int64", "object-then-smaller-object"],
 )
 def test_array_merge_ignores_a_later_class_bottom(w_low, c_top, c_dtype):
-    # Each class's product keeps its own bottom: -2^61 on int64 arrays and
-    # -4 * its bound on object arrays.  Class w (rate 0, an object class)
-    # holds every cell, rows 0-47 near -w_low, far below class c's bottom;
-    # class c (rate -1; int64, or object with a bound over 4 times smaller
-    # than w's) is bottom on rows 32-47 and 56-63.  There w's value stands:
-    # c's bottom never competes as a finite value.  On rows 0-31 c wins,
-    # and on rows 48-55, where both are near the gap t, each wins some
-    # cells near the threshold.
+    # Class w (rate 0) holds every cell, rows 0-47 near -w_low: far below
+    # the bottom class c (rate -1) would have on its own (-2^61 on int64,
+    # -4 * its bound on object arrays).  In the stacked pair (object, since
+    # w's entries are) class c is bottom on rows 32-47 and 56-63, and its
+    # bottom cells are shifted along with its finite ones; there w's value
+    # stands.  On rows 0-31 c wins, and on rows 48-55, where both are near
+    # the gap t, each wins some cells near the threshold.
     rng = random.Random(w_low)
     n = 64
 
@@ -752,22 +772,23 @@ def test_array_merge_ignores_a_later_class_bottom(w_low, c_top, c_dtype):
             (-1, _column(n, c_col), _row(n, small(range(n)))),
         ),
     )
-    (_, w_factors), (_, c_factors) = x._prepared[2]
-    assert [w_factors[2].dtype, c_factors[2].dtype] == [object, c_dtype]
-    assert max(w_col[i] for i in range(32, 48)) + 60 < c_factors[1] - 10**19
-    for t in (x.threshold, x.threshold + 1, 10**18 + 1):
-        assert _typed(x.evaluate(t)) == _typed(_term_sum(x, t))
-        merged = _accumulators_agree(x, t)
-        held = [[merged[(i, j)][0] for j in range(n)] for i in range(n)]
-        assert all(held[i] == [1] * n for i in range(32))
-        assert all(held[i] == [0] * n for i in range(32, 48))
-        assert all(held[i] == [0] * n for i in range(56, n))
-        if t < 10**18:
-            assert {w for i in range(48, 56) for w in held[i]} == {0, 1}
+    _checked_bound(x)
+    assert x._prepared[6].dtype == object
+    c_term = x.terms[1]
+    c_bottom, c_alone, _ = _kernel_arrays(1, 1, c_term.C, c_term.R)
+    assert c_alone.dtype == np.dtype(c_dtype)
+    assert max(w_col[i] for i in range(32, 48)) + 60 < c_bottom - 10**19
+    for t in (0, 1, x.threshold, x.threshold + 1, 10**18 + 1):
+        got = _agrees(x, t)
+        w, c = _alone(x, t)
+        assert all(c[(i, j)] > w[(i, j)] for i in range(32) for j in range(n))
+        held = [(i, j) for i in (*range(32, 48), *range(56, n)) for j in range(n)]
+        assert all(key not in c and got[key] == w[key] for key in held)
+        if x.threshold <= t < 10**18:
+            assert {c[(i, j)] > w[(i, j)] for i in range(48, 56) for j in range(n)} == {False, True}
 
 
-def _array_path_instance(family, rng):
-    n = rng.randint(64, 80)
+def _family_instance(family, rng, n):
     if family == "dense":
         return random_matrix(rng, n, 1.0)
     if family == "wide":
@@ -787,30 +808,159 @@ def _array_path_instance(family, rng):
     return TropicalMatrix(n, n, huge)
 
 
-@pytest.mark.parametrize(
-    "family, seed", [("dense", 1), ("wide", 2), ("tie", 3), ("rational", 4), ("huge", 5)]
-)
+FAMILIES = [("dense", 1), ("wide", 2), ("tie", 3), ("rational", 4), ("huge", 5)]
+
+
+@pytest.mark.parametrize("family, seed", FAMILIES)
 def test_array_merge_on_seeded_families(family, seed):
-    # n = 64-80, so evaluate merges its rate classes on arrays: plain and
-    # reduced expansions give the term sum (values and types) near the
-    # threshold and far above it, the list accumulator agrees on the same
-    # stacked classes, and the powers match A^t over [2 n^2, 2 n^2 + 3].
-    a = _array_path_instance(family, random.Random(seed))
+    # n = 64-80: plain and reduced expansions give the term sum (values and
+    # types) near the threshold and far above it, the list twin agrees,
+    # and the powers match A^t over [2 n^2, 2 n^2 + 3].
+    rng = random.Random(seed)
+    a = _family_instance(family, rng, rng.randint(64, 80))
     for reduce in (False, True):
         x = expand(a, reduce_by_cyclicity=reduce)
-        assert x._prepared[1] is not None
         for t in (x.threshold, x.threshold + 1, 10**12 + 3, 10**18 + 1):
-            assert _typed(x.evaluate(t)) == _typed(_term_sum(x, t))
-            _accumulators_agree(x, t)
+            _agrees(x, t)
         report = brute_power_check(a, x, range(x.threshold, x.threshold + 4))
         assert report.match, report.counterexample
 
 
+@pytest.mark.parametrize("family, seed", FAMILIES)
+def test_stacked_product_below_64_on_seeded_families(family, seed):
+    # n 2-63, where evaluate used to loop over sparse lists: plain and
+    # reduced expansions give the term sum (values and types) at t = 0 and
+    # 1, near the threshold and far above it, the list twin agrees, and the
+    # powers match A^t over [2 n^2, 2 n^2 + 3].
+    rng = random.Random(100 + seed)
+    sizes = (rng.randint(2, 12), rng.randint(13, 30), rng.randint(31, 40 if family == "huge" else 63))
+    for n in sizes:
+        a = _family_instance(family, rng, n)
+        for reduce in (False, True):
+            x = expand(a, reduce_by_cyclicity=reduce)
+            for t in (0, 1, x.threshold, x.threshold + 1, 10**12 + 3, 10**18 + 1):
+                _agrees(x, t)
+            report = brute_power_check(a, x, range(x.threshold, x.threshold + 4))
+            assert report.match, report.counterexample
+
+
+def _jittered_pair(n, big, delta, scale, seed):
+    """Rate classes w (rate 0) and c (rate -delta/scale) at order n with B = big exactly.
+
+    w's entries sit at or up to 2 units above -big/2 (C, rows 0 to n-2) and
+    -(big - big // 2) (R), c's at or up to 2 below +big/2 (rows 1 to n-1)
+    and +(big - big // 2), so c leads w by 2B - 4 to 2B, against their
+    gap t * delta.  Row 0 is w's alone and row n-1 c's alone.
+    """
+    rng = random.Random(seed)
+    cb, rb = big // 2, big - big // 2
+
+    def side(indices, extreme, inward):
+        return {k: Fraction(extreme + inward * (k % 3 and rng.randint(0, 2)), scale) for k in indices}
+
+    return _one_node_terms(
+        n,
+        (
+            (0, _column(n, side(range(n - 1), -cb, 1)), _row(n, side(range(n), -rb, 1))),
+            (
+                Fraction(-delta, scale),
+                _column(n, side(range(1, n), cb, -1)),
+                _row(n, side(range(n), rb, -1)),
+            ),
+        ),
+    )
+
+
+@pytest.mark.parametrize("big_t", [False, True], ids=["t=2n^2", "t=10^18+1"])
+@pytest.mark.parametrize("excess", [2, 1, 0], ids=["2B+2", "2B+1", "2B"])
+def test_split_around_the_capped_gap(big_t, excess):
+    # The true gap between two adjacent classes is 2B + excess: above the
+    # cap (two runs), at it (one run, exact) and below it (one run, with
+    # exact ties where c's lead is 2B).  Gaps at an even t are even, so
+    # the odd gap 2B + 1 is taken at t = 2n^2 + 1.  B follows from the gap:
+    # t * delta = 2B + excess with delta 1 or 2.
+    n = 6
+    t = 10**18 + 1 if big_t else 2 * n * n + excess % 2
+    delta = 1 if (t - excess) % 2 == 0 else 2
+    big = (delta * t - excess) // 2
+    for scale in (1, 3):
+        x = _jittered_pair(n, big, delta, scale, seed=excess)
+        assert _checked_bound(x) == (big, 2)
+        got = _agrees(x, t)
+        assert _run_count(x, t) == (2 if excess > 1 else 1)
+        w, c = _alone(x, t)
+        both = [key for key in w if key in c]
+        assert all(w[key] >= c[key] for key in both)
+        assert any(w[key] == c[key] for key in both) == (excess == 0)
+        assert all(got[(0, j)] == w[(0, j)] and got[(n - 1, j)] == c[(n - 1, j)] for j in range(n))
+        for t_small in (0, 1):
+            _agrees(x, t_small)
+
+
+def test_split_with_all_zero_factors():
+    # B = 0: every finite factor entry is 0, the cap is 1 and the shifted
+    # product's bound is L - 1, though the kernel's is 0.  Rates 0, -1, -3
+    # and -4 give gaps of t, 2t
+    # and t: one run at t = 0, two at t = 1 (only the gap 2 is capped),
+    # four from t = 2 on.
+    n = 5
+    zeros = [
+        (0, {0: 0, 1: 0}, {0: 0, 2: 0}),
+        (-1, {1: 0, 2: 0}, {1: 0, 2: 0, 3: 0}),
+        (-3, {3: 0}, {0: 0, 4: 0}),
+        (-4, {0: 0, 4: 0}, dict.fromkeys(range(n), 0)),
+    ]
+    x = _one_node_terms(n, [(rate, _column(n, c), _row(n, r)) for rate, c, r in zeros])
+    assert _checked_bound(x) == (0, 4) and x._prepared[6].dtype == np.int64
+    for t, runs in ((0, 1), (1, 2), (2, 4), (x.threshold, 4), (10**18 + 1, 4)):
+        _agrees(x, t)
+        assert _run_count(x, t) == runs
+
+
+def _extreme_classes(n, big, rates, seed):
+    """One 1-node class per rate, entries spread over +-big/2 with max |C| + max |R| = big."""
+    rng = random.Random(seed)
+    cb, rb = big // 2, big - big // 2
+    factors = []
+    for k, rate in enumerate(rates):
+        col = {i: rng.randint(-cb, cb) for i in range(n) if rng.random() < 0.7}
+        row = {j: rng.randint(-rb, rb) for j in range(n) if rng.random() < 0.7}
+        col[k % n], row[k % n] = (-1) ** k * cb, (-1) ** (k + 1) * rb
+        factors.append((rate, _column(n, col), _row(n, row)))
+    return _one_node_terms(n, factors)
+
+
+@pytest.mark.parametrize(
+    "big, rates, dtype, runs",
+    [
+        (2 * 10**20 + 12345, (0, -1, -(10**3), -(10**6)), object, (1, 3, 4)),
+        ((1 << 56) - 1, (0, -1, -2 * 10**15, -4 * 10**15), np.int64, (3, 4, 4)),
+        (1 << 56, (0, -1, -2 * 10**15, -4 * 10**15), object, (3, 4, 4)),
+    ],
+    ids=["object-near-10^20", "int64-at-the-kernel-bound", "object-past-the-kernel-bound"],
+)
+def test_three_or_more_runs(big, rates, dtype, runs):
+    # Four classes, so the shifted product's bound is 7B + 3 and the
+    # kernel's 8B: entries near 10^20 are object, B = 2^56 - 1 puts 8B at
+    # 2^59 - 8, the last int64 bound, and B = 2^56 at 2^59.  At t = 2n^2,
+    # 10^18 + 1 and 10^21 + 7 the gaps split the classes into the given
+    # numbers of runs, and the result is the term sum.
+    n = 8
+    x = _extreme_classes(n, big, rates, seed=big)
+    assert _checked_bound(x) == (big, 4)
+    assert x._prepared[6].dtype == np.dtype(dtype)
+    for t, count in zip((x.threshold, 10**18 + 1, 10**21 + 7), runs):
+        _agrees(x, t)
+        assert _run_count(x, t) == count
+    for t in (0, 1):
+        _agrees(x, t)
+
+
 def test_acyclic_expansion_on_the_array_path():
-    # No terms at n >= 64: nothing to merge, and powers from n on are bottom.
+    # No terms: nothing to stack, and powers from n on are bottom.
     a = TropicalMatrix(64, 64, {(0, 1): 3, (1, 2): Fraction(1, 2)})
     x = expand(a)
-    assert x.terms == () and x._prepared[2] == []
+    assert x.terms == () and x._prepared is None
     assert x.evaluate(2) == TropicalMatrix(64, 64, {(0, 2): Fraction(7, 2)})
     assert x.evaluate(x.threshold) == TropicalMatrix.epsilon(64)
 
@@ -1027,11 +1177,11 @@ def _power_check_instance(family, rng):
 @pytest.mark.parametrize("family, seed", [("dense", 7), ("wide", 60), ("rational", 30)])
 def test_power_check_at_real_sizes(family, seed):
     # evaluate == A^t over [2 n^2, 2 n^2 + 20] well beyond the small-n sweeps:
-    # dense [-5, 5] at n 64-80 (evaluate on int64 arrays), +-10^6
-    # irreducible sparse at n = 60 and p/q entries at n = 30.
+    # dense [-5, 5] at n 64-80, +-10^6 irreducible sparse at n = 60 and p/q
+    # entries at n = 30, each one stacked product on int64 arrays.
     a = _power_check_instance(family, random.Random(seed))
     x = expand(a)
-    assert (x._prepared[1] is not None) == (family == "dense")
+    assert x._prepared[6].dtype == np.int64
     report = brute_power_check(a, x, range(x.threshold, x.threshold + 21))
     assert report.match, report.counterexample
 
@@ -1069,14 +1219,13 @@ def test_evaluate_does_no_t_independent_work(monkeypatch, n, density):
 
 @pytest.mark.parametrize("n, density", [(10, None), (64, 0.25)])
 def test_evaluate_adopts_its_normalized_entries(monkeypatch, n, density):
-    # The result's values come out of ``unscaled`` (lists) or
-    # ``_kernel_result`` (arrays) already normalized, so building the
-    # matrix must not normalize them again.
+    # The result's values come out of ``_kernel_result`` already
+    # normalized, so building the matrix must not normalize them again.
     import maxplus.tropical as tropical
 
     a = demo_matrix() if density is None else random_matrix(random.Random(6464), n, density)
     x = expand(a)
-    assert (x._prepared[1] is not None) == (n >= 64)  # the list path, then the arrays
+    assert x._prepared[6].dtype == np.int64  # one stacked product at both sizes
     t = x.threshold + 1
     want = _term_sum(x, t)
     calls = []

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -225,6 +226,27 @@ def test_entries_stay_epsilon_free():
     assert a.finite_count == 18
 
 
+def test_common_scale_is_the_lcm_of_every_denominator():
+    # One lcm over the distinct denominators gives what folding lcm over
+    # every value gives, for any mix of groups: ints, Fractions, generators
+    # and empty groups.
+    rng = random.Random(46)
+    for _ in range(200):
+        groups = [
+            [
+                Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 4, 6, 7, 10**9 + 7)))
+                if rng.random() < 0.5
+                else rng.randint(-50, 50)
+                for _ in range(rng.randint(0, 12))
+            ]
+            for _ in range(rng.randint(0, 4))
+        ]
+        want = 1
+        for v in (v for group in groups for v in group):
+            want = math.lcm(want, Fraction(v).denominator)
+        assert common_scale(*groups) == common_scale(*(iter(g) for g in groups)) == want
+
+
 def test_unscaled_inverts_scaled_int():
     # The way out of the scaled-integer domain gives back the value with the
     # type as_value gives it: int when integral, Fraction otherwise.
@@ -297,12 +319,15 @@ def test_kernel_arrays_check_every_denominator_on_either_dtype(values, scale, dt
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
 @pytest.mark.parametrize("scale", [1, 12, 3 << 59])
-@pytest.mark.parametrize("shifts", [None, (0, 5, -7, 12 * 10**6), (10**30 + 7, -(10**30), 1, 0)])
+@pytest.mark.parametrize(
+    "shifts", [None, (0, 5, -7, 12 * 10**6), (10**30 + 7, -(10**30), 1, 0), (-(10**30) - 5,)]
+)
 def test_kernel_result_matches_unscaled(dtype, scale, shifts):
     # The array exit gives, cell by cell, what ``unscaled`` gives: the same
     # value with the same type, in row-major order.  Cells hold negative
     # and positive values, multiples of the scale and not, and the bottom;
-    # a shift, when given, is added to a cell before it leaves the domain.
+    # a shift, when given, is added to a cell before it leaves the domain
+    # (a single shift with no index array goes to every cell).
     rng = random.Random(f"{dtype}/{scale}/{shifts}")
     top = (1 << 70) if dtype is object else (1 << 58)
     bottom = -4 * (top if dtype is object else tropical._INT64_BOUND)
@@ -316,11 +341,11 @@ def test_kernel_result_matches_unscaled(dtype, scale, shifts):
     cells = [[rng.choice(picks)() for _ in range(7)] for _ in range(6)]
     out = np.array(cells, dtype=dtype)
     which = None
-    if shifts is not None:
+    if shifts is not None and len(shifts) > 1:
         which = np.array([[rng.randrange(len(shifts)) for _ in range(7)] for _ in range(6)])
     got = tropical._kernel_result(out, bottom, scale, shifts, which)
     want = {
-        (i, j): unscaled(v + (0 if shifts is None else shifts[which[i, j]]), scale)
+        (i, j): unscaled(v + (0 if shifts is None else shifts[0 if which is None else which[i, j]]), scale)
         for i, row in enumerate(cells)
         for j, v in enumerate(row)
         if v != bottom
