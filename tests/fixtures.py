@@ -192,8 +192,8 @@ def seeded_matrix(name) -> TropicalMatrix:
 
     Families: small ([-5, 5]), ties ({-1, 0}), pq (p/q, |p| <= 20),
     wide (irreducible, +-10^6), nodiag ([-1000, 1000] off the diagonal,
-    so no loop sets the maximum cycle mean) and big (10^17 * [-5, 5]
-    plus noise).
+    so no loop sets the maximum cycle mean), blocks (block-reducible
+    {-1, 0}: see ``_tie_blocks``) and big (10^17 * [-5, 5] plus noise).
     """
     family, n, density = name.split("/")
     n, density = int(n), float(density)
@@ -207,8 +207,42 @@ def seeded_matrix(name) -> TropicalMatrix:
         return TropicalMatrix(n, n, {k: Fraction(v, rng.choice((1, 2, 3, 4, 6))) for k, v in m.entries.items()})
     if family == "wide":
         return random_irreducible_matrix(rng, n, density, -(10**6), 10**6)
+    if family == "blocks":
+        return _tie_blocks(rng, n, density)
     if family == "nodiag":
         m = random_matrix(rng, n, density, -1000, 1000)
         return TropicalMatrix(n, n, {(i, j): v for (i, j), v in m.entries.items() if i != j})
     m = random_matrix(rng, n, density)
     return TropicalMatrix(n, n, {k: 10**17 * v + rng.randint(-9, 9) for k, v in m.entries.items()})
+
+
+def _tie_blocks(rng, n, density):
+    """Block-reducible {-1, 0} matrix: many SCCs on relabelled nodes.
+
+    A shuffled node order is cut into blocks of 1-16 nodes (at most n / 2).
+    A block is closed by a cycle through its nodes (a loop on a single
+    node) and filled at ``density``, except that half of the single nodes
+    are left circuit-free.  About n arcs run from a block to a later one, so the
+    blocks are the strongly connected components.
+    """
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks, entries = [], {}
+    start = 0
+    while start < n:
+        block = order[start:start + rng.randint(1, min(16, n // 2))]
+        start += len(block)
+        blocks.append(block)
+        if len(block) == 1 and rng.random() < 0.5:
+            continue
+        for k, u in enumerate(block):
+            entries[(u, block[(k + 1) % len(block)])] = rng.choice((-1, 0))
+        for i in block:
+            for j in block:
+                if rng.random() < density:
+                    entries.setdefault((i, j), rng.choice((-1, 0)))
+    for _ in range(n):
+        first = rng.randrange(len(blocks) - 1)
+        later = blocks[rng.randrange(first + 1, len(blocks))]
+        entries[(rng.choice(blocks[first]), rng.choice(later))] = rng.choice((-1, 0))
+    return TropicalMatrix(n, n, entries)

@@ -15,12 +15,15 @@ from maxplus import (
 )
 import maxplus.assignment as assignment
 import maxplus.charpoly as charpoly
+from maxplus.cli import parse_matrix
+from maxplus.digraph import tarjan_scc
 from maxplus.oracle import (
     brute_chi,
     brute_mmc,
     random_irreducible_matrix,
     random_matrix,
     roots_by_chi_eval,
+    submatrix,
 )
 from fixtures import (
     DEMO_EPS_MULTIPLICITY,
@@ -31,6 +34,7 @@ from fixtures import (
     E,
     demo_matrix,
     tm,
+    workload_module,
 )
 
 
@@ -238,9 +242,140 @@ def test_matches_the_twin_on_the_int64_backend(monkeypatch):
     assert mmcs == roots_by_chi_eval(a)
 
 
+_REDUCIBLE_KINDS = ("small", "ties", "p/q", "loops", "shared", "acyclic")
+
+
+def _reducible_family(rng, kind, n):
+    """A seeded block-reducible matrix on n >= 3 relabelled nodes, in blocks of fewer than n / 2.
+
+    A shuffled node order is cut into blocks, each closed by a cycle
+    through its nodes and filled at random, and arcs run only from a block
+    to a later one, so the blocks are the strongly connected components
+    and none of them is contiguous.  Kinds: small ([-5, 5]), ties
+    ({-1, 0}), p/q (one denominator per block, so each component's scale
+    differs from the matrix's), loops (single nodes, half of them
+    circuit-free), shared (the first two blocks are copies, so they share
+    every root) and acyclic (circuit-free single nodes only).
+    """
+    order = list(range(n))
+    rng.shuffle(order)
+    top = 1 if kind in ("loops", "acyclic") else (n - 1) // 2
+    blocks = []
+    while sum(map(len, blocks)) < n:
+        start = sum(map(len, blocks))
+        size = len(blocks[0]) if kind == "shared" and len(blocks) == 1 else rng.randint(1, top)
+        blocks.append(order[start:start + size])
+    low, high = (-1, 0) if kind in ("ties", "shared") else (-5, 5)
+    entries = {}
+    first = {}
+    for b, block in enumerate(blocks):
+        q = rng.choice((1, 2, 3, 5, 7)) if kind == "p/q" else 1
+        if kind == "acyclic" or (len(block) == 1 and kind == "loops" and rng.random() < 0.5):
+            continue
+        if kind == "shared" and b == 1:
+            twin = dict(zip(blocks[0], block))
+            entries.update({(twin[i], twin[j]): v for (i, j), v in first.items()})
+            continue
+        cells = {(u, block[(k + 1) % len(block)]) for k, u in enumerate(block)}
+        cells |= {(i, j) for i in block for j in block if rng.random() < 0.4}
+        block_entries = {key: Fraction(rng.randint(low, high), q) for key in cells}
+        first = first or block_entries
+        entries.update(block_entries)
+    for b, block in enumerate(blocks[:-1]):
+        for later in blocks[b + 1:]:
+            if rng.random() < 0.3:
+                entries[(rng.choice(block), rng.choice(later))] = Fraction(rng.randint(low, high), 1)
+    return TropicalMatrix(n, n, entries)
+
+
+@pytest.mark.parametrize("kind", _REDUCIBLE_KINDS)
+def test_split_search_matches_the_whole_matrix_twin(kind):
+    # Every instance takes the split: roots, multiplicities, the epsilon
+    # multiplicity and every witness agree with the search over the whole
+    # matrix, and with the exhaustive oracle at n <= 6.
+    rng = random.Random(f"split/{kind}")
+    for count in range(60):
+        n = rng.randint(3, 6) if count < 30 else rng.randint(7, 24)
+        a = _reducible_family(rng, kind, n)
+        assert charpoly._small_components(charpoly._scaled_entries(a)[1]) is not None
+        mmcs = characteristic_roots(a)
+        assert mmcs == roots_by_chi_eval(a), (kind, n)
+        if n <= 6:
+            want = brute_mmc(a)
+            assert mmcs.roots == want.roots
+            assert mmcs.multiplicities == want.multiplicities
+            assert mmcs.epsilon_multiplicity == want.epsilon_multiplicity
+            assert tuple(mc.total_length for mc in mmcs.multicircuits) == want.mmcs_lengths
+
+
+def test_small_components_match_tarjan():
+    # The O(n) test for one component on dense rows never calls a
+    # reducible support irreducible (a dense lower triangle passes its
+    # first half), and the split takes only components of fewer than n / 2
+    # nodes (an irreducible matrix with a source node added is not split).
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(3, 30)
+        kind = rng.choice(("dense", "sparse", "irreducible", "source", "lower", "reducible"))
+        if kind == "dense":
+            a = random_matrix(rng, n, rng.choice([0.9, 1.0]))
+        elif kind == "sparse":
+            a = random_matrix(rng, n, rng.choice([0.05, 0.15]))
+        elif kind in ("irreducible", "source"):
+            a = random_irreducible_matrix(rng, n, rng.choice([0.0, 0.1, 1.0]))
+            if kind == "source":
+                entries = {(i + 1, j + 1): v for (i, j), v in a.entries.items()}
+                a = TropicalMatrix(n + 1, n + 1, {**entries, (0, rng.randint(1, n)): 0})
+        elif kind == "lower":
+            a = random_matrix(rng, n, 1.0)
+            a = TropicalMatrix(n, n, {(i, j): v for (i, j), v in a.entries.items() if j <= i})
+        else:
+            a = _reducible_family(rng, rng.choice(_REDUCIBLE_KINDS), n)
+        got = charpoly._small_components(charpoly._scaled_entries(a)[1])
+        assert got == _split_components(a), kind
+        seen.add((kind, got is None))
+    want = {("dense", True), ("irreducible", True), ("source", True), ("lower", False), ("reducible", False)}
+    assert want <= seen
+
+
+def _split_components(a):
+    """Tarjan's components of ``a`` if the root search splits (each has fewer than n / 2 nodes), else None."""
+    n = a.rows
+    heads = [[j for (i, j) in a.entries if i == u] for u in range(n)]
+    components = tarjan_scc(n, heads.__getitem__)
+    return components if 2 * max(map(len, components)) < n else None
+
+
+def _split_plan(a):
+    """``None`` if ``a`` is searched whole, else (n_k, p_k) for each component with a circuit."""
+    components = _split_components(a)
+    if components is None:
+        return None
+    subs = (submatrix(a, nodes) for nodes in components)
+    return [(sub.rows, roots_by_chi_eval(sub).p) for sub in subs if sub.entries]
+
+
+def _check_assignment_counts(a, calls):
+    """The solves one ``characteristic_roots(a)`` made, by size; returns the full-size count."""
+    plan = _split_plan(a)  # its twin searches are recorded too
+    calls.clear()
+    n, p = a.rows, characteristic_roots(a).p
+    if plan is None:
+        # At most 2p + 1 cold long runs, where a cold chi_eval at every
+        # point would make 4p.
+        assert len(calls) <= 2 * p + 1
+        return len(calls)
+    # One full-size solve per root, and each component's search at most
+    # 2p_k + 1 solves of its own size.
+    assert calls.count(n) == p
+    for size in set(calls) - {n}:
+        assert calls.count(size) <= sum(2 * p_k + 1 for n_k, p_k in plan if n_k == size), size
+    assert set(calls) <= {n} | {n_k for n_k, _ in plan}
+    return calls.count(n)
+
+
 def test_one_cold_assignment_per_evaluation(monkeypatch):
-    # With p roots: at most 2p + 1 cold long runs, where a cold chi_eval at
-    # every point would make 4p.
     calls = []
     real = charpoly.max_assignment
 
@@ -250,16 +385,23 @@ def test_one_cold_assignment_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(charpoly, "max_assignment", recorded)
     rng = random.Random(79)
+    split = 0
     for kind in ("ties", "wide", "p/q", "blocks"):
         for _ in range(6):
             a = _twin_family(rng, kind, rng.randint(2, 30))
-            calls.clear()
-            p = characteristic_roots(a).p
-            assert len(calls) <= 2 * p + 1
+            _check_assignment_counts(a, calls)
+            split += _split_plan(a) is not None
+    for kind in _REDUCIBLE_KINDS:
+        for _ in range(4):
+            _check_assignment_counts(_reducible_family(rng, kind, rng.randint(3, 30)), calls)
+    assert split >= 3, split
     n = 40
-    calls.clear()
-    assert characteristic_roots(TropicalMatrix(n, n, {(i, i): i for i in range(n)})).p == n
-    assert len(calls) <= 2 * n + 1
+    assert _check_assignment_counts(TropicalMatrix(n, n, {(i, i): i for i in range(n)}), calls) == n
+    # The benchmark's blocks instance: 10 components of 5 nodes and 37
+    # roots, one full-size solve each, where the whole search made 74.
+    workloads = workload_module()
+    main, _ = workloads.inputs(workloads.WORKLOADS["blocks"], 1)
+    assert _check_assignment_counts(parse_matrix(main.text), calls) == 37
 
 
 def test_a_root_found_as_the_lower_end_of_its_interval(monkeypatch):

@@ -19,7 +19,7 @@ from maxplus.cli import run_command
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "cli_golden.json"
-FIXTURES = ("demo10-dense.mpx", "demo10-sparse.mpx", "one.mpx")
+FIXTURES = ("demo10-dense.mpx", "demo10-sparse.mpx", "one.mpx", "blocks12-ties.mpx")
 # Each is [command, fixture, *options].
 COMMANDS = (
     ("roots",),

@@ -5,8 +5,10 @@ stdout of ``maxplus expand --json``, ``maxplus expand --reduce --json``,
 ``maxplus visualize`` and ``maxplus eigen``.  The instances are dense
 (n 64-120), where the array paths of the pipeline run, over several value
 families: small integers, tie-heavy {-1, 0}, p/q rationals, +-10^6,
-[-1000, 1000] off the diagonal (no loop sets the maximum cycle mean) and
-entries of size 10^17, whose sums leave int64.  Output that changes on purpose is
+[-1000, 1000] off the diagonal (no loop sets the maximum cycle mean),
+entries of size 10^17, whose sums leave int64, and block-reducible {-1, 0}
+matrices of 9-18 strongly connected components on relabelled nodes, whose
+roots come from a search per component.  Output that changes on purpose is
 rewritten with
 
     PYTHONPATH=src python tests/test_dense_digests.py
@@ -39,6 +41,9 @@ INSTANCES = (
     "big/64/1.0",
     "small/80/0.4",
     "nodiag/72/0.9",
+    "blocks/72/0.4",
+    "blocks/96/0.6",
+    "blocks/120/0.4",
 )
 
 
