@@ -67,6 +67,15 @@ def _sentinel_for(n, max_abs):
     return (max_abs + 1) * (16 * n + 32)
 
 
+def _int64_backend(n, cells, max_abs):
+    """Whether ``max_assignment`` takes the int64 backend: n rows, ``cells`` cells, |cost| <= ``max_abs``."""
+    return (
+        cells >= _NUMPY_MIN_CELLS_PER_ROW * n
+        and cells * _NUMPY_MAX_CELLS_PER_ALLOWED >= n * n
+        and _sentinel_for(n, max_abs) * 4 < _INT64_LIMIT
+    )
+
+
 def _solve_min_python(rows):
     """Heap backend on sparse rows; returns ``(perm, u, v)`` in plain ints."""
     n = len(rows)
@@ -242,14 +251,9 @@ def max_assignment(weights):
                 max_abs = abs(x)
     # Minimize the negated weights.
     cost = [[(j, -x) for j, x in row] for row in weights]
-    sentinel = _sentinel_for(n, max_abs)
-    use_numpy = (
-        cells >= _NUMPY_MIN_CELLS_PER_ROW * n
-        and cells * _NUMPY_MAX_CELLS_PER_ALLOWED >= n * n
-        and sentinel * 4 < _INT64_LIMIT
-    )
+    use_numpy = _int64_backend(n, cells, max_abs)
     if use_numpy:
-        perm, u, v = _solve_min_numpy(cost, sentinel)
+        perm, u, v = _solve_min_numpy(cost, _sentinel_for(n, max_abs))
     if not use_numpy or not _certify(cost, perm, u, v):
         # A failed int64 certificate means an overflow slipped past the guard
         # or the guard itself is wrong; redo the work exactly.

@@ -16,7 +16,10 @@ t-realized diagonal picks) so the shortest and longest attaining
 multi-circuits come out exactly, with no perturbation constants.
 ``chi_eval`` solves both.  The search solves only the long one: its left
 tangent is the one line an evaluation needs, and a root's right slope is
-the next supporting line found above it.
+the next supporting line found above it.  The largest root is the maximum
+cycle mean: on rows dense enough for Karp's array table and the int64
+assignment it comes from Karp, and its long run is the only one when it
+has length n, since chi's slopes lie in [0, n] and the left one is then 0.
 
 A permutation of finite weight cannot leave a diagonal block of the
 Frobenius normal form, so chi of a reducible matrix is the max-plus
@@ -38,8 +41,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .assignment import max_assignment
-from .digraph import CircuitRecord, _permutation_cycles, tarjan_scc
+from .assignment import _int64_backend, max_assignment
+from .digraph import CircuitRecord, _karp_dense, _karp_mean, _permutation_cycles, tarjan_scc
 from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
@@ -333,14 +336,59 @@ def _mmcs(n, found):
     return Mmcs(roots, n - multicircuits[-1].total_length, tuple(multicircuits))
 
 
+def _karp_gate(a, entries, lo):
+    """Whether ``_search`` takes chi's largest root from Karp's array table.
+
+    Both must hold: Karp's density gate, and the int64 assignment backend
+    for the long chi rows at the lower bracket ``lo``, the solve the root
+    saves when it is the only one.  Ungated, on the benchmark's instances
+    (best of 15, 2-core host), the search took 1.07 of its time on
+    ``sparse-wide``, where Karp runs its per-SCC loop, 1.08 on ``verify``,
+    whose solves run on the heap, and 0.93 on the n = 24 dense check
+    instance, below 28 cells a row: the gate reads the assignment's own
+    predicate, not a bound fitted to this search.  With M the largest
+    |scaled entry|, |lo| >= nM at the matrix's own scale, so the rows'
+    costs stay within (n + 1)|lo| + 1, and the assignment's guard
+    4(max cost + 1)(16n + 32) < 2^62 gives 64 n^3 M < 2^62.  So Karp's
+    kernel bound 2n^2 M stays below 2^57, under the 2^59 past which it
+    would build object arrays.
+    """
+    n = a.rows
+    scale, off, _ = entries
+    max_cost = scaled_int(-lo, scale) * (n + 1) + 1
+    return _karp_dense(n, len(a.entries)) and _int64_backend(n, sum(map(len, off)) + n, max_cost)
+
+
 def _search(a, entries):
-    """The breakpoints of chi of ``a`` by ``_search_breakpoints`` between its brackets."""
+    """The breakpoints of chi of ``a`` by ``_search_breakpoints`` between its brackets.
+
+    Past ``_karp_gate`` the largest root, the maximum cycle mean, comes
+    from Karp's array table with min length 0, and the long run there (the
+    search's own at that root) gives L, the length attaining left of it.
+    If L = n, chi's left slope there is 0, the least of its slopes, so no
+    root lies below; otherwise the search runs up to it from the tangent of
+    slope n - L.  (Past the gate Karp finds a circuit: the gate needs
+    n >= 28, and a matrix searched whole then has a component of at least
+    n / 2 nodes, a component searched alone an arc.)
+    """
     n = a.rows
     lo, hi = _brackets(a)
-    value, max_length, _, _ = _evaluate(entries, lo)
     # Above every entry each circuit loses to lam picks: chi(hi) = n * hi,
     # attained only by the empty multi-circuit, whose line is (n, 0).
-    return _search_breakpoints(entries, lo, _line(value, lo, n - max_length), hi, (n, 0))
+    hi_line = (n, 0)
+    found = {}
+    if _karp_gate(a, entries, lo):
+        weight, length = _karp_mean(a, entries[0])
+        hi = as_value(Fraction(weight, length * entries[0]))
+        evaluation = _evaluate(entries, hi)
+        found[hi] = (0, evaluation)
+        value, max_length = evaluation[:2]
+        if max_length == n:
+            return found
+        hi_line = _line(value, hi, n - max_length)
+    value, max_length, _, _ = _evaluate(entries, lo)
+    found.update(_search_breakpoints(entries, lo, _line(value, lo, n - max_length), hi, hi_line))
+    return found
 
 
 def _small_components(off):
@@ -423,9 +471,15 @@ def characteristic_roots(a: TropicalMatrix) -> Mmcs:
     every root too, so each root's witness is ``chi_eval``'s
     ``witness_max``.  Past ``lo``, an evaluation finds a new piece of chi
     (at most p besides the top one) or a root: at most 2p + 1 assignments,
-    where ``chi_eval`` at every point would make 4p.  The entries are
-    scaled once per matrix, and witnesses are decoded, and checked against
-    the value they attain, at the roots only.
+    where ``chi_eval`` at every point would make 4p.  Past ``_karp_gate``
+    (rows dense enough for Karp's array table and the int64 assignment)
+    the largest root comes from Karp, and its run is the search's there.
+    If that run's multi-circuit has length n, chi's left slope there is 0,
+    so that root is the only one: one assignment.  Otherwise the search
+    starts from the tangent there and below it finds at most p - 1 roots
+    and p - 1 new pieces: at most 2p assignments, the run at ``lo``
+    included.  The entries are scaled once per matrix, and witnesses are
+    decoded, and checked against the value they attain, at the roots only.
 
     A reducible matrix has chi the product of its components' chi, so when
     every component holds fewer than half of the nodes the roots are

@@ -303,27 +303,37 @@ def _karp_array(x, bottom):
 _KARP_ARRAY_MIN_CELLS = 100
 
 
+def _karp_dense(n, cells):
+    """Whether Karp's table runs on the kernel array for ``cells`` finite cells of n x n."""
+    return cells >= _KARP_ARRAY_MIN_CELLS and 4 * cells >= n * n
+
+
+def _karp_mean(a: TropicalMatrix, scale):
+    """Maximum cycle mean as (weight, length) in ints at ``scale``; None if acyclic.
+
+    Past the density gate (``_karp_dense``) the whole matrix enters the
+    kernel as one array with a bound of 2n^2 arcs and Karp's table runs on
+    it with a super-source (``_karp_array``); below the gate, or when the
+    kernel picks object arrays, the dynamic program runs on every strongly
+    connected component (``_karp_components``).
+    """
+    n = a.rows
+    if _karp_dense(n, len(a.entries)):
+        bottom, x = _kernel_arrays(scale, 2 * n * n, a)
+        if x.dtype != object:
+            return _karp_array(x, bottom)
+    return _karp_components(a, scale)
+
+
 def karp_max_cycle_mean(a: TropicalMatrix) -> TropicalScalar:
     """Maximum mean weight over all elementary circuits; bottom if acyclic.
 
-    The entries are scaled to ints once.  Past the density gate (see
-    ``_KARP_ARRAY_MIN_CELLS``) the whole matrix enters the kernel as one
-    array with a bound of 2n^2 arcs and Karp's table runs on it with a
-    super-source (``_karp_array``); below the gate, or when the kernel
-    picks object arrays, the dynamic program runs on every strongly
-    connected component (``_karp_components``).  Means are compared by
-    cross-multiplication, and only the best one becomes a rational again.
+    The entries are scaled to ints once and ``_karp_mean`` runs Karp's
+    algorithm on them.  Means are compared by cross-multiplication, and
+    only the best one becomes a rational again.
     """
-    n = build_graph(a).rows
-    scale = common_scale(a.entries.values())
-    cells = len(a.entries)
-    x = None
-    if cells >= _KARP_ARRAY_MIN_CELLS and 4 * cells >= n * n:
-        bottom, x = _kernel_arrays(scale, 2 * n * n, a)
-    if x is not None and x.dtype != object:
-        best = _karp_array(x, bottom)
-    else:
-        best = _karp_components(a, scale)
+    scale = common_scale(build_graph(a).entries.values())
+    best = _karp_mean(a, scale)
     return EPSILON if best is None else TropicalScalar(Fraction(best[0], best[1] * scale))
 
 

@@ -15,6 +15,7 @@ from maxplus import (
 )
 import maxplus.assignment as assignment
 import maxplus.charpoly as charpoly
+import maxplus.digraph as digraph
 from maxplus.cli import parse_matrix
 from maxplus.digraph import tarjan_scc
 from maxplus.oracle import (
@@ -33,6 +34,7 @@ from fixtures import (
     DEMO_ROOTS,
     E,
     demo_matrix,
+    seeded_matrix,
     tm,
     workload_module,
 )
@@ -360,11 +362,19 @@ def _check_assignment_counts(a, calls):
     """The solves one ``characteristic_roots(a)`` made, by size; returns the full-size count."""
     plan = _split_plan(a)  # its twin searches are recorded too
     calls.clear()
-    n, p = a.rows, characteristic_roots(a).p
+    mmcs = characteristic_roots(a)
+    n, p = a.rows, mmcs.p
     if plan is None:
-        # At most 2p + 1 cold long runs, where a cold chi_eval at every
-        # point would make 4p.
-        assert len(calls) <= 2 * p + 1
+        if not charpoly._karp_gate(a, charpoly._scaled_entries(a), charpoly._brackets(a)[0]):
+            # At most 2p + 1 cold long runs, where a cold chi_eval at every
+            # point would make 4p.
+            assert len(calls) <= 2 * p + 1
+        elif mmcs.epsilon_multiplicity == 0 and p == 1:
+            # Karp's root, attained by a multi-circuit of length n: one run.
+            assert len(calls) == 1
+        else:
+            # Karp's root saves the search's run at the lower bracket.
+            assert len(calls) <= 2 * p
         return len(calls)
     # One full-size solve per root, and each component's search at most
     # 2p_k + 1 solves of its own size.
@@ -395,6 +405,9 @@ def test_one_cold_assignment_per_evaluation(monkeypatch):
         for _ in range(4):
             _check_assignment_counts(_reducible_family(rng, kind, rng.randint(3, 30)), calls)
     assert split >= 3, split
+    gated = [_gated_matrix(rng, kind, rng.randint(28, 40)) for kind in _GATED_KINDS for _ in range(2)]
+    counts = [_check_assignment_counts(a, calls) for a in gated]
+    assert 1 in counts and max(counts) > 1, counts
     n = 40
     assert _check_assignment_counts(TropicalMatrix(n, n, {(i, i): i for i in range(n)}), calls) == n
     # The benchmark's blocks instance: 10 components of 5 nodes and 37
@@ -402,6 +415,68 @@ def test_one_cold_assignment_per_evaluation(monkeypatch):
     workloads = workload_module()
     main, _ = workloads.inputs(workloads.WORKLOADS["blocks"], 1)
     assert _check_assignment_counts(parse_matrix(main.text), calls) == 37
+    # The dense instance has one root, attained by a full-length
+    # multi-circuit: Karp's root and one solve, where the search made two.
+    main, _ = workloads.inputs(workloads.WORKLOADS["dense"], 1)
+    assert _check_assignment_counts(parse_matrix(main.text), calls) == 1
+
+
+_GATED_KINDS = ("ties", "small", "pq", "nodiag")
+
+
+def _gated_matrix(rng, kind, n):
+    """A ``seeded_matrix`` of the kind on n >= 28 nodes, at about 32 cells a row or more: past the gate."""
+    return seeded_matrix(f"{kind}/{n}/{rng.uniform(min(1.0, 32 / n), 1.0):.2f}")
+
+
+def test_karp_root_matches_the_twin_at_gated_sizes(monkeypatch):
+    # Past the gate the largest root comes from Karp's array table, never
+    # its per-SCC loop.  One root attained at full length takes one solve;
+    # otherwise the search runs below it from the tangent there.  Both
+    # branches give the whole search's roots and witnesses.
+    means = []
+    real = charpoly._karp_mean
+
+    def recorded(a, scale):
+        means.append(a.rows)
+        return real(a, scale)
+
+    def unused(*args):
+        raise AssertionError("Karp's per-SCC loop ran past the gate")
+
+    monkeypatch.setattr(charpoly, "_karp_mean", recorded)
+    monkeypatch.setattr(digraph, "_karp_components", unused)
+    rng = random.Random("karp gate")
+    full = set()
+    for kind in _GATED_KINDS:
+        for _ in range(4):
+            n = rng.randint(28, 64)
+            a = _gated_matrix(rng, kind, n)
+            assert charpoly._small_components(charpoly._scaled_entries(a)[1]) is None
+            means.clear()
+            mmcs = characteristic_roots(a)
+            assert means == [n], kind
+            assert mmcs == roots_by_chi_eval(a), (kind, n)
+            full.add(mmcs.multicircuits[1].total_length == n)
+    assert full == {False, True}
+
+
+def test_karp_root_routing(monkeypatch):
+    # The benchmark's dense instance takes Karp's root; the other
+    # workloads' instances, the dense check instance (below 28 cells a
+    # row) and entries near 10^17 (past the int64 assignment) do not.
+    means = []
+    real = charpoly._karp_mean
+    monkeypatch.setattr(charpoly, "_karp_mean", lambda a, scale: means.append(a.rows) or real(a, scale))
+    workloads = workload_module()
+    main, check = workloads.inputs(workloads.WORKLOADS["dense"], 1)
+    characteristic_roots(parse_matrix(main.text))
+    assert means == [80]
+    texts = [check.text]
+    texts += [workloads.inputs(workloads.WORKLOADS[w], 1)[0].text for w in ("sparse-wide", "blocks", "verify")]
+    for a in [*map(parse_matrix, texts), seeded_matrix("big/64/1.0")]:
+        characteristic_roots(a)
+    assert means == [80]
 
 
 def test_a_root_found_as_the_lower_end_of_its_interval(monkeypatch):
