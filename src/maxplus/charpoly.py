@@ -42,10 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .assignment import _int64_backend, max_assignment
-from .digraph import CircuitRecord, _karp_dense, _karp_mean, _permutation_cycles, tarjan_scc
+from .digraph import CircuitRecord, _karp_array, _permutation_cycles, tarjan_scc
 from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
+    _scaled_ints,
+    _stage_arrays,
     as_value,
     common_scale,
     scaled_int,
@@ -149,26 +151,28 @@ class Mmcs:
 def _scaled_entries(a):
     """The entries of ``a`` in its own scaled-integer domain, once per matrix.
 
-    Returns ``(scale, off, diag)``: ``off[i]`` lists the off-diagonal cells
-    of row i as ``(j, scaled value * (n + 1))``, ready for the primary
-    place of the lexicographic costs, and ``diag[i]`` is the scaled a_ii or
-    None.
+    Returns ``(scale, off, diag, low, high)``: ``off[i]`` lists the
+    off-diagonal cells of row i as ``(j, scaled value * (n + 1))``, ready
+    for the primary place of the lexicographic costs, ``diag[i]`` is the
+    scaled a_ii or None, and low and high are the least and the largest
+    scaled entry (0 without entries).
     """
     n = a.rows
     scale = common_scale(a.entries.values())
+    values = _scaled_ints(a.entries.values(), scale)
     off = [[] for _ in range(n)]
     diag = [None] * n
-    for (i, j), v in a.entries.items():
+    for (i, j), v in zip(a.entries, values):
         if i == j:
-            diag[i] = scaled_int(v, scale)
+            diag[i] = v
         else:
-            off[i].append((j, scaled_int(v, scale) * (n + 1)))
-    return scale, off, diag
+            off[i].append((j, v * (n + 1)))
+    return scale, off, diag, min(values, default=0), max(values, default=0)
 
 
 def _at(entries, lam):
     """``(scale, lam_s, off, diag)``: ``_scaled_entries`` and ``lam`` in one domain."""
-    scale, off, diag = entries
+    scale, off, diag = entries[:3]
     den = common_scale((lam,))
     factor = den // math.gcd(scale, den)
     if factor > 1:
@@ -316,12 +320,15 @@ def _search_breakpoints(entries, lo, lo_line, hi, hi_line):
     return found
 
 
-def _brackets(a):
-    """Points strictly below and above every finite root of chi (see ``characteristic_roots``)."""
-    n = a.rows
-    values = list(a.entries.values())
-    lo = as_value(min(0, n * min(values)) - max(0, n * max(values)) - 1)
-    return lo, as_value(max(values) + 1)
+def _brackets(entries):
+    """Points strictly below and above every finite root of chi (see ``characteristic_roots``).
+
+    ``entries`` is ``_scaled_entries(a)``; the brackets are those of a's
+    least and largest entry, low / scale and high / scale.
+    """
+    scale, _, diag, low, high = entries
+    n = len(diag)
+    return unscaled(min(0, n * low) - max(0, n * high) - scale, scale), unscaled(high + scale, scale)
 
 
 def _mmcs(n, found):
@@ -337,11 +344,13 @@ def _mmcs(n, found):
 
 
 def _karp_gate(a, entries, lo):
-    """Whether ``_search`` takes chi's largest root from Karp's array table.
+    """Karp's int64 kernel array of ``a`` when ``_search`` takes chi's largest root from it, else None.
 
-    Both must hold: Karp's density gate, and the int64 assignment backend
-    for the long chi rows at the lower bracket ``lo``, the solve the root
-    saves when it is the only one.  Ungated, on the benchmark's instances
+    Both must hold: the int64 assignment backend for the long chi rows at
+    the lower bracket ``lo``, the solve the root saves when it is the only
+    one, and then Karp's own route to its array table (``_stage_arrays``
+    with the "karp" row of the gate table and a bound of 2n^2 arcs), which
+    builds the array.  Ungated, on the benchmark's instances
     (best of 15, 2-core host), the search took 1.07 of its time on
     ``sparse-wide``, where Karp runs its per-SCC loop, 1.08 on ``verify``,
     whose solves run on the heap, and 0.93 on the n = 24 dense check
@@ -350,13 +359,13 @@ def _karp_gate(a, entries, lo):
     |scaled entry|, |lo| >= nM at the matrix's own scale, so the rows'
     costs stay within (n + 1)|lo| + 1, and the assignment's guard
     4(max cost + 1)(16n + 32) < 2^62 gives 64 n^3 M < 2^62.  So Karp's
-    kernel bound 2n^2 M stays below 2^57, under the 2^59 past which it
-    would build object arrays.
+    kernel bound 2n^2 M stays below 2^57, under the 2^59 past which the
+    route would send Karp to its per-SCC loop.
     """
     n = a.rows
-    scale, off, _ = entries
-    max_cost = scaled_int(-lo, scale) * (n + 1) + 1
-    return _karp_dense(n, len(a.entries)) and _int64_backend(n, sum(map(len, off)) + n, max_cost)
+    scale, off = entries[:2]
+    int64 = _int64_backend(n, sum(map(len, off)) + n, scaled_int(-lo, scale) * (n + 1) + 1)
+    return _stage_arrays("karp", a, scale, 2 * n * n) if int64 else None
 
 
 def _search(a, entries):
@@ -372,13 +381,13 @@ def _search(a, entries):
     n / 2 nodes, a component searched alone an arc.)
     """
     n = a.rows
-    lo, hi = _brackets(a)
+    lo, hi = _brackets(entries)
     # Above every entry each circuit loses to lam picks: chi(hi) = n * hi,
     # attained only by the empty multi-circuit, whose line is (n, 0).
     hi_line = (n, 0)
     found = {}
-    if _karp_gate(a, entries, lo):
-        weight, length = _karp_mean(a, entries[0])
+    if (arrays := _karp_gate(a, entries, lo)) is not None:
+        weight, length = _karp_array(*arrays)
         hi = as_value(Fraction(weight, length * entries[0]))
         evaluation = _evaluate(entries, hi)
         found[hi] = (0, evaluation)

@@ -13,12 +13,13 @@ The weight queries "best path with length k mod ell" are labels of the
 paper's layered graph: ell copies of the group's node set, where every arc
 advances the layer by one.  One sweep from the circuit's anchor node (and
 one on the reversed graph) yields a whole factor.  One readout
-(``_read_factors``) runs it on one of two backends, by the group's size
-and density: on sparse groups the label-setting heap sweep
-``maxplus.visualize._layered_max_weights``, the kernel the visualization
-runs with one layer; on dense ones a layered Bellman-Ford sweep on one
-int64 array of the ``maxplus.tropical`` kernel, one vector-matrix max per
-layer step, until a step changes nothing (``_array_labels``).
+(``_read_factors``) runs it on one of two backends, by the "cr" row of the
+gate table in ``maxplus.tropical``: on sparse groups the label-setting
+heap sweep ``maxplus.visualize._layered_max_weights``, the kernel the
+visualization runs with one layer; on dense ones a layered Bellman-Ford
+sweep on one int64 array of the ``maxplus.tropical`` kernel, one
+vector-matrix max per layer step, until a step changes nothing
+(``_array_labels``).
 
 Evaluation enters every term into the kernel once, as one stacked factor
 pair with a rate class per column, so that the sum over terms is one
@@ -48,6 +49,7 @@ from .tropical import (
     _kernel_arrays,
     _kernel_result,
     _max_plus_product,
+    _stage_arrays,
     common_scale,
     matrix_power,
     scaled_int,
@@ -60,19 +62,6 @@ from .visualize import (
     visualize_all,
 )
 
-
-# Both readouts were timed inside whole expansions, alternating, on the
-# 276 groups with a third of their cells finite of 24 seeded matrices (n
-# 12-40: small integers, {-1, 0}, +-10^6, p/q) and the benchmark matrices
-# (2-core host).  From 600 layered arcs (ell * m) the arrays lose on 6 of
-# them, by up to 1.33x, and the heap sweeps on 6 below it, by up to 1.16x;
-# timed alone, the 1,188 groups of n 6-80 gave 0.05-0.37 of the heap's time
-# on dense [-5, 5] groups with ell >= 7.  Sparser, the heap sweeps stay:
-# the arrays took 0.8-5.5x their time on the benchmark's sparse groups of
-# 17 nodes or more, density <= 0.3.  On object arrays the arrays took
-# 0.65-3.7x the heap's time, median 1.6x, on 208 dense groups of [-5, 5] *
-# 10^17 matrices, so those go to the heap, as in the visualization.
-_ARRAY_MIN_ARCS = 600
 
 _NOT_VISUALIZED = "submatrix is not visualized (positive entry)"
 
@@ -93,22 +82,21 @@ def _read_factors(a_vis: TropicalMatrix, scaling: tuple, nodes, n, layers, orbit
 
     Both backends read the labels of the paper's layered graph, ``layers``
     copies of the group in which every arc steps the layer by one: the
-    heap sweeps of ``_sweep_labels``, or, on groups with a third of their
-    cells finite and at least ``_ARRAY_MIN_ARCS`` layered arcs whose
-    kernel array is int64, the layered Bellman-Ford sweep of
-    ``_array_labels``.  That sweep stops at the first layer step that
-    changes nothing, which comes within V * ``layers`` steps, and every
-    value it forms is the weight of a walk of at most V * ``layers`` arcs,
-    the bound the kernel array is built with (derived there).  Labels are
-    maximum path weights, so both backends give the same factors.
+    heap sweeps of ``_sweep_labels``, or, on groups to which
+    ``maxplus.tropical._stage_arrays`` gives an int64 kernel array (the
+    "cr" row of its gate table, over ``layers`` copies, and the kernel's
+    bound), the layered Bellman-Ford sweep of ``_array_labels``.  That
+    sweep stops at the first layer step that changes nothing, which comes
+    within V * ``layers`` steps, and every value it forms is the weight of
+    a walk of at most V * ``layers`` arcs, the bound the kernel array is
+    built with (derived there).  Labels are maximum path weights, so both
+    backends give the same factors.
     """
     scale = common_scale(a_vis.entries.values(), scaling)
     d = [scaled_int(v, scale) for v in scaling]
-    nv, arcs = len(nodes), a_vis.finite_count
-    if 3 * arcs >= nv * nv and layers * arcs >= _ARRAY_MIN_ARCS:
-        bottom, x = _kernel_arrays(scale, nv * layers, a_vis)
-        if x.dtype != object:
-            return _array_factors(x, bottom, d, nodes, n, scale, layers, orbits)
+    arrays = _stage_arrays("cr", a_vis, scale, len(nodes) * layers, layers)
+    if arrays is not None:
+        return _array_factors(*arrays, d, nodes, n, scale, layers, orbits)
     return _factor_pair(nodes, n, scale, d, _sweep_labels(a_vis, scale, layers, orbits))
 
 
@@ -198,8 +186,8 @@ def _array_labels(x, bottom, layers, roots):
     raise InvariantViolationError("layered labels did not settle within V * layers steps")
 
 
-def _array_factors(x, bottom, d, nodes, n, scale, layers, orbits):
-    """``_read_factors``' (C, R) by ``_array_labels`` on ``x``, the kernel array of the group.
+def _array_factors(bottom, x, d, nodes, n, scale, layers, orbits):
+    """``_read_factors``' (C, R) by ``_array_labels`` on ``x``, the int64 kernel array of the group.
 
     One sweep runs on the array and on its transpose: the forward labels
     are the R rows, and the transpose's layer k is layer -k of the mirror
@@ -216,8 +204,7 @@ def _array_factors(x, bottom, d, nodes, n, scale, layers, orbits):
     lab = _array_labels(np.stack((x, x.T)), bottom, layers, roots)
     out, into = lab[:, 0], lab[:, 1]
     reach = max(map(abs, d))
-    wide = out.dtype == object or reach >= _INT64_BOUND
-    shift = np.array(d, dtype=object if wide else np.int64)
+    shift = np.array(d, dtype=object if reach >= _INT64_BOUND else np.int64)
     low = bottom - reach
     count = sum(len(ids) for _, ids in orbits)
     r = np.full((count, n), low, dtype=shift.dtype)

@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .tropical import (
-    EPSILON,
     DimensionMismatchError,
     PositiveCircuitError,
     TropicalMatrix,
@@ -27,6 +26,7 @@ from .tropical import (
     _kernel_arrays,
     _kernel_result,
     _max_plus_closure,
+    _stage_arrays,
     as_value,
     common_scale,
     kleene_star,  # noqa: F401 -- perfbench/tracing.py wraps digraph.kleene_star
@@ -238,7 +238,7 @@ def _min_fraction(num, den):
     return num[0], den[0]
 
 
-def _karp_array(x, bottom):
+def _karp_array(bottom, x):
     """Maximum cycle mean of an int64 kernel array as (weight, length); None if acyclic.
 
     Karp's table with a super-source s, which has an arc of weight 0 to
@@ -271,8 +271,8 @@ def _karp_array(x, bottom):
     with D_n finite hold no bottom.  There the differences lie within
     +-2nM and the denominators in [1, n], and every cross-product of
     ``_min_fraction``, first over k and then over v, within 2n^2 M: the
-    bound the caller's ``_kernel_arrays(scale, 2 n^2, a)`` keeps below
-    2^59.
+    bound the caller's ``_stage_arrays("karp", a, scale, 2 n^2)`` keeps
+    below 2^59.
     """
     n = x.shape[0]
     table = np.empty((n + 1, n), dtype=np.int64)
@@ -292,49 +292,27 @@ def _karp_array(x, bottom):
     return -int(weight), int(length)
 
 
-# Karp's table runs on the kernel array when at least a quarter of the
-# cells, and at least _KARP_ARRAY_MIN_CELLS of them, are finite.  Below
-# that the per-SCC loop wins: on seeded irreducible matrices (n 6-40) the
-# two tie at 70-100 finite cells whatever the density (the array's n
-# levels cost a few numpy calls each, the loop's m relaxations about
-# 0.1 us each), and on the block-reducible and sparse check instances of
-# the benchmark (densities 0.22 and 0.07) the array took 1.4x and 1.2x
-# the loop's time, since the loop's table runs per SCC.
-_KARP_ARRAY_MIN_CELLS = 100
+def _karp_mean(a: TropicalMatrix):
+    """Karp's maximum cycle mean of ``a`` and the kernel array it ran on: ``(scale, mean, arrays)``.
 
-
-def _karp_dense(n, cells):
-    """Whether Karp's table runs on the kernel array for ``cells`` finite cells of n x n."""
-    return cells >= _KARP_ARRAY_MIN_CELLS and 4 * cells >= n * n
-
-
-def _karp_mean(a: TropicalMatrix, scale):
-    """Maximum cycle mean as (weight, length) in ints at ``scale``; None if acyclic.
-
-    Past the density gate (``_karp_dense``) the whole matrix enters the
-    kernel as one array with a bound of 2n^2 arcs and Karp's table runs on
-    it with a super-source (``_karp_array``); below the gate, or when the
-    kernel picks object arrays, the dynamic program runs on every strongly
-    connected component (``_karp_components``).
+    The entries are scaled to ints once, at their own ``scale``.  Where
+    ``_stage_arrays`` gives ``a`` an int64 kernel array (the "karp" row of
+    its gate table, with a bound of 2n^2 arcs), Karp's table runs on it
+    with a super-source (``_karp_array``) and ``arrays`` is that
+    ``(bottom, x)``; otherwise the dynamic program runs on every strongly
+    connected component (``_karp_components``) and ``arrays`` is None.
+    Means are compared by cross-multiplication, and only the best one
+    becomes a rational again; ``mean`` is None if ``a`` is acyclic.
     """
-    n = a.rows
-    if _karp_dense(n, len(a.entries)):
-        bottom, x = _kernel_arrays(scale, 2 * n * n, a)
-        if x.dtype != object:
-            return _karp_array(x, bottom)
-    return _karp_components(a, scale)
+    scale = common_scale(build_graph(a).entries.values())
+    arrays = _stage_arrays("karp", a, scale, 2 * a.rows * a.rows)
+    best = _karp_components(a, scale) if arrays is None else _karp_array(*arrays)
+    return scale, None if best is None else as_value(Fraction(best[0], best[1] * scale)), arrays
 
 
 def karp_max_cycle_mean(a: TropicalMatrix) -> TropicalScalar:
-    """Maximum mean weight over all elementary circuits; bottom if acyclic.
-
-    The entries are scaled to ints once and ``_karp_mean`` runs Karp's
-    algorithm on them.  Means are compared by cross-multiplication, and
-    only the best one becomes a rational again.
-    """
-    scale = common_scale(build_graph(a).entries.values())
-    best = _karp_mean(a, scale)
-    return EPSILON if best is None else TropicalScalar(Fraction(best[0], best[1] * scale))
+    """Maximum mean weight over all elementary circuits; bottom if acyclic (see ``_karp_mean``)."""
+    return TropicalScalar(_karp_mean(a)[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -457,21 +435,33 @@ def principal_eigenvectors(a: TropicalMatrix):
 def _principal_eigen(a: TropicalMatrix):
     """(eigenvalue, critical graph, eigenvectors) from one Karp run and one star.
 
-    The eigenvectors are as in ``principal_eigenvectors``; only their
-    columns of the star leave the scaled-integer domain.
+    The eigenvectors are as in ``principal_eigenvectors``.  A enters the
+    kernel once: Karp's mean comes from ``_karp_mean`` at A's own scale s
+    as w / (L s), L the length of a circuit that attains it, and where
+    Karp's table ran on the int64 array, the star reuses that array.  The
+    star works at s' = lcm(s, den(rate)): den(rate) divides L s, so s'
+    divides L s and f = s' / s divides L, which is at most n.  Each finite
+    cell times f, minus the rate at s', is the rate-shifted matrix at s'.
+    The rate is a cycle mean, so with M the largest |entry| at s every
+    shifted entry lies within 2fM, and every star entry, a path of at most
+    n arcs, within 2n f M <= 2n^2 M: within Karp's bound, under which the
+    array was built as int64 with its bottom at -2^61, as
+    ``_kernel_arrays(s', 2n, a)`` builds it.  Where Karp ran its loop, the
+    star enters the kernel that way.  The critical columns of the star
+    leave the scaled-integer domain together, in one ``_kernel_result``.
     """
-    lam = karp_max_cycle_mean(a)
-    if lam.is_epsilon:
+    scale, rate, arrays = _karp_mean(a)
+    if rate is None:
         raise ValueError("matrix has no finite eigenvalue (acyclic graph)")
-    rate = lam.value
     critical = critical_graph(a, rate)
-    # The rate is a cycle mean, so |a_ij - rate| <= 2 max |a_ij|: a bound of
-    # 2n arcs of A covers the shifted matrix's paths of at most n arcs.
-    scale = common_scale(a.entries.values(), (rate,))
-    bottom, star = _kernel_arrays(scale, 2 * a.rows, a)
-    star[star != bottom] -= scaled_int(rate, scale)
+    star_scale = math.lcm(scale, common_scale((rate,)))
+    if arrays is None:  # Karp ran its loop: the star enters alone, at s', so f = 1
+        arrays, scale = _kernel_arrays(star_scale, 2 * a.rows, a), star_scale
+    bottom, star = arrays
+    finite = star != bottom
+    star[finite] = star[finite] * (star_scale // scale) - scaled_int(rate, star_scale)
     _max_plus_closure(star, bottom)
-    vectors = [
-        (node, _kernel_result(star[:, [node]], bottom, scale)) for node in sorted(critical.nodes)
-    ]
-    return rate, critical, vectors
+    nodes = sorted(critical.nodes)
+    # One n x 1 column per critical node, as a stack of c such arrays.
+    vectors = _kernel_result(star[:, nodes].T[:, :, None], bottom, star_scale)
+    return rate, critical, list(zip(nodes, vectors))

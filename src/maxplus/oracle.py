@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpoly import ChiEvaluation, Mmcs, MultiCircuit, _brackets, _mmcs, chi_eval
+from .charpoly import ChiEvaluation, Mmcs, MultiCircuit, _brackets, _mmcs, _scaled_entries, chi_eval
 from .digraph import CircuitRecord
 from .tropical import (
     DimensionMismatchError,
@@ -283,7 +283,7 @@ def roots_by_chi_eval(a: TropicalMatrix) -> Mmcs:
     n = a.rows
     if not a.entries:
         return Mmcs((), n, (MultiCircuit.empty(),))
-    lo, hi = _brackets(a)
+    lo, hi = _brackets(_scaled_entries(a))
     e_lo = chi_eval(a, lo)
     if e_lo.min_length != e_lo.max_length:
         raise AssertionError("bracketing points must not be breakpoints")

@@ -15,8 +15,11 @@ expansions) and one Floyd-Warshall closure (``_max_plus_closure``, behind
 ``maxplus.digraph``); the layered C/R sweep of ``maxplus.csr`` and the
 visualization sweep run on the same arrays.  Every array enters through
 ``_kernel_arrays``, whose bound on the results picks int64 or, above
-2^59, Python ints in object arrays, on one code path; callers read the
-choice from the arrays' dtype.
+2^59, Python ints in object arrays, on one code path.  The array stages
+(the visualization, the C/R readout and Karp's table), which have a loop
+of their own for the other inputs, ask ``_stage_arrays`` instead: one
+row of ``_ARRAY_GATES`` per stage and the int64 bound, both checked
+before an array is built, give int64 arrays or None.
 
 A square matrix is also its weighted digraph (``maxplus.digraph`` reads
 ``entries`` as arcs), and a diagonal scaling is a plain tuple of values.
@@ -223,7 +226,7 @@ class TropicalMatrix:
 _INT64_BOUND = 1 << 59
 
 
-def _kernel_arrays(scale, t, *matrices):
+def _kernel_arrays(scale, t, *matrices, any_size=True):
     """Enter the array kernel: its bottom element, then each matrix as a dense array.
 
     Every finite result to come is the weight of a path of at most t arcs
@@ -232,8 +235,10 @@ def _kernel_arrays(scale, t, *matrices):
     the matrices' largest |scaled entry|; a caller that shifts the entries
     first counts the shift in t.  Below ``_INT64_BOUND`` the arrays are
     int64 with the bottom at -2^61; above it they hold Python ints (dtype
-    object) with the bottom at -4 * bound.  Either way a sum with a bottom
-    operand lands below bottom // 2 and a finite one above.
+    object) with the bottom at -4 * bound, or, without ``any_size`` (the
+    array stages of ``_stage_arrays``), the call returns None before it
+    builds any.  Either way a sum with a bottom operand lands below
+    bottom // 2 and a finite one above.
 
     With scale 1 a matrix of int entries goes in as it is; every other
     entry goes through ``_scaled_ints``, which checks that the scale clears
@@ -246,10 +251,10 @@ def _kernel_arrays(scale, t, *matrices):
             values = _scaled_ints(values, scale)
         scaled.append(values)
     bound = t * sum(max(max(values), -min(values)) for values in scaled if values)
-    if bound < _INT64_BOUND:
-        dtype, bottom = np.int64, -4 * _INT64_BOUND
-    else:
-        dtype, bottom = object, -4 * bound
+    wide = bound >= _INT64_BOUND
+    if wide and not any_size:
+        return None
+    dtype, bottom = (object, -4 * bound) if wide else (np.int64, -4 * _INT64_BOUND)
     arrays = []
     for m, values in zip(matrices, scaled):
         out = np.full((m.rows, m.cols), bottom, dtype=dtype)
@@ -258,6 +263,64 @@ def _kernel_arrays(scale, t, *matrices):
             out[cells[0::2], cells[1::2]] = values
         arrays.append(out)
     return bottom, *arrays
+
+
+# The array stages' gates, one row each: (min_order, share, min_arcs).  A
+# stage's n x n matrix with m finite cells, read over ``layers`` copies of
+# its graph, runs on the kernel array when n >= min_order,
+# share * m >= n^2 and layers * m >= min_arcs, and the kernel's bound
+# keeps int64; otherwise the stage runs its loop on Python ints.
+_ARRAY_GATES = {
+    # The visualization (``maxplus.visualize``).  The array sweep costs
+    # O(V^2) array cells per inserted node plus about ten array calls per
+    # label level, the heap sweep O(m log V) Python steps.  Against the
+    # heap sweep on seeded matrices (2-core host): fully dense, the arrays
+    # win from n = 32-48, and take 0.2-0.3 of its time at n = 80 on
+    # [-5, 5] and {-1, 0} entries, 0.6-0.8 on p/q and +-10^6 ones (mostly
+    # distinct labels: one node per level).  With half the cells finite
+    # they win from n = 48 on small integers and break even at n = 64 on
+    # the wide families; sparser, they lose (4x on the n = 80 sparse-wide
+    # workload).
+    "visualize": (64, 2, 0),
+    # The C/R readout (``maxplus.csr``), over ell layers.  Both readouts
+    # were timed inside whole expansions, alternating, on the 276 groups
+    # with a third of their cells finite of 24 seeded matrices (n 12-40:
+    # small integers, {-1, 0}, +-10^6, p/q) and the benchmark matrices
+    # (2-core host).  From 600 layered arcs (ell * m) the arrays lose on 6
+    # of them, by up to 1.33x, and the heap sweeps on 6 below it, by up to
+    # 1.16x; timed alone, the 1,188 groups of n 6-80 gave 0.05-0.37 of the
+    # heap's time on dense [-5, 5] groups with ell >= 7.  Sparser, the heap
+    # sweeps stay: the arrays took 0.8-5.5x their time on the benchmark's
+    # sparse groups of 17 nodes or more, density <= 0.3.  On object arrays
+    # the arrays took 0.65-3.7x the heap's time, median 1.6x, on 208 dense
+    # groups of [-5, 5] * 10^17 matrices, so those go to the heap, as in
+    # the visualization.
+    "cr": (0, 3, 600),
+    # Karp's maximum cycle mean (``maxplus.digraph``).  Karp's table runs
+    # on the kernel array when at least a quarter of the cells, and at
+    # least 100 of them, are finite.  Below that the per-SCC loop wins: on
+    # seeded irreducible matrices (n 6-40) the two tie at 70-100 finite
+    # cells whatever the density (the array's n levels cost a few numpy
+    # calls each, the loop's m relaxations about 0.1 us each), and on the
+    # block-reducible and sparse check instances of the benchmark
+    # (densities 0.22 and 0.07) the array took 1.4x and 1.2x the loop's
+    # time, since the loop's table runs per SCC.
+    "karp": (0, 4, 100),
+}
+
+
+def _stage_arrays(stage, m, scale, t, layers=1):
+    """``(bottom, x)``, the int64 kernel array of ``m`` for an array stage, or None.
+
+    The one routing call of the array stages: the stage's row of
+    ``_ARRAY_GATES`` first, then the int64 bound of ``_kernel_arrays``
+    (scale, path bound t), checked on the scaled values before any array
+    is built.  None sends the stage to its loop.
+    """
+    min_order, share, min_arcs = _ARRAY_GATES[stage]
+    cells = len(m.entries)
+    passes = m.rows >= min_order and share * cells >= m.rows * m.cols and layers * cells >= min_arcs
+    return _kernel_arrays(scale, t, m, any_size=False) if passes else None
 
 
 def _max_plus_product(x, y, bottom):
@@ -311,10 +374,12 @@ def _max_plus_closure(x, bottom):
 
 
 def _kernel_result(out, bottom, scale, shifts=None, which=None):
-    """Leave the scaled-integer domain: the matrix of a kernel array.
+    """Leave the scaled-integer domain: the matrix of a kernel array, or the matrices of a stack.
 
     The cells of ``out`` that are not ``bottom`` are the finite entries,
-    in row-major order.  Entry (i, j) is out[i, j] / scale or, given
+    in row-major order.  A stack of shape (S, rows, cols) leaves in the
+    same pass and gives the list of its S matrices, each rows x cols,
+    cut from the cells in order.  Entry (i, j) is out[i, j] / scale or, given
     ``shifts`` (Python ints of any size) and an index array ``which`` of
     out's shape, (out[i, j] + shifts[which[i, j]]) / scale, with
     shifts[0] on every cell when ``which`` is None: an int where the scale
@@ -327,12 +392,12 @@ def _kernel_result(out, bottom, scale, shifts=None, which=None):
     and Python ints in object arrays past it.  A Fraction is made only
     where the remainder is not 0.
     """
-    ii, jj = np.nonzero(out != bottom)
-    q = out[ii, jj]
+    cells = np.nonzero(out != bottom)
+    q = out[cells]
     if scale >= _INT64_BOUND:
         q = q.astype(object)
     if shifts is not None:
-        k = np.zeros_like(ii) if which is None else which[ii, jj]
+        k = np.zeros_like(cells[0]) if which is None else which[cells]
         high, low = zip(*(divmod(s, scale) for s in shifts))
         q = q + np.array(low, dtype=q.dtype)[k]
     if scale > 1:
@@ -345,8 +410,13 @@ def _kernel_result(out, bottom, scale, shifts=None, which=None):
         nonzero = np.flatnonzero(r)
         for m, b in zip(nonzero.tolist(), r[nonzero].tolist()):
             values[m] = Fraction(values[m] * scale + b, scale)
-    entries = dict(zip(zip(ii.tolist(), jj.tolist()), values))
-    return TropicalMatrix._trusted(out.shape[0], out.shape[1], entries)
+    keys = zip(cells[-2].tolist(), cells[-1].tolist())
+    rows, cols = out.shape[-2:]
+    if out.ndim == 2:
+        return TropicalMatrix._trusted(rows, cols, dict(zip(keys, values)))
+    keys, ends = list(keys), np.searchsorted(cells[0], range(1, len(out) + 1)).tolist()
+    slices = zip([0, *ends], ends)
+    return [TropicalMatrix._trusted(rows, cols, dict(zip(keys[i:j], values[i:j]))) for i, j in slices]
 
 
 def matrix_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:

@@ -22,11 +22,11 @@ and the scaled entries, and reads the conjugated arc u -> v as
 a_uv - rate - d[u] + d[v] whenever it needs it.  Updating d, or moving on
 to the next group's rate, thus updates every arc at once.
 
-Two sweeps give the same result, behind a size and density gate: the heap
-sweep (``_sweep_heap``), which keeps the entries among the inserted nodes
-as adjacency lists, and on dense matrices the array sweep
-(``_sweep_arrays``), which keeps them as one int64 array of the
-``maxplus.tropical`` kernel (``_kernel_arrays``), reads each
+Two sweeps give the same result, behind the "visualize" row of the
+``maxplus.tropical`` gate table: the heap sweep (``_sweep_heap``), which
+keeps the entries among the inserted nodes as adjacency lists, and on
+dense matrices the array sweep (``_sweep_arrays``), which keeps them as
+one int64 array of the kernel (``_stage_arrays``), reads each
 conjugated block as one array expression and settles a whole label level
 per step.  Labels are maximum path weights, so both find the same ones,
 and the same d.
@@ -43,8 +43,8 @@ from .partition import NodePartition
 from .tropical import (
     _INT64_BOUND,
     TropicalMatrix,
-    _kernel_arrays,
     _kernel_result,
+    _stage_arrays,
     common_scale,
     scaled_int,
     unscaled,
@@ -125,17 +125,6 @@ class VisualizationResult:
         return self.groups[s - 1]
 
 
-# The array sweep costs O(V^2) array cells per inserted node plus about ten
-# array calls per label level, the heap sweep O(m log V) Python steps.
-# Against the heap sweep on seeded matrices (2-core host): fully dense, the
-# arrays win from n = 32-48, and take 0.2-0.3 of its time at n = 80 on
-# [-5, 5] and {-1, 0} entries, 0.6-0.8 on p/q and +-10^6 ones (mostly
-# distinct labels: one node per level).  With half the cells finite they
-# win from n = 48 on small integers and break even at n = 64 on the wide
-# families; sparser, they lose (4x on the n = 80 sparse-wide workload).
-_ARRAY_MIN_ORDER = 64
-
-
 def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult:
     """Visualize every group submatrix in one backward sweep.
 
@@ -146,25 +135,22 @@ def visualize_all(a: TropicalMatrix, part: NodePartition) -> VisualizationResult
     (they are not unique), so it is fixed.
 
     Both sweeps read ``a`` and the growth rates scaled by the lcm of every
-    denominator.  Matrices of order at least ``_ARRAY_MIN_ORDER`` with at
-    least half their cells finite take the array sweep, others the heap
-    sweep; the array sweep hands over to the heap sweep, from the start,
-    where the kernel picks object arrays or its own int64 bound fails (see
-    ``_sweep_arrays``).  Both give the same groups.
+    denominator.  Where ``maxplus.tropical._stage_arrays`` gives ``a`` an
+    int64 kernel array (the "visualize" row of its gate table and the
+    kernel's bound), the array sweep runs on it, others the heap sweep;
+    the array sweep hands over to the heap sweep, from the start, where its
+    own int64 bound fails (see ``_sweep_arrays``).  Both give the same
+    groups.
     """
     if a.rows != a.cols or a.rows != part.n:
         raise ValueError("matrix and partition sizes disagree")
     if part.r == 0:
         return VisualizationResult(())
-    n = a.rows
     scale = common_scale(a.entries.values(), part.growth_rates)
     srates = [scaled_int(rate, scale) for rate in part.growth_rates]
-    groups = None
-    if n >= _ARRAY_MIN_ORDER and 2 * a.finite_count >= n * n:
-        groups = _sweep_arrays(a, part, srates, scale)
-    if groups is None:
-        groups = _sweep_heap(a, part, srates, scale)
-    return VisualizationResult(groups)
+    arrays = _stage_arrays("visualize", a, scale, 1)
+    groups = None if arrays is None else _sweep_arrays(part, srates, scale, *arrays)
+    return VisualizationResult(groups or _sweep_heap(a, part, srates, scale))
 
 
 def _group(part, s, nodes, matrix, scaling) -> GroupVisualization:
@@ -251,15 +237,15 @@ def _sweep_heap(a, part, srates, scale) -> tuple:
     return tuple(results)
 
 
-def _sweep_arrays(a, part, srates, scale):
+def _sweep_arrays(part, srates, scale, bottom, w):
     """The groups of ``visualize_all`` on int64 arrays, or None past the int64 bound.
 
-    It takes ``_sweep_heap``'s arguments, and the scaled entries and their
-    bottom from ``_kernel_arrays(scale, 1, a)``; where that picks object
-    arrays the sweep returns None at once.  The nodes take array positions
-    in insertion order, so the inserted set is always a leading block.  Per
-    inserted node, one array expression gives the conjugated block
-    c[u, v] = a_uv - rate - d[u] + d[v] (bottom where a_uv is), and a
+    It takes ``_sweep_heap``'s arguments but the matrix, and in its place
+    the matrix's int64 kernel array ``w`` at ``scale`` (t = 1) with its
+    ``bottom``, as ``_stage_arrays`` gives them.  The nodes take array
+    positions in insertion order, so the inserted set is always a leading
+    block.  Per inserted node, one array expression gives the conjugated
+    block c[u, v] = a_uv - rate - d[u] + d[v] (bottom where a_uv is), and a
     backward label-setting sweep from the new node runs on it: each step
     settles every open node whose label is the largest open one, checks
     that no open node has a positive arc into them, and relaxes their
@@ -283,14 +269,11 @@ def _sweep_arrays(a, part, srates, scale):
     and nothing overflows.  Where the check fails the sweep returns None,
     and the caller runs the heap sweep in Python ints.
     """
-    bottom, w = _kernel_arrays(scale, 1, a)
-    if w.dtype == object:
-        return None
     order = [i for s in range(part.r, 0, -1) for i in sorted(part.groups[s - 1], reverse=True)]
     ids = np.array(order)
     low = bottom // 2
     w = w[np.ix_(ids, ids)]
-    d = np.zeros(a.rows, dtype=np.int64)
+    d = np.zeros(len(w), dtype=np.int64)
     results = []
     k = 0
     for s in range(part.r, 0, -1):

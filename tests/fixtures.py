@@ -8,8 +8,9 @@ walk weights with length divisible by 2 in the visualized matrix and are
 re-derivable by hand or from the closure oracle; those factors ship in
 both a "printed" and a "verified" variant, see test_acceptance for the
 entry-by-entry analysis.  ``workload_module`` loads the benchmark's
-seeded instance generators, and ``seeded_matrix`` draws a named seeded
-matrix of one of the test families.
+seeded instance generators, ``seeded_matrix`` draws a named seeded
+matrix of one of the test families, and ``recorded_builds`` logs the
+arrays the kernel fills.
 """
 
 import importlib.util
@@ -17,6 +18,8 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from maxplus import TropicalMatrix
 from maxplus.oracle import random_irreducible_matrix, random_matrix
@@ -246,3 +249,26 @@ def _tie_blocks(rng, n, density):
         later = blocks[rng.randrange(first + 1, len(blocks))]
         entries[(rng.choice(blocks[first]), rng.choice(later))] = rng.choice((-1, 0))
     return TropicalMatrix(n, n, entries)
+
+
+def recorded_builds(monkeypatch):
+    """A list that logs each ``np.full`` call while ``monkeypatch`` lasts.
+
+    Every kernel array starts as one ``np.full`` of the bottom element (in
+    ``maxplus.tropical._kernel_arrays``), so each entry, (shape, dtype,
+    names of the functions on the call stack), is one array built, with
+    the stage that asked for it among the names.
+    """
+    builds = []
+    real = np.full
+
+    def full(shape, fill_value, dtype=None, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        builds.append((tuple(shape), np.dtype(dtype), names))
+        return real(shape, fill_value, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "full", full)
+    return builds

@@ -365,7 +365,8 @@ def _check_assignment_counts(a, calls):
     mmcs = characteristic_roots(a)
     n, p = a.rows, mmcs.p
     if plan is None:
-        if not charpoly._karp_gate(a, charpoly._scaled_entries(a), charpoly._brackets(a)[0]):
+        entries = charpoly._scaled_entries(a)
+        if charpoly._karp_gate(a, entries, charpoly._brackets(entries)[0]) is None:
             # At most 2p + 1 cold long runs, where a cold chi_eval at every
             # point would make 4p.
             assert len(calls) <= 2 * p + 1
@@ -435,16 +436,16 @@ def test_karp_root_matches_the_twin_at_gated_sizes(monkeypatch):
     # otherwise the search runs below it from the tangent there.  Both
     # branches give the whole search's roots and witnesses.
     means = []
-    real = charpoly._karp_mean
+    real = charpoly._karp_array
 
-    def recorded(a, scale):
-        means.append(a.rows)
-        return real(a, scale)
+    def recorded(bottom, x):
+        means.append(len(x))
+        return real(bottom, x)
 
     def unused(*args):
         raise AssertionError("Karp's per-SCC loop ran past the gate")
 
-    monkeypatch.setattr(charpoly, "_karp_mean", recorded)
+    monkeypatch.setattr(charpoly, "_karp_array", recorded)
     monkeypatch.setattr(digraph, "_karp_components", unused)
     rng = random.Random("karp gate")
     full = set()
@@ -466,8 +467,8 @@ def test_karp_root_routing(monkeypatch):
     # workloads' instances, the dense check instance (below 28 cells a
     # row) and entries near 10^17 (past the int64 assignment) do not.
     means = []
-    real = charpoly._karp_mean
-    monkeypatch.setattr(charpoly, "_karp_mean", lambda a, scale: means.append(a.rows) or real(a, scale))
+    real = charpoly._karp_array
+    monkeypatch.setattr(charpoly, "_karp_array", lambda bottom, x: means.append(len(x)) or real(bottom, x))
     workloads = workload_module()
     main, check = workloads.inputs(workloads.WORKLOADS["dense"], 1)
     characteristic_roots(parse_matrix(main.text))
@@ -514,7 +515,7 @@ def test_a_bracket_at_a_root_raises():
     for a in (demo_matrix(), tm([[0, E], [E, -2]])):
         n = a.rows
         entries = charpoly._scaled_entries(a)
-        _, hi = charpoly._brackets(a)
+        _, hi = charpoly._brackets(entries)
         for lo in characteristic_roots(a).roots:
             value, max_length, _, _ = charpoly._evaluate(entries, lo)
             lo_line = charpoly._line(value, lo, n - max_length)

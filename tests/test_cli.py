@@ -346,7 +346,7 @@ class TestCommands:
 
         # Every module binding of the two routines is counted.
         for module in (cli, digraph, tropical):
-            for key, name in (("karp", "karp_max_cycle_mean"), ("closure", "_max_plus_closure")):
+            for key, name in (("karp", "_karp_mean"), ("closure", "_max_plus_closure")):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
         assert run_command(["eigen", DEMO_DENSE]) == 0

@@ -24,7 +24,7 @@ from maxplus import (
 from maxplus import csr
 from maxplus.cli import parse_matrix
 from maxplus.csr import _perm_power, compute_cr_pair
-from maxplus.tropical import _kernel_arrays, common_scale, scaled_int, unscaled
+from maxplus.tropical import _ARRAY_GATES, _INT64_BOUND, _kernel_arrays, common_scale, scaled_int, unscaled
 from maxplus.visualize import InvariantViolationError
 from maxplus.oracle import (
     brute_power_check,
@@ -1009,18 +1009,19 @@ def _recorded(log, entry, real):
     return lambda *args: log.append(entry(args)) or real(*args)
 
 
-def _forced(backend, args):
-    """``_read_factors(*args)`` on the "arrays" or the "heap" backend, whatever the gate picks.
+# The "cr" row of the gate table opened to every group, or shut to all.
+_CR_ROWS = {"arrays": (0, math.inf, 0), "heap": (0, 0, math.inf)}
 
-    The arrays run on the dtype the kernel picks, object arrays included.
+
+def _forced(backend, args):
+    """``_read_factors(*args)`` with the "cr" gate row opened ("arrays") or shut ("heap").
+
+    Opened, the arrays still run only where the kernel's bound keeps them
+    int64; the other groups take the heap sweeps.
     """
-    a_vis, scaling, nodes, n, layers, orbits = args
-    scale = common_scale(a_vis.entries.values(), scaling)
-    d = [scaled_int(v, scale) for v in scaling]
-    if backend == "arrays":
-        bottom, x = _kernel_arrays(scale, len(nodes) * layers, a_vis)
-        return csr._array_factors(x, bottom, d, nodes, n, scale, layers, orbits)
-    return csr._factor_pair(nodes, n, scale, d, csr._sweep_labels(a_vis, scale, layers, orbits))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(_ARRAY_GATES, "cr", _CR_ROWS[backend])
+        return csr._read_factors(*args)
 
 
 def test_array_readout_matches_heap_sweeps(monkeypatch):
@@ -1038,39 +1039,70 @@ def test_array_readout_matches_heap_sweeps(monkeypatch):
     monkeypatch.undo()
     sweep = _recorded(dtypes, lambda args: args[0].dtype, csr._array_labels)
     monkeypatch.setattr(csr, "_array_labels", sweep)
-    reduced = large = 0
+    reduced = large = bounded = 0
     for args in calls:
+        before = len(dtypes)
         by_arrays = [_typed(m) for m in _forced("arrays", args)]
+        bounded += len(dtypes) == before  # the kernel's bound kept it off the arrays
         assert by_arrays == [_typed(m) for m in _forced("heap", args)]
         assert by_arrays == [_typed(m) for m in csr._read_factors(*args)]
         reduced += not isinstance(args[5][0][1], range)  # plain orbits are range(ell)
         large += len(args[2]) >= 64
     assert len(calls) >= 500 and 200 <= reduced <= len(calls) - 200 and large >= 2
-    # The gate sent groups both ways during the expansions.
+    # The gate sent groups both ways during the expansions; the arrays are
+    # int64 only, and the bound sent the groups of the 10^17 matrices to
+    # the heap sweeps even with the row open.
     assert picked.count("_array_labels") >= 20 and picked.count("_sweep_labels") >= 400
-    assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
+    assert set(dtypes) == {np.dtype(np.int64)} and bounded >= 10, bounded
+
+
+def _edge_group(v, arcs, top):
+    """A zero circuit 0 -> 1 -> ... -> v - 1 -> 0 plus seeded chords of weight -top: ``arcs`` arcs."""
+    entries = {(k, (k + 1) % v): 0 for k in range(v)}
+    chords = [(i, j) for i in range(v) for j in range(v) if (i, j) not in entries]
+    random.Random(f"edge/{v}/{arcs}").shuffle(chords)
+    entries.update({key: -top for key in chords[: arcs - v]})
+    return TropicalMatrix(v, v, entries)
+
+
+# Arcs of a 12-node group read over 12 layers at the "cr" row's layered
+# arcs (12 * 50 = 600), and of a 15-node group at its share (3 * 75 = 15^2).
+_, _CR_SHARE, _CR_ARCS = _ARRAY_GATES["cr"]
+_AT_ARCS = -(-_CR_ARCS // 12)
+_AT_SHARE = -(-15 * 15 // _CR_SHARE)
 
 
 @pytest.mark.parametrize(
-    "top, far, dtype",
-    [((1 << 55) - 1, 1, np.int64), (1 << 55, 1, object), (1, 1 << 61, np.int64)],
-    ids=["at-edge", "above", "far-scaling"],
+    "v, arcs, top, far, dtype",
+    [
+        (12, _AT_ARCS, (_INT64_BOUND - 1) // 144, 1, np.int64),
+        (12, _AT_ARCS, (_INT64_BOUND - 1) // 144 + 1, 1, None),
+        (12, _AT_ARCS, 1, 1 << 61, np.int64),
+        (12, _AT_ARCS, 1, 1, np.int64),
+        (12, _AT_ARCS - 1, 1, 1, None),
+        (15, _AT_SHARE, 1, 1, np.int64),
+        (15, _AT_SHARE - 1, 1, 1, None),
+    ],
+    ids=["at-edge", "above", "far-scaling", "arcs-at", "arcs-below", "share-at", "share-below"],
 )
-def test_array_readout_guard_edge(monkeypatch, top, far, dtype):
-    # A zero 4-circuit with chords of weight -top: the array readout's
-    # bound V * ell * M = 16 * top is 2^59 - 16, then 2^59.  With a
-    # scaling beyond 2^59 the labels stay int64 and the factors leave the
-    # domain through object arrays.
+def test_array_readout_guard_edge(monkeypatch, v, arcs, top, far, dtype):
+    # One v-circuit orbit of a zero v-circuit with chords, read over v
+    # layers, on both sides of each edge of the "cr" route: the row's
+    # layered arcs (v * arcs) and its share of finite cells, one arc below
+    # and at them; the array readout's bound V * ell * M = v^2 * top just
+    # below 2^59 and at it, past which the heap sweeps run; and a scaling
+    # beyond 2^59, with which the labels stay int64 and the factors leave
+    # the domain through object arrays.  Both sides give the heap's factors.
+    assert 15 * (_AT_SHARE - 1) >= _CR_ARCS and _CR_SHARE * (_AT_ARCS - 1) >= 12 * 12
     dtypes = []
     sweep = _recorded(dtypes, lambda args: args[0].dtype, csr._array_labels)
     monkeypatch.setattr(csr, "_array_labels", sweep)
-    entries = {(k, (k + 1) % 4): 0 for k in range(4)}
-    entries.update({(0, 2): -top, (3, 1): -top, (2, 2): -top})
-    orbits = [([0, 1, 2, 3], range(4))]
-    args = (TropicalMatrix(4, 4, entries), (0, far, -far, 0), (0, 1, 2, 3), 4, 4, orbits)
-    by_arrays = _forced("arrays", args)
-    assert dtypes == [np.dtype(dtype)]
-    assert [_typed(m) for m in by_arrays] == [_typed(m) for m in _forced("heap", args)]
+    nodes = tuple(range(v))
+    scaling = (0, far, -far) + (0,) * (v - 3)
+    args = (_edge_group(v, arcs, top), scaling, nodes, v, v, [(list(nodes), range(v))])
+    got = csr._read_factors(*args)
+    assert dtypes == ([] if dtype is None else [np.dtype(dtype)])
+    assert [_typed(m) for m in got] == [_typed(m) for m in _forced("heap", args)]
 
 
 def test_array_labels_stop_at_the_step_cap():
@@ -1147,7 +1179,7 @@ def _positive_arc_group():
 def test_positive_entry_raises_on_both_entry_points(monkeypatch, backend):
     # The check on the visualized group runs in ``_read_factors``, on the
     # backend the gate picks, for plain and reduced terms alike.
-    monkeypatch.setattr(csr, "_ARRAY_MIN_ARCS", 0 if backend == "arrays" else math.inf)
+    monkeypatch.setitem(_ARRAY_GATES, "cr", _CR_ROWS[backend])
     picked = []
     for name in ("_array_factors", "_sweep_labels"):
         monkeypatch.setattr(csr, name, _recorded(picked, lambda _, name=name: name, getattr(csr, name)))

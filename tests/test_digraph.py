@@ -23,7 +23,8 @@ from maxplus import (
     visualize_all,
 )
 from maxplus.cli import parse_matrix
-from maxplus.digraph import _KARP_ARRAY_MIN_CELLS, _karp_array, _karp_components
+from maxplus import digraph
+from maxplus.digraph import _karp_array, _karp_components, _principal_eigen
 from maxplus.oracle import (
     brute_mmc,
     critical_arcs_by_star,
@@ -32,8 +33,8 @@ from maxplus.oracle import (
     random_irreducible_matrix,
     random_matrix,
 )
-from maxplus.tropical import _INT64_BOUND, _kernel_arrays, common_scale
-from fixtures import E, demo_matrix, tm, workload_module
+from maxplus.tropical import _ARRAY_GATES, _INT64_BOUND, _kernel_arrays, common_scale
+from fixtures import E, demo_matrix, recorded_builds, seeded_matrix, tm, workload_module
 
 
 def test_a_square_matrix_is_its_own_graph():
@@ -142,14 +143,17 @@ def _karp_by_both_paths(a):
     def mean(best):
         return None if best is None else Fraction(best[0], best[1] * scale)
 
-    array = "object" if x.dtype == object else mean(_karp_array(x, bottom))
+    array = "object" if x.dtype == object else mean(_karp_array(bottom, x))
     return mean(_karp_components(a, scale)), array
 
 
+_, _KARP_SHARE, _KARP_CELLS = _ARRAY_GATES["karp"]
+
+
 def _on_the_array(a):
-    """Whether the density gate of ``karp_max_cycle_mean`` sends ``a`` to the array table."""
+    """Whether the "karp" row of the gate table sends ``a`` to the array table."""
     cells = len(a.entries)
-    return cells >= _KARP_ARRAY_MIN_CELLS and 4 * cells >= a.rows**2
+    return cells >= _KARP_CELLS and _KARP_SHARE * cells >= a.rows**2
 
 
 def _relabeled(rng, a):
@@ -271,15 +275,16 @@ def test_karp_best_circuit_in_a_later_component():
 @pytest.mark.parametrize(
     "n, cells, path",
     [
-        (10, 100, "_karp_array"),
-        (10, 99, "_karp_components"),
-        (40, 400, "_karp_array"),
-        (40, 399, "_karp_components"),
+        (10, _KARP_CELLS, "_karp_array"),
+        (10, _KARP_CELLS - 1, "_karp_components"),
+        (40, 40 * 40 // _KARP_SHARE, "_karp_array"),
+        (40, 40 * 40 // _KARP_SHARE - 1, "_karp_components"),
     ],
 )
 def test_karp_density_gate_edges(monkeypatch, n, cells, path):
-    # At least _KARP_ARRAY_MIN_CELLS finite cells, and at least a quarter
-    # of them, send the matrix to the array table.
+    # The "karp" row of the gate table: at least its count of finite
+    # cells, and one cell in its share finite, send the matrix to the
+    # array table (10 x 10 meets the count, 40 x 40 the share).
     rng = random.Random(f"gate/{n}/{cells}")
     keys = [(i, j) for i in range(n) for j in range(n)]
     rng.shuffle(keys)
@@ -610,6 +615,51 @@ class TestPrincipalEigenvectors:
     def test_acyclic_rejected(self):
         with pytest.raises(ValueError):
             principal_eigenvectors(tm([[E, 1], [E, E]]))
+
+    def test_one_kernel_entry_past_karps_gate(self, monkeypatch):
+        # Past Karp's gate the star reuses Karp's int64 array, so A enters
+        # the kernel once.  Below it, or past the int64 bound, Karp runs
+        # its loop and the star enters alone: once again.
+        for name in ("small/40/1.0", "pq/30/1.0", "small/40/0.05", "big/24/1.0"):
+            a = seeded_matrix(name)
+            builds = recorded_builds(monkeypatch)
+            _principal_eigen(a)
+            monkeypatch.undo()
+            assert [shape for shape, _, _ in builds if shape == (a.rows, a.rows)] == [(a.rows, a.rows)], name
+
+    @pytest.mark.parametrize("family", ["pq", "sparse", "big"])
+    def test_columns_are_the_oracle_star_columns(self, monkeypatch, family):
+        # The eigenvectors are the columns of the oracle's star of A - rate
+        # at the critical nodes, each an n x 1 matrix, values with their
+        # types: on p/q matrices past Karp's gate, where the star reuses
+        # Karp's array and some rates need a larger scale s' than A's own;
+        # on sparse ones, where Karp runs its loop and the star enters
+        # alone; and on entries near 10^17, where both run on Python ints.
+        alone = []
+        real = digraph._kernel_arrays
+        monkeypatch.setattr(digraph, "_kernel_arrays", lambda *args: alone.append(1) or real(*args))
+        rng = random.Random(f"star/{family}")
+        wider = 0
+        for _ in range(6):
+            n = rng.randint(16, 30)
+            if family == "sparse":
+                a = random_irreducible_matrix(rng, n, 2 / n, -50, 50)
+            else:
+                a = seeded_matrix(f"{family}/{n}/{rng.uniform(0.6, 1.0):.2f}")
+            alone.clear()
+            rate, critical, vectors = _principal_eigen(a)
+            assert len(alone) == (family != "pq")
+            assert rate == karp_max_cycle_mean(a).value
+            wider += common_scale(a.entries.values(), (rate,)) > common_scale(a.entries.values())
+            star = naive_kleene_star(TropicalMatrix(n, n, {key: v - rate for key, v in a.entries.items()}))
+            assert [node for node, _ in vectors] == sorted(critical.nodes)
+            for node, column in vectors:
+                want = {(i, 0): v for (i, j), v in star.entries.items() if j == node}
+                assert (column.rows, column.cols) == (n, 1)
+                assert sorted((key, v, type(v)) for key, v in column.entries.items()) == sorted(
+                    (key, v, type(v)) for key, v in want.items()
+                )
+        assert family != "pq" or wider >= 2, wider
 
     def test_random_instances_satisfy_eigen_equation(self):
         rng = random.Random(37)

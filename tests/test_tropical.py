@@ -13,11 +13,15 @@ from maxplus import (
     TropicalMatrix,
     TropicalScalar,
     as_value,
+    characteristic_roots,
+    expand,
     kleene_star,
     matrix_mul,
     matrix_power,
+    partition_nodes,
+    visualize_all,
 )
-from maxplus.digraph import build_graph, karp_max_cycle_mean
+from maxplus.digraph import _principal_eigen, build_graph, karp_max_cycle_mean
 from maxplus.oracle import (
     diag_conjugate,
     naive_kleene_star,
@@ -25,8 +29,8 @@ from maxplus.oracle import (
     naive_matrix_power,
     submatrix,
 )
-from maxplus.tropical import common_scale, scaled_int, unscaled
-from fixtures import DEMO_A3_ROWS, DEMO_D3, E, demo_matrix, tm
+from maxplus.tropical import _ARRAY_GATES, common_scale, scaled_int, unscaled
+from fixtures import DEMO_A3_ROWS, DEMO_D3, E, demo_matrix, recorded_builds, seeded_matrix, tm
 
 
 class TestScalar:
@@ -589,3 +593,32 @@ def test_package_exports_the_api_only():
     }
     assert len(maxplus.__all__) == len(set(maxplus.__all__)) == 34
     assert set(maxplus.__all__) == public
+
+
+def _passes_row(stage, m, layers=1):
+    """Whether ``m`` passes its stage's row of the gate table, the kernel's bound aside."""
+    min_order, share, min_arcs = _ARRAY_GATES[stage]
+    cells = len(m.entries)
+    return m.rows >= min_order and share * cells >= m.rows * m.cols and layers * cells >= min_arcs
+
+
+def test_array_stages_route_before_building_an_array(monkeypatch):
+    # A dense [-5, 5] * 10^17 matrix passes every row of the gate table,
+    # so only the kernel's int64 bound sends the visualization, the C/R
+    # readout and Karp to their loops: each stage learns that before an
+    # array is built, so none of them builds an object array.  Object
+    # arrays come only where a caller takes any size: the stacked factors
+    # of ``evaluate`` and the star of the eigenvectors.
+    a = seeded_matrix("big/64/1.0")
+    part = partition_nodes(characteristic_roots(a), a.rows)
+    group, circuit = visualize_all(a, part).group(1), part.quasi_critical[0]
+    assert _passes_row("visualize", a) and _passes_row("karp", a)
+    assert _passes_row("cr", group.matrix, circuit.length)
+    builds = recorded_builds(monkeypatch)
+    expand(a)
+    expand(a, reduce_by_cyclicity=True)
+    _principal_eigen(a)
+    stages = {"visualize_all", "_read_factors", "_karp_mean"}
+    objects = [names for _, dtype, names in builds if dtype == object]
+    assert not [names & stages for names in objects if names & stages]
+    assert {"_prepare", "_principal_eigen"} <= set().union(*objects)

@@ -21,7 +21,7 @@ from maxplus.oracle import (
     submatrix,
 )
 from maxplus import visualize
-from maxplus.tropical import _kernel_arrays, common_scale, scaled_int
+from maxplus.tropical import _ARRAY_GATES, _kernel_arrays, common_scale, scaled_int
 from maxplus.visualize import _labels_to_last, _layered_max_weights, _sweep_arrays, _sweep_heap
 from fixtures import (
     DEMO_A1_ROWS,
@@ -209,15 +209,28 @@ def test_wrong_growth_rate_raises(rows, rate):
         visualize_all(a, part)
     # The array sweep, called past its gate, raises the same error.
     with pytest.raises(InvariantViolationError, match=re.escape(str(heap.value))):
-        _sweep_arrays(a, part, [rate], 1)
+        _array_sweep(a, part, [rate], 1)
 
 
 def _sweep_inputs(a):
-    """The arguments both private sweeps take, from a matrix and its partition."""
+    """The arguments of the heap sweep, from a matrix and its partition."""
     part = partition_nodes(characteristic_roots(a), a.rows)
     scale = common_scale(a.entries.values(), part.growth_rates)
     srates = [scaled_int(rate, scale) for rate in part.growth_rates]
     return a, part, srates, scale
+
+
+def _array_sweep(a, part, srates, scale):
+    """The array sweep on ``a``'s kernel array, past the gate table's row; None where that array is object."""
+    bottom, w = _kernel_arrays(scale, 1, a)
+    return None if w.dtype == object else _sweep_arrays(part, srates, scale, bottom, w)
+
+
+def _with_cells(rng, n, cells):
+    """An n x n matrix with exactly ``cells`` finite cells, entries in [-5, 5]."""
+    keys = [(i, j) for i in range(n) for j in range(n)]
+    rng.shuffle(keys)
+    return TropicalMatrix(n, n, {key: rng.randint(-5, 5) for key in keys[:cells]})
 
 
 def _typed(groups):
@@ -254,7 +267,7 @@ def test_array_sweep_matches_the_heap_sweep(family):
     for n in sizes:
         a = seeded_matrix(f"{family}/{n}/{0.8 if family == 'wide' else 1.0}")
         args = _sweep_inputs(a)
-        arrays = _sweep_arrays(*args)
+        arrays = _array_sweep(*args)
         if family == "big":
             assert arrays is None
             continue
@@ -274,19 +287,28 @@ def test_array_sweep_matches_the_heap_sweep(family):
 
 def test_array_sweep_at_the_int64_bound():
     inside = _sweep_inputs(_bound_instance(_LAST_INSIDE_THE_BOUND))
-    assert _typed(_sweep_arrays(*inside)) == _typed(_sweep_heap(*inside))
-    assert _sweep_arrays(*_sweep_inputs(_bound_instance(_LAST_INSIDE_THE_BOUND + 1))) is None
+    assert _typed(_array_sweep(*inside)) == _typed(_sweep_heap(*inside))
+    assert _array_sweep(*_sweep_inputs(_bound_instance(_LAST_INSIDE_THE_BOUND + 1))) is None
 
 
 def test_the_gate_sends_small_and_sparse_matrices_to_the_heap(monkeypatch):
+    # The "visualize" row of the gate table: order at least min_order, and
+    # one cell in ``share`` finite.  Each edge is met one row or one cell
+    # below and at it, and both sides give the heap sweep's groups.
+    min_order, share, _ = _ARRAY_GATES["visualize"]
+    fewest = -(-min_order * min_order // share)
     calls = []
-    monkeypatch.setattr(visualize, "_sweep_arrays", lambda *args: calls.append(args[0].rows))
+    real = visualize._sweep_arrays
+    monkeypatch.setattr(visualize, "_sweep_arrays", lambda *args: calls.append(len(args[-1])) or real(*args))
     rng = random.Random(7)
     for a in (
-        random_matrix(rng, 63, 1.0),
+        random_matrix(rng, min_order - 1, 1.0),
         random_matrix(rng, 80, 0.4),
-        random_matrix(rng, 64, 1.0),
+        random_matrix(rng, min_order, 1.0),
         random_matrix(rng, 80, 0.6),
+        _with_cells(rng, min_order, fewest - 1),
+        _with_cells(rng, min_order, fewest),
     ):
-        visualize_all(a, partition_nodes(characteristic_roots(a), a.rows))
-    assert calls == [64, 80]
+        args = _sweep_inputs(a)
+        assert _typed(visualize_all(a, args[1]).groups) == _typed(_sweep_heap(*args))
+    assert calls == [min_order, 80, min_order]
